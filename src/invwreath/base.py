@@ -30,6 +30,7 @@ __all__ = [
     "unit_at",
     "pinned",
     "special_tuple",
+    "closure",
     "BasePresentation",
     "builtin",
     "BUILTIN_NAMES",
@@ -189,6 +190,35 @@ def special_tuple(kind: str, monoid: FiniteMonoid, n: int, *, positions=None,
     raise ValueError(f"unknown tuple kind {kind!r}")
 
 
+def closure(seeds, gens, mul) -> dict:
+    """Breadth-first right-multiplication closure with one witness word per
+    element.
+
+    ``seeds`` is a sequence of ``(element, word)`` pairs; the first word
+    given for an element wins.  ``gens`` is a sequence of ``(letter,
+    element)`` pairs, tried in order level by level, so each element's word
+    is a seed word extended by as few letters as possible.  ``mul(a, g)``
+    returns the product, or ``None`` where it is undefined.
+    """
+    witness = {}
+    frontier = []
+    for elt, word in seeds:
+        if elt not in witness:
+            witness[elt] = word
+            frontier.append(elt)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            word = witness[a]
+            for letter, g in gens:
+                b = mul(a, g)
+                if b is not None and b not in witness:
+                    witness[b] = word + (letter,)
+                    nxt.append(b)
+        frontier = nxt
+    return witness
+
+
 # Letters must stay clear of the reserved word syntax (s1, e2, e, f1,2,
 # lam3, rho3, i4) so parsing stays unambiguous.
 _LETTER_RE = re.compile(r"[a-z][a-z0-9_]*$")
@@ -231,7 +261,9 @@ class BasePresentation:
             for lhs, rhs in self.relations:
                 if self.eval_word(lhs) != self.eval_word(rhs):
                     raise ValueError(f"relation {lhs} = {rhs} is not sound in the table")
-            if len(self._generated()) != self.monoid.size:
+            gens = [(x, self.image_of(x)) for x in self.alphabet]
+            if len(closure([(self.monoid.identity, ())], gens, self.monoid.mul)) \
+                    != self.monoid.size:
                 raise ValueError("alphabet does not generate the monoid")
 
     def has_evaluation(self) -> bool:
@@ -258,22 +290,6 @@ class BasePresentation:
         for x in word:
             out = m.mul(out, self.image_of(x))
         return out
-
-    def _generated(self) -> set[int]:
-        m = self.monoid
-        gens = [self.image_of(x) for x in self.alphabet]
-        seen = {m.identity}
-        frontier = [m.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = m.mul(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return seen
 
     def to_json(self) -> dict:
         out = {

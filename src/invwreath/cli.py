@@ -17,17 +17,13 @@ from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, builtin
 from .congruence import UnsupportedFlavorError
 from .pperm import enumerate_partial_bijections
-from .presentations import KIND_FLAVOR, build, emit_json, emit_text
+from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, build, emit_json, emit_text
 from .words import (
     ParseError,
-    eval_path,
-    eval_term,
-    eval_word,
     normal_form_singular_tuple,
     normal_form_wreath_word,
     parse_monoid_word,
     parse_path,
-    parse_term,
     reassemble_singular,
     reassemble_wreath,
     term_text,
@@ -60,17 +56,35 @@ def _load_monoid(spec: str) -> BasePresentation:
         f"unknown monoid {spec!r}: expected one of {', '.join(BUILTIN_NAMES)} or a JSON path")
 
 
+def _positive_budget(budget):
+    if budget is not None and (not isinstance(budget, int) or budget <= 0):
+        raise UsageError(f"node budget must be a positive integer, got {budget!r}")
+    return budget
+
+
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
+    """The node budget from ``--budget`` or the environment; ``None``
+    leaves the choice of default to the enumeration."""
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return None
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{BUDGET_ENV}={env!r} is not an integer") from None
+    return _positive_budget(budget)
+
+
+def _flavor(kind: str) -> str:
+    if kind not in KIND_FLAVOR:
+        raise UsageError(f"unknown kind {kind!r}")
+    return KIND_FLAVOR[kind]
 
 
 def _build_from_args(args):
-    flavor = KIND_FLAVOR.get(args.kind)
-    if flavor is None:
-        raise UsageError(f"unknown kind {args.kind!r}")
+    flavor = _flavor(args.kind)
     base = _load_monoid(args.monoid)
     if flavor in ("monoid", "semigroup"):
         if args.n is None:
@@ -98,9 +112,7 @@ def _report_exit(report) -> int:
 
 
 def _run_verify_cell(kind, base, n, cap, budget):
-    flavor = KIND_FLAVOR.get(kind)
-    if flavor is None:
-        raise UsageError(f"unknown kind {kind!r}")
+    flavor = _flavor(kind)
     if flavor in ("monoid", "semigroup"):
         if n is None:
             raise UsageError(f"kind {kind} needs --n")
@@ -111,8 +123,9 @@ def _run_verify_cell(kind, base, n, cap, budget):
 
 
 def _cmd_verify(args) -> int:
+    budget = _budget(args)
     base = _load_monoid(args.monoid)
-    report = _run_verify_cell(args.kind, base, args.n, args.cap, _budget(args))
+    report = _run_verify_cell(args.kind, base, args.n, args.cap, budget)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -135,31 +148,22 @@ def _print_report(report):
         print(f"  {key}: {val}")
 
 
-def _parse_by_flavor(text: str, flavor: str):
-    if flavor in ("monoid", "semigroup"):
-        return parse_monoid_word(text)
-    if flavor == "category":
-        return parse_path(text)
-    return parse_term(text)
+def _evaluator(args):
+    """Parse-then-evaluate for the flavor of ``args.kind``."""
+    flavor = _flavor(args.kind)
+    base = _load_monoid(args.monoid)
+    syntax = FLAVOR_SYNTAX[flavor]
 
-
-def _eval_by_flavor(obj, flavor, base, n):
-    if flavor in ("monoid", "semigroup"):
-        if n is None:
+    def evaluate(text):
+        obj = syntax.parse(text)
+        if flavor in ("monoid", "semigroup") and args.n is None:
             raise UsageError("evaluation of a flat word needs --n")
-        return eval_word(obj, base, n)
-    if flavor == "category":
-        return eval_path(obj, base)
-    return eval_term(obj, base)
+        return syntax.eval(obj, base, args.n)
+    return evaluate
 
 
 def _cmd_eval(args) -> int:
-    base = _load_monoid(args.monoid)
-    flavor = KIND_FLAVOR.get(args.kind)
-    if flavor is None:
-        raise UsageError(f"unknown kind {args.kind!r}")
-    obj = _parse_by_flavor(args.word, flavor)
-    elem = _eval_by_flavor(obj, flavor, base, args.n)
+    elem = _evaluator(args)(args.word)
     if args.format == "json":
         print(json.dumps(elem.to_json()))
     else:
@@ -169,13 +173,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_word_problem(args) -> int:
-    base = _load_monoid(args.monoid)
-    flavor = KIND_FLAVOR.get(args.kind)
-    if flavor is None:
-        raise UsageError(f"unknown kind {args.kind!r}")
-    left = _eval_by_flavor(_parse_by_flavor(args.lhs, flavor), flavor, base, args.n)
-    right = _eval_by_flavor(_parse_by_flavor(args.rhs, flavor), flavor, base, args.n)
-    equal = left == right
+    evaluate = _evaluator(args)
+    equal = evaluate(args.lhs) == evaluate(args.rhs)
     if args.format == "json":
         print(json.dumps({"equal": equal}))
     else:
@@ -252,14 +251,16 @@ def _cmd_matrix(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     cells = config.get("cells", [])
+    default_budget = _budget(args)
     results = []
     worst = EXIT_OK
     for idx, cell in enumerate(cells):
         entry = {"cell": idx, **cell}
         try:
             base = _load_monoid(cell["monoid"])
-            report = _run_verify_cell(cell["kind"], base, cell.get("n"),
-                                      cell.get("cap"), cell.get("budget") or _budget(args))
+            budget = _positive_budget(cell.get("budget"))
+            report = _run_verify_cell(cell["kind"], base, cell.get("n"), cell.get("cap"),
+                                      default_budget if budget is None else budget)
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
             worst = max(worst, _report_exit(report))

@@ -10,15 +10,21 @@ missing transitions along the way) and then has its remaining row entries
 filled with fresh nodes.  On completion the alive-node count is the
 cardinality of the presented structure.
 
+One typed engine serves every flavor.  Nodes carry source and target
+objects, generators go between objects, and each source object is the
+root of its own part of the table with its own node budget.  A monoid or
+semigroup run uses the single object 0: every generator goes ``0 -> 0``
+and there is one root, so the per-root budget is the whole budget.
+
 For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-For category presentations nodes carry source and target objects and the
-table is truncated at a bound: transitions through objects above the bound
-are left undefined and relation traces blocked by the bound are skipped.
-Counts can therefore only be too coarse, never too fine; callers compare
-against a brute-force target and widen the bound if needed.
+For category presentations the table is truncated at a bound: transitions
+through objects above the bound are left undefined and relation traces
+blocked by the bound are skipped.  Counts can therefore only be too
+coarse, never too fine; callers compare against a brute-force target and
+widen the bound if needed.
 """
 
 from __future__ import annotations
@@ -85,21 +91,44 @@ class CongruenceTable:
 
 
 class _Engine:
-    """Table plus union-find over integer generator ids."""
+    """Table plus union-find over integer generator ids.
 
-    def __init__(self, ngens: int, budget: int):
-        self.ngens = ngens
+    Every node carries its ``(source, target)`` objects and every generator
+    goes between two objects; ``dr[g]`` names them.  A transition is only
+    defined where the node's target is the generator's source and the
+    generator's target is within ``bound``.  Each source object roots its
+    own part of the table, with at most ``budget`` nodes.
+    """
+
+    def __init__(self, dr, bound: int, budget: int, roots: int):
+        self.dr = dr
+        self.ngens = len(dr)
+        self.bound = bound
         self.budget = budget
+        self.created = [0] * roots
         self.rows: list[list[int] | None] = []
         self.parent: list[int] = []
+        self.dobj: list[int] = []
+        self.robj: list[int] = []
 
-    def new_node(self) -> int:
-        if len(self.rows) >= self.budget:
+    def new_node(self, d: int, r: int) -> int:
+        if self.created[d] >= self.budget:
             raise _BudgetExceeded
+        self.created[d] += 1
         idx = len(self.rows)
         self.rows.append([_UNDEF] * self.ngens)
         self.parent.append(idx)
+        self.dobj.append(d)
+        self.robj.append(r)
         return idx
+
+    def define(self, node: int, gen: int) -> int | None:
+        """A fresh target for ``node`` by ``gen``, or ``None`` where the
+        transition is ill-typed or leaves the bound."""
+        d, r = self.dr[gen]
+        if d != self.robj[node] or r > self.bound:
+            return None
+        return self.new_node(self.dobj[node], r)
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -121,7 +150,8 @@ class _Engine:
                 continue
             if b < a:
                 a, b = b, a
-            self.on_merge(a, b)
+            if self.dobj[a] != self.dobj[b] or self.robj[a] != self.robj[b]:
+                raise AssertionError("attempt to merge nodes of different types")
             self.parent[b] = a
             row_b = self.rows[b]
             self.rows[b] = None
@@ -133,9 +163,6 @@ class _Engine:
                         row_a[x] = t
                     else:
                         queue.append((row_a[x], t))
-
-    def on_merge(self, a: int, b: int):
-        pass
 
     def scan(self, p: int, word) -> tuple[int, int]:
         """Follow ``word`` from ``p`` through defined entries; return the
@@ -152,7 +179,7 @@ class _Engine:
         """Trace the relation ``u = v`` at ``p``: deduce the final
         transition when only it is missing, merge completed endpoints, and
         otherwise fill the first missing slot with a fresh node and rescan.
-        ``define(node, gen)`` may return ``None`` to abandon the trace."""
+        A trace blocked by the typing or the bound is abandoned."""
         while True:
             p = self.find(p)
             a, i = self.scan(p, u)
@@ -173,15 +200,35 @@ class _Engine:
                 return
             self.rows[node][gen] = fresh
 
-    def define(self, node: int, gen: int) -> int | None:
-        return self.new_node()
-
-    def alive(self):
-        return [i for i in range(len(self.rows)) if self.parent[i] == i]
+    def run(self, rels_by_src: dict):
+        """One root per source object, then nodes in creation order: trace
+        every relation whose source is the node's target, then fill the
+        node's remaining defined row entries with fresh nodes."""
+        for m in range(len(self.created)):
+            self.new_node(m, m)
+        # the generators leaving each object within the bound, with targets
+        leaving = [[(gen, r) for gen, (d, r) in enumerate(self.dr) if d == obj and r <= self.bound]
+                   for obj in range(self.bound + 1)]
+        idx = 0
+        while idx < len(self.rows):
+            if self.parent[idx] != idx:
+                idx += 1
+                continue
+            for u, v in rels_by_src.get(self.robj[idx], ()):
+                self.scan_and_fill(idx, u, v)
+                if self.parent[idx] != idx:
+                    # the class was folded into an earlier, fully processed node
+                    break
+            else:
+                row = self.rows[idx]
+                for gen, r in leaving[self.robj[idx]]:
+                    if row[gen] == _UNDEF:
+                        row[gen] = self.new_node(self.dobj[idx], r)
+            idx += 1
 
     def compressed(self):
         """Alive classes renumbered consecutively, with their rows."""
-        alive = self.alive()
+        alive = [i for i in range(len(self.rows)) if self.parent[i] == i]
         renumber = {node: k for k, node in enumerate(alive)}
         table = [
             [renumber[self.find(t)] if t != _UNDEF else _UNDEF
@@ -191,167 +238,69 @@ class _Engine:
         return renumber, table
 
 
-def _index_relations(p: Presentation):
-    gen_index = {sym: k for k, sym in enumerate(p.alphabet)}
-    if p.flavor == "category":
-        rels = [
-            (lhs.src,
-             tuple(gen_index[s] for s in lhs.edges),
-             tuple(gen_index[s] for s in rhs.edges))
-            for lhs, rhs in p.relations
-        ]
-    else:
-        rels = [
-            (tuple(gen_index[s] for s in lhs), tuple(gen_index[s] for s in rhs))
-            for lhs, rhs in p.relations
-        ]
-    return gen_index, rels
-
-
-def _enumerate_flat(p: Presentation, budget: int) -> CongruenceTable:
-    gen_index, rels = _index_relations(p)
-    eng = _Engine(len(p.alphabet), budget)
-    eng.new_node()
-    try:
-        idx = 0
-        while idx < len(eng.rows):
-            if eng.parent[idx] != idx:
-                idx += 1
-                continue
-            dead = False
-            for u, v in rels:
-                eng.scan_and_fill(idx, u, v)
-                if eng.parent[idx] != idx:
-                    # the class was folded into an earlier, fully processed node
-                    dead = True
-                    break
-            if not dead:
-                row = eng.rows[idx]
-                for x in range(eng.ngens):
-                    if row[x] == _UNDEF:
-                        row[x] = eng.new_node()
-            idx += 1
-    except _BudgetExceeded:
-        return CongruenceTable(p.flavor, "budget-exceeded", nodes_created=len(eng.rows))
-
-    alive = eng.alive()
-    renumber, table = eng.compressed()
-    roots = {0: renumber[eng.find(0)]}
-    if p.flavor == "semigroup":
-        root_alive = eng.find(0) == 0
-        no_in_edges = all(
-            eng.find(t) != 0
-            for i in alive
-            for t in eng.rows[i]
-            if t != _UNDEF
-        )
-        if not (root_alive and no_in_edges):
-            raise AssertionError("empty-word class was touched in a semigroup run")
-        return CongruenceTable(p.flavor, "complete", size=len(alive) - 1,
-                               nodes_created=len(eng.rows), empty_class_untouched=True,
-                               transitions=table, roots=roots, gen_index=gen_index)
-    return CongruenceTable(p.flavor, "complete", size=len(alive),
-                           nodes_created=len(eng.rows),
-                           transitions=table, roots=roots, gen_index=gen_index)
-
-
-class _TypedEngine(_Engine):
-    """Category variant: nodes carry (source, target) objects, transitions
-    stay within the object bound, one root per source object."""
-
-    def __init__(self, edges_dr, bound: int, per_root_budget: int, roots: int):
-        super().__init__(len(edges_dr), per_root_budget * roots)
-        self.dr = edges_dr
-        self.bound = bound
-        self.per_root_budget = per_root_budget
-        self.dobj: list[int] = []
-        self.robj: list[int] = []
-        self.created_per_root: dict[int, int] = {}
-
-    def typed_node(self, d: int, r: int) -> int:
-        count = self.created_per_root.get(d, 0)
-        if count >= self.per_root_budget:
-            raise _BudgetExceeded
-        self.created_per_root[d] = count + 1
-        idx = self.new_node()
-        self.dobj.append(d)
-        self.robj.append(r)
-        return idx
-
-    def define(self, node: int, gen: int) -> int | None:
-        d, r = self.dr[gen]
-        if d != self.robj[node] or r > self.bound:
-            return None
-        return self.typed_node(self.dobj[node], r)
-
-    def on_merge(self, a: int, b: int):
-        if (self.dobj[a], self.robj[a]) != (self.dobj[b], self.robj[b]):
-            raise AssertionError("attempt to merge nodes of different types")
-
-
-def _enumerate_category(p: Presentation, budget: int, headroom: int) -> CongruenceTable:
-    bound = p.cap + headroom
-    wide = build(p.kind, p.base, cap=bound)
-    gen_index, rels = _index_relations(wide)
-    rels_by_src: dict[int, list] = {}
-    for src, u, v in rels:
-        rels_by_src.setdefault(src, []).append((u, v))
-    dr = [edge_dr(sym) for sym in wide.alphabet]
-
-    eng = _TypedEngine(dr, bound, budget, p.cap + 1)
-    try:
-        for m in range(p.cap + 1):
-            eng.typed_node(m, m)
-        idx = 0
-        while idx < len(eng.rows):
-            if eng.parent[idx] != idx:
-                idx += 1
-                continue
-            dead = False
-            for u, v in rels_by_src.get(eng.robj[idx], ()):
-                eng.scan_and_fill(idx, u, v)
-                if eng.parent[idx] != idx:
-                    dead = True
-                    break
-            if not dead:
-                row = eng.rows[idx]
-                r_here = eng.robj[idx]
-                for gen in range(eng.ngens):
-                    d, r = dr[gen]
-                    if d == r_here and r <= eng.bound and row[gen] == _UNDEF:
-                        row[gen] = eng.typed_node(eng.dobj[idx], r)
-            idx += 1
-    except _BudgetExceeded:
-        return CongruenceTable(p.flavor, "budget-exceeded",
-                               nodes_created=len(eng.rows), bound=bound)
-
-    # nodes above the cap only exist to close relation traces; their counts
-    # are truncation artifacts and are not reported
-    hom: dict[tuple[int, int], int] = {}
-    for i in eng.alive():
-        if eng.robj[i] > p.cap:
-            continue
-        key = (eng.dobj[i], eng.robj[i])
-        hom[key] = hom.get(key, 0) + 1
-    renumber, table = eng.compressed()
-    roots = {m: renumber[eng.find(m)] for m in range(p.cap + 1)}
-    return CongruenceTable(p.flavor, "complete", hom_sizes=hom,
-                           nodes_created=len(eng.rows), bound=bound,
-                           transitions=table, roots=roots, gen_index=gen_index)
-
-
 def enumerate_congruence(p: Presentation, budget: int | None = None,
                          headroom: int = 2) -> CongruenceTable:
     """Enumerate the structure presented by ``p``.
 
     Monoid and semigroup flavors return a total class count; the category
     flavor returns per-hom-set counts for objects up to the cap, computed
-    with excursions allowed ``headroom`` objects above it.  Tensor flavors
-    have no completeness enumeration.
+    with excursions allowed ``headroom`` objects above it.  ``budget``
+    bounds the nodes per source object; ``None`` picks the flavor's
+    default.  Tensor flavors have no completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
-    if p.flavor in ("monoid", "semigroup"):
-        return _enumerate_flat(p, budget or DEFAULT_MONOID_BUDGET)
-    return _enumerate_category(p, budget or DEFAULT_CATEGORY_BUDGET, headroom)
+    category = p.flavor == "category"
+    if budget is None:
+        budget = DEFAULT_CATEGORY_BUDGET if category else DEFAULT_MONOID_BUDGET
+    elif budget <= 0:
+        raise ValueError(f"node budget must be positive, got {budget}")
+
+    if category:
+        bound = p.cap + headroom
+        run = build(p.kind, p.base, cap=bound)
+        dr = [edge_dr(sym) for sym in run.alphabet]
+        roots = p.cap + 1
+        sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in run.relations]
+    else:
+        # one object: every generator is an endomorphism of 0
+        run, bound, roots = p, 0, 1
+        dr = [(0, 0)] * len(p.alphabet)
+        sides = [(0, lhs, rhs) for lhs, rhs in p.relations]
+    gen_index = {sym: k for k, sym in enumerate(run.alphabet)}
+    rels_by_src: dict[int, list] = {}
+    for src, lhs, rhs in sides:
+        rels_by_src.setdefault(src, []).append(
+            (tuple(gen_index[s] for s in lhs), tuple(gen_index[s] for s in rhs)))
+
+    eng = _Engine(dr, bound, budget, roots)
+    reported_bound = bound if category else None
+    try:
+        eng.run(rels_by_src)
+    except _BudgetExceeded:
+        return CongruenceTable(p.flavor, "budget-exceeded",
+                               nodes_created=len(eng.rows), bound=reported_bound)
+
+    renumber, table = eng.compressed()      # keyed by the alive nodes, in order
+    done = CongruenceTable(p.flavor, "complete", nodes_created=len(eng.rows),
+                           bound=reported_bound, transitions=table, gen_index=gen_index,
+                           roots={m: renumber[eng.find(m)] for m in range(roots)})
+    if category:
+        # nodes above the cap only exist to close relation traces; their
+        # counts are truncation artifacts and are not reported
+        done.hom_sizes = {}
+        for i in renumber:
+            if eng.robj[i] <= p.cap:
+                key = (eng.dobj[i], eng.robj[i])
+                done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
+    elif p.flavor == "semigroup":
+        # the empty word's node 0 must stay its own class (class 0) and
+        # no transition may lead into it
+        if eng.find(0) != 0 or any(0 in row for row in table):
+            raise AssertionError("empty-word class was touched in a semigroup run")
+        done.size = len(table) - 1
+        done.empty_class_untouched = True
+    else:
+        done.size = len(table)
+    return done

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .base import BasePresentation
 from .words import (
@@ -35,11 +36,17 @@ from .words import (
     bx,
     compose_chain,
     e_,
+    eval_path,
+    eval_term,
+    eval_word,
     f_,
     lam,
     lift_word_i,
     lift_word_ij,
     el,
+    parse_monoid_word,
+    parse_path,
+    parse_term,
     path_text,
     pe,
     rho,
@@ -63,6 +70,8 @@ from .words import (
 __all__ = [
     "KINDS",
     "KIND_FLAVOR",
+    "FlavorSyntax",
+    "FLAVOR_SYNTAX",
     "Presentation",
     "build",
     "generator_images",
@@ -84,6 +93,44 @@ KIND_FLAVOR = {
 }
 
 KINDS = tuple(KIND_FLAVOR)
+
+
+@dataclass(frozen=True)
+class FlavorSyntax:
+    """How one flavor reads, evaluates and prints a relation side.
+
+    ``eval(side, base, n)`` uses the level ``n`` for flat words only.
+    ``tokens`` is the side as emitted in JSON.
+    """
+
+    parse: Callable
+    eval: Callable
+    text: Callable
+    tokens: Callable
+
+
+# eval looks its function up per call, so a wrapper installed on the
+# module attribute sees every evaluation
+_FLAT = FlavorSyntax(
+    parse_monoid_word,
+    lambda word, base, n: eval_word(word, base, n),
+    word_text,
+    lambda word: [token(s) for s in word])
+
+FLAVOR_SYNTAX = {
+    "monoid": _FLAT,
+    "semigroup": _FLAT,
+    "category": FlavorSyntax(
+        parse_path,
+        lambda path, base, n: eval_path(path, base),
+        path_text,
+        lambda path: [token(s) for s in path.edges] or [path_text(path)]),
+    "tensor": FlavorSyntax(
+        parse_term,
+        lambda term, base, n: eval_term(term, base),
+        term_text,
+        term_text),
+}
 
 
 @dataclass(frozen=True)
@@ -543,48 +590,27 @@ _BUILDERS = {
 
 def generator_images(p: Presentation) -> dict:
     """Total map from the alphabet to concrete elements.  Needs a base
-    monoid table."""
+    monoid table.  Leveled and tensor edges ignore the ambient level; a
+    bare base letter of a tensor kind lives on one strand."""
     p.base.require_evaluation()
-    out = {}
-    for sym in p.alphabet:
-        if sym.kind == "bx":
-            level = 1 if p.flavor == "tensor" else p.n
-            out[sym] = sym_image(sym, p.base, level)
-        elif p.flavor in ("monoid", "semigroup"):
-            out[sym] = sym_image(sym, p.base, p.n)
-        else:
-            out[sym] = sym_image(sym, p.base)
-    return out
-
-
-def _side_text(side, flavor: str) -> str:
-    if flavor in ("monoid", "semigroup"):
-        return word_text(side)
-    if flavor == "category":
-        return path_text(side)
-    return term_text(side)
-
-
-def _side_tokens(side, flavor: str):
-    if flavor in ("monoid", "semigroup"):
-        return [token(s) for s in side]
-    if flavor == "category":
-        return [path_text(side)] if not side.edges else [token(s) for s in side.edges]
-    return _side_text(side, flavor)
+    level = 1 if p.flavor == "tensor" else p.n
+    return {sym: sym_image(sym, p.base, level) for sym in p.alphabet}
 
 
 def emit_text(p: Presentation) -> str:
     """One relation per line, ``lhs = rhs``, after a short comment header."""
+    text = FLAVOR_SYNTAX[p.flavor].text
     lines = []
     scope = f"n: {p.n}" if p.n is not None else (f"cap: {p.cap}" if p.cap is not None else "cap: none")
     lines.append(f"# kind: {p.kind}  flavor: {p.flavor}  {scope}  monoid: {p.base.name or 'custom'}")
     lines.append("# generators: " + (" ".join(token(s) for s in p.alphabet) or "(none)"))
     for lhs, rhs in p.relations:
-        lines.append(f"{_side_text(lhs, p.flavor)} = {_side_text(rhs, p.flavor)}")
+        lines.append(f"{text(lhs)} = {text(rhs)}")
     return "\n".join(lines) + "\n"
 
 
 def emit_json(p: Presentation) -> str:
+    tokens = FLAVOR_SYNTAX[p.flavor].tokens
     obj = {
         "kind": p.kind,
         "flavor": p.flavor,
@@ -593,7 +619,7 @@ def emit_json(p: Presentation) -> str:
         "monoid": p.base.name or "custom",
         "alphabet": [token(s) for s in p.alphabet],
         "relations": [
-            [_side_tokens(lhs, p.flavor), _side_tokens(rhs, p.flavor)]
+            [tokens(lhs), tokens(rhs)]
             for lhs, rhs in p.relations
         ],
     }

@@ -16,21 +16,19 @@ import random
 from dataclasses import dataclass, field
 
 from . import wreath, words
-from .base import BasePresentation, MTuple, adjoin_zero, builtin
+from .base import BasePresentation, MTuple, adjoin_zero, builtin, closure
 from .congruence import enumerate_congruence
 from .pperm import PartialBijection, count_partial_bijections
-from .presentations import Presentation, build
+from .presentations import FLAVOR_SYNTAX, Presentation, build
 from .words import (
     Path,
     el,
     eval_path,
     eval_term,
-    eval_word,
     hat_path,
     leveled_word,
     path_text,
     term_text,
-    word_text,
     x_mn_decompose,
 )
 from .wreath import WreathElement
@@ -106,52 +104,30 @@ def _jsonable(v):
     return v
 
 
-def _eval_side(side, p: Presentation) -> WreathElement:
-    if p.flavor in ("monoid", "semigroup"):
-        return eval_word(side, p.base, p.n)
-    if p.flavor == "category":
-        return eval_path(side, p.base)
-    return eval_term(side, p.base)
-
-
-def _side_text(side, p: Presentation) -> str:
-    if p.flavor in ("monoid", "semigroup"):
-        return word_text(side)
-    if p.flavor == "category":
-        return path_text(side)
-    return term_text(side)
-
-
 def check_soundness(p: Presentation) -> StageReport:
     """Evaluate every relation; report the first counterexample."""
     p.base.require_evaluation()
+    syntax = FLAVOR_SYNTAX[p.flavor]
     for idx, (lhs, rhs) in enumerate(p.relations):
-        left = _eval_side(lhs, p)
-        right = _eval_side(rhs, p)
+        left = syntax.eval(lhs, p.base, p.n)
+        right = syntax.eval(rhs, p.base, p.n)
         if left != right:
             return StageReport(
                 False,
-                f"relation {idx}: {_side_text(lhs, p)} evaluates to {left.to_json()} "
-                f"but {_side_text(rhs, p)} evaluates to {right.to_json()}")
+                f"relation {idx}: {syntax.text(lhs)} evaluates to {left.to_json()} "
+                f"but {syntax.text(rhs)} evaluates to {right.to_json()}")
     return StageReport(True, f"{len(p.relations)} relations sound")
 
 
-def _bfs_closure(seeds: dict, images, m0) -> dict:
-    """Right-multiplication closure recording one witness word per element."""
-    witness = dict(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for sym, g in images:
-                if a.cod_size != g.dom_size:
-                    continue
-                b = wreath.compose(m0, a, g)
-                if b not in witness:
-                    witness[b] = witness[a] + (sym,)
-                    nxt.append(b)
-        frontier = nxt
-    return witness
+def _typed_mul(m0):
+    """Composition of labelled partial bijections, ``None`` where the
+    levels do not match.  ``wreath.compose`` is looked up per call, so a
+    wrapper installed on it sees every product."""
+    def mul(a, g):
+        if a.cod_size != g.dom_size:
+            return None
+        return wreath.compose(m0, a, g)
+    return mul
 
 
 def _target_monoid(p: Presentation):
@@ -198,13 +174,10 @@ def check_generation(p: Presentation) -> GenerationResult:
     m0 = adjoin_zero(tgt_monoid)
     images = [(sym, _image_in_target(sym, p)) for sym in p.alphabet]
     if p.flavor == "monoid":
-        seeds = {wreath.identity_element(tgt_monoid, p.n): ()}
+        seeds = [(wreath.identity_element(tgt_monoid, p.n), ())]
     else:
-        seeds = {}
-        for sym, g in images:
-            if g not in seeds:
-                seeds[g] = (sym,)
-    witness = _bfs_closure(seeds, images, m0)
+        seeds = [(g, (sym,)) for sym, g in images]
+    witness = closure(seeds, images, _typed_mul(m0))
     target = enumerate_target(p)
     covered = sum(1 for t in target if t in witness)
     missing = [t for t in target if t not in witness]
@@ -299,8 +272,8 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     report.notes["sandwich_witnesses"] = samples
 
     images = [(sym, words.sym_image(sym, base)) for sym in p.alphabet]
-    seeds = {wreath.identity_element(monoid, m): () for m in range(cap + 1)}
-    witness = _bfs_closure(seeds, images, m0)
+    seeds = [(wreath.identity_element(monoid, m), ()) for m in range(cap + 1)]
+    witness = closure(seeds, images, _typed_mul(m0))
     total = covered = 0
     for m in range(cap + 1):
         for n in range(cap + 1):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pperm, wreath
-from .base import BasePresentation, MTuple, adjoin_zero, ones_on, pinned, unit_at
+from .base import BasePresentation, MTuple, adjoin_zero, closure, ones_on, pinned, unit_at
 from .pperm import PartialBijection
 from .wreath import WreathElement
 
@@ -263,10 +263,7 @@ class Path:
 
     @property
     def tgt(self) -> int:
-        cur = self.src
-        for sym in self.edges:
-            cur = edge_dr(sym)[1]
-        return cur
+        return edge_dr(self.edges[-1])[1] if self.edges else self.src
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -283,14 +280,14 @@ def parse_path(text: str) -> Path:
     if not toks:
         raise ParseError("empty path text needs an explicit i<n> token")
     edges = []
-    src = None
+    src = tgt = None
     for pos, tok in enumerate(toks):
         m = _IDENT_RE.match(tok)
         if m:
             level = int(m.group(1))
             if src is None:
-                src = level
-            elif _path_tgt(src, edges) != level:
+                src = tgt = level
+            elif tgt != level:
                 raise ParseError(f"token {pos}: identity i{level} breaks the chain")
             continue
         sym = _parse_token(tok)
@@ -301,17 +298,11 @@ def parse_path(text: str) -> Path:
         if src is None:
             src = d
         edges.append(sym)
+        tgt = r
     try:
         return Path(src, tuple(edges))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _path_tgt(src, edges):
-    cur = src
-    for sym in edges:
-        cur = edge_dr(sym)[1]
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -775,18 +766,8 @@ def word_for_monoid_element(base: BasePresentation):
     """Shortest-first witness word per monoid element (letters in alphabet
     order), keyed by element index."""
     monoid = base.require_evaluation()
-    words = {monoid.identity: ()}
-    frontier = [monoid.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for letter in base.alphabet:
-                b = monoid.mul(a, base.image_of(letter))
-                if b not in words:
-                    words[b] = words[a] + (letter,)
-                    nxt.append(b)
-        frontier = nxt
-    return words
+    gens = [(letter, base.image_of(letter)) for letter in base.alphabet]
+    return closure([(monoid.identity, ())], gens, monoid.mul)
 
 
 @lru_cache(maxsize=None)
@@ -800,18 +781,7 @@ def word_for_pperm(n: int, popova: bool = False):
     else:
         gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
         gens.extend((e_(i), pperm.omit(i, n)) for i in range(1, n + 1))
-    words = {pperm.identity(n): ()}
-    frontier = [pperm.identity(n)]
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for sym, g in gens:
-                beta = alpha.compose(g)
-                if beta not in words:
-                    words[beta] = words[alpha] + (sym,)
-                    nxt.append(beta)
-        frontier = nxt
-    return words
+    return closure([(pperm.identity(n), ())], gens, PartialBijection.compose)
 
 
 @lru_cache(maxsize=None)
@@ -821,22 +791,7 @@ def word_for_singular_pperm(n: int):
     generators themselves)."""
     gens = [(f_(i, j), pperm.transfer(i, j, n))
             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    words = {}
-    frontier = []
-    for sym, g in gens:
-        if g not in words:
-            words[g] = (sym,)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for sym, g in gens:
-                beta = alpha.compose(g)
-                if beta not in words:
-                    words[beta] = words[alpha] + (sym,)
-                    nxt.append(beta)
-        frontier = nxt
-    return words
+    return closure([(g, (sym,)) for sym, g in gens], gens, PartialBijection.compose)
 
 
 def lift_word_i(letters, i: int):
@@ -867,9 +822,13 @@ def leveled_word(word, level: int):
     return tuple(out)
 
 
-def _require_plain_labels(elem: WreathElement, monoid):
+def _plain_map(elem, monoid) -> PartialBijection:
+    """The map of an unlabelled element; a bare map passes through."""
+    if not isinstance(elem, WreathElement):
+        return elem
     if elem.tup != ones_on(monoid, elem.pmap.dom, elem.pmap.m):
         raise ValueError("element carries nontrivial labels")
+    return elem.pmap
 
 
 def _wreath_factor_words(elem: WreathElement, base: BasePresentation):
@@ -889,22 +848,14 @@ def canonical_word(elem, kind: str, base: BasePresentation, n: int | None = None
     """A word/path/term over the chosen alphabet evaluating to ``elem``."""
     monoid = base.require_evaluation()
     if kind in ("r-in", "r-in-popova"):
-        alpha = elem.pmap if isinstance(elem, WreathElement) else elem
-        if isinstance(elem, WreathElement):
-            _require_plain_labels(elem, monoid)
+        alpha = _plain_map(elem, monoid)
         return word_for_pperm(alpha.m, popova=(kind == "r-in-popova"))[alpha]
     if kind == "r-min":
-        parts, w2 = _wreath_factor_words(elem, base)
-        out = []
-        for i, letters in enumerate(parts, start=1):
-            out.extend(lift_word_i(letters, i))
-        return tuple(out) + w2
+        return reassemble_wreath(*_wreath_factor_words(elem, base))
     if kind == "r-min-small":
         return psi1_word(canonical_word(elem, "r-min", base))
     if kind == "r-sing-in":
-        alpha = elem.pmap if isinstance(elem, WreathElement) else elem
-        if isinstance(elem, WreathElement):
-            _require_plain_labels(elem, monoid)
+        alpha = _plain_map(elem, monoid)
         if alpha.is_total_bijection():
             raise ValueError("units have no word over the transfer alphabet")
         return word_for_singular_pperm(alpha.m)[alpha]
@@ -915,24 +866,15 @@ def canonical_word(elem, kind: str, base: BasePresentation, n: int | None = None
             raise ValueError("element is not an embedded tuple")
         return _singular_tuple_word(a, base)
     if kind == "r-m-sing-in":
-        if is_full_permutation(elem):
+        if elem.pmap.is_total_bijection():
             raise ValueError("units have no word over the singular alphabet")
-        a = elem.tup
-        slot = _singular_tuple_word(a, base)
-        return slot + word_for_singular_pperm(elem.pmap.m)[_strip_labels(elem)]
+        slot = _singular_tuple_word(elem.tup, base)
+        return slot + word_for_singular_pperm(elem.pmap.m)[elem.pmap]
     if kind == "omega-mi":
         return _category_path(elem, base)
     if kind in ("xi-i", "xi-mi"):
         return hat_path(_category_path(elem, base))
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def is_full_permutation(elem: WreathElement) -> bool:
-    return elem.pmap.is_total_bijection()
-
-
-def _strip_labels(elem: WreathElement) -> PartialBijection:
-    return elem.pmap
 
 
 def _singular_tuple_word(a: MTuple, base: BasePresentation):
@@ -959,21 +901,13 @@ def _category_path(elem: WreathElement, base: BasePresentation) -> Path:
         padded = WreathElement(
             MTuple(elem.tup.entries + (0,) * (n - m)),
             PartialBijection(n, n, elem.pmap.images + (0,) * (n - m)))
-        parts, w2 = _wreath_factor_words(padded, base)
-        word = []
-        for i, letters in enumerate(parts, start=1):
-            word.extend(lift_word_i(letters, i))
-        word = tuple(word) + w2
+        word = reassemble_wreath(*_wreath_factor_words(padded, base))
         edges = tuple(lam(k) for k in range(m, n)) + leveled_word(word, n)
         return Path(m, edges)
     inner = WreathElement(
         elem.tup,
         PartialBijection(m, m, elem.pmap.images))
-    parts, w2 = _wreath_factor_words(inner, base)
-    word = []
-    for i, letters in enumerate(parts, start=1):
-        word.extend(lift_word_i(letters, i))
-    word = tuple(word) + w2
+    word = reassemble_wreath(*_wreath_factor_words(inner, base))
     edges = leveled_word(word, m) + tuple(rho(k) for k in range(m - 1, n - 1, -1))
     return Path(m, edges)
 

@@ -13,6 +13,7 @@ from invwreath.base import (
     act,
     adjoin_zero,
     builtin,
+    closure,
     ones,
     ones_on,
     pinned,
@@ -22,6 +23,7 @@ from invwreath.base import (
     unit_at,
 )
 from invwreath.pperm import CompositionError, PartialBijection, enumerate_partial_bijections
+from invwreath.wreath import compose, embed_map, identity_element
 
 FIG_MAP = PartialBijection(6, 8, (0, 0, 4, 1, 0, 7))
 
@@ -170,3 +172,40 @@ def test_presentation_json_round_trip():
         base = builtin(name)
         again = BasePresentation.from_json(base.to_json(), name=name)
         assert again == base
+
+
+def test_closure_first_seed_word_wins():
+    c3 = builtin("c3").monoid
+    witness = closure([(1, ("a",)), (1, ("b",)), (0, ())], [("g", 1)], c3.mul)
+    assert witness == {1: ("a",), 0: (), 2: ("a", "g")}
+
+
+def test_closure_words_shortest_first_in_gens_order():
+    c3 = builtin("c3").monoid
+    witness = closure([(0, ())], [("h", 2), ("g", 1)], c3.mul)
+    assert list(witness.items()) == [(0, ()), (2, ("h",)), (1, ("g",))]
+    # every partial bijection of level 2 from swaps and omissions
+    gens = [("s1", PartialBijection(2, 2, (2, 1))), ("e1", PartialBijection(2, 2, (0, 2))),
+            ("e2", PartialBijection(2, 2, (1, 0)))]
+    witness = closure([(PartialBijection(2, 2, (1, 2)), ())], gens, PartialBijection.compose)
+    assert set(witness) == set(enumerate_partial_bijections(2, 2))
+    words = list(witness.values())
+    assert [len(w) for w in words] == sorted(len(w) for w in words)
+    assert witness[PartialBijection(2, 2, (0, 1))] == ("s1", "e2")   # not ("e1", "s1")
+    assert witness[PartialBijection(2, 2, (0, 0))] == ("e1", "e2")
+
+
+def test_closure_skips_undefined_products():
+    # the inclusion 1 -> 2 and the projection 2 -> 1, composed only where
+    # the levels match
+    m0 = adjoin_zero(builtin("trivial").monoid)
+    up = embed_map(builtin("trivial").monoid, PartialBijection(1, 2, (1,)))
+    down = embed_map(builtin("trivial").monoid, PartialBijection(2, 1, (1, 0)))
+
+    def mul(a, g):
+        return compose(m0, a, g) if a.cod_size == g.dom_size else None
+
+    witness = closure([(identity_element(builtin("trivial").monoid, 1), ())],
+                      [("lam", up), ("rho", down)], mul)
+    assert [(e.dom_size, e.cod_size, w) for e, w in witness.items()] == [
+        (1, 1, ()), (1, 2, ("lam",))]

@@ -56,6 +56,31 @@ def test_verify_inconclusive_exit_three(capsys):
     assert code == 3
 
 
+def test_nonpositive_budget_exits_one(capsys, monkeypatch):
+    for budget in ("0", "-5"):
+        code, _, err = run(capsys, "verify", "--kind", "r-in", "--n", "2", "--budget", budget)
+        assert code == 1 and "budget" in err
+    for env in ("0", "many"):
+        monkeypatch.setenv("INVWREATH_BUDGET", env)
+        code, _, err = run(capsys, "verify", "--kind", "r-in", "--n", "2")
+        assert code == 1 and ("budget" in err or "INVWREATH_BUDGET" in err)
+
+
+def test_matrix_zero_budget_cell_is_an_error(tmp_path, capsys):
+    config = {"cells": [
+        {"kind": "r-in", "monoid": "trivial", "n": 2, "budget": 0},
+        {"kind": "r-in", "monoid": "trivial", "n": 2},
+    ]}
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    assert obj["cells"][0]["verdict"] == "error" and "budget" in obj["cells"][0]["error"]
+    assert obj["cells"][1]["verdict"] == "pass"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "emit", "--kind", "nope", "--monoid", "c2", "--n", "2")[0] == 1
     assert run(capsys, "emit", "--kind", "r-min", "--monoid", "c2")[0] == 1

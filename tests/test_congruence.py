@@ -61,6 +61,13 @@ def test_tensor_unsupported():
         enumerate_congruence(build("xi-i", C2))
 
 
+def test_nonpositive_budget_is_rejected():
+    for p in (build("r-in", TRIV, n=2), build("omega-mi", C2, cap=1)):
+        for budget in (0, -1):
+            with pytest.raises(ValueError):
+                enumerate_congruence(p, budget=budget)
+
+
 def test_budget_exhaustion_is_inconclusive_not_wrong():
     table = enumerate_congruence(build("r-in", TRIV, n=3), budget=10)
     assert table.status == "budget-exceeded"
