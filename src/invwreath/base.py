@@ -29,7 +29,6 @@ __all__ = [
     "ones_on",
     "unit_at",
     "pinned",
-    "special_tuple",
     "closure",
     "BasePresentation",
     "builtin",
@@ -174,20 +173,6 @@ def pinned(monoid: FiniteMonoid, elt: int, i: int, j: int, n: int) -> MTuple:
     row[i - 1] = elt + 1
     row[j - 1] = 0
     return MTuple(tuple(row))
-
-
-def special_tuple(kind: str, monoid: FiniteMonoid, n: int, *, positions=None,
-                  elt: int | None = None, i: int | None = None, j: int | None = None) -> MTuple:
-    """Dispatcher over the named tuple shapes used by the generator tables."""
-    if kind == "ones":
-        return ones(monoid, n)
-    if kind == "ones_on":
-        return ones_on(monoid, positions, n)
-    if kind == "unit_at":
-        return unit_at(monoid, elt, i, n)
-    if kind == "pinned":
-        return pinned(monoid, elt, i, j, n)
-    raise ValueError(f"unknown tuple kind {kind!r}")
 
 
 def closure(seeds, gens, mul) -> dict:

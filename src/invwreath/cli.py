@@ -62,10 +62,9 @@ def _positive_budget(budget):
     return budget
 
 
-def _budget(args) -> int | None:
-    """The node budget from ``--budget`` or the environment; ``None``
-    leaves the choice of default to the enumeration."""
-    budget = getattr(args, "budget", None)
+def _budget(budget=None) -> int | None:
+    """``budget`` if given, else the node budget from the environment;
+    ``None`` leaves the choice of default to the enumeration."""
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
         if not env:
@@ -111,21 +110,29 @@ def _report_exit(report) -> int:
     return EXIT_FAIL
 
 
-def _run_verify_cell(kind, base, n, cap, budget):
+def _run_verify_cell(kind, base, n, cap, budget, default_budget):
+    """``budget`` is the cell's own node budget, ``default_budget`` the
+    run-wide one.  Tensor kinds enumerate nothing, so they take neither."""
     flavor = _flavor(kind)
-    if flavor in ("monoid", "semigroup"):
-        if n is None:
-            raise UsageError(f"kind {kind} needs --n")
-        return verify_mod.verify_presentation(kind, base, n, budget)
+    if flavor == "tensor":
+        if budget is not None:
+            raise UsageError(f"kind {kind} is a tensor kind and runs no enumeration; "
+                             "a node budget does not apply")
+        return verify_mod.verify_tensor(base, kind=kind)
+    if budget is None:
+        budget = default_budget
     if flavor == "category":
         return verify_mod.verify_category(cap if cap is not None else 3, base, budget)
-    return verify_mod.verify_tensor(base, kind=kind)
+    if n is None:
+        raise UsageError(f"kind {kind} needs --n")
+    return verify_mod.verify_presentation(kind, base, n, budget)
 
 
 def _cmd_verify(args) -> int:
-    budget = _budget(args)
+    budget = _positive_budget(args.budget)
+    default_budget = _budget() if budget is None else None
     base = _load_monoid(args.monoid)
-    report = _run_verify_cell(args.kind, base, args.n, args.cap, budget)
+    report = _run_verify_cell(args.kind, base, args.n, args.cap, budget, default_budget)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -251,16 +258,15 @@ def _cmd_matrix(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     cells = config.get("cells", [])
-    default_budget = _budget(args)
+    default_budget = _budget(args.budget)
     results = []
     worst = EXIT_OK
     for idx, cell in enumerate(cells):
         entry = {"cell": idx, **cell}
         try:
             base = _load_monoid(cell["monoid"])
-            budget = _positive_budget(cell.get("budget"))
             report = _run_verify_cell(cell["kind"], base, cell.get("n"), cell.get("cap"),
-                                      default_budget if budget is None else budget)
+                                      _positive_budget(cell.get("budget")), default_budget)
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
             worst = max(worst, _report_exit(report))

@@ -28,7 +28,6 @@ __all__ = [
     "swap2",
     "drop1",
     "lift1",
-    "make_generator",
     "enumerate_partial_bijections",
     "count_partial_bijections",
     "DEFAULT_ENUM_CAP",
@@ -216,28 +215,6 @@ def drop1() -> PartialBijection:
 def lift1() -> PartialBijection:
     """The unique map ``{} -> {1}``."""
     return PartialBijection(0, 1, ())
-
-
-_GENERATOR_BUILDERS = {
-    "s": lambda n, i, j: swap_adjacent(i, n),
-    "e": lambda n, i, j: omit(i, n),
-    "f": lambda n, i, j: transfer(i, j, n),
-    "lam": lambda n, i, j: inclusion(n),
-    "rho": lambda n, i, j: projection(n),
-    "X": lambda n, i, j: swap2(),
-    "U": lambda n, i, j: drop1(),
-    "Ubar": lambda n, i, j: lift1(),
-    "id": lambda n, i, j: identity(n),
-}
-
-
-def make_generator(kind: str, n: int, i: int | None = None, j: int | None = None) -> PartialBijection:
-    """Build a named generator diagram; see the individual constructors."""
-    try:
-        builder = _GENERATOR_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-    return builder(n, i, j)
 
 
 def count_partial_bijections(m: int, n: int) -> int:

@@ -7,7 +7,8 @@ Kinds and flavors:
     r-in-popova     monoid     swaps plus a single omission
     r-min           monoid     swap/omit plus one slot alphabet per position
     r-min-small     monoid     swaps, one omission, bare base letters
-    omega-mi        category   leveled alphabet plus inclusion/projection edges
+    omega-mi        category   r-min at every level plus inclusion/projection
+                               commutation
     xi-i            tensor     the three untyped edges
     xi-mi           tensor     the three edges plus the base letters
     r-sing-in       semigroup  transfer alphabet
@@ -41,6 +42,7 @@ from .words import (
     eval_word,
     f_,
     lam,
+    leveled_word,
     lift_word_i,
     lift_word_ij,
     el,
@@ -49,10 +51,9 @@ from .words import (
     parse_term,
     path_text,
     pe,
+    plus_word,
     rho,
     s_,
-    sl,
-    sym_image,
     tcompose,
     tedge,
     term_text,
@@ -64,7 +65,6 @@ from .words import (
     word_text,
     x_,
     xc,
-    xl,
 )
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "FLAVOR_SYNTAX",
     "Presentation",
     "build",
-    "generator_images",
     "emit_text",
     "emit_json",
 ]
@@ -182,14 +181,19 @@ def _r_in_core(n):
     return rels
 
 
-def _r_in(base, n, cap):
-    alphabet = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
-    rels = _r_in_core(n)
+def _omissions(n):
+    rels = []
     for i in range(1, n + 1):                                 # omissions are idempotent
         rels.append(((e_(i), e_(i)), (e_(i),)))
     for i in range(1, n + 1):                                 # omissions commute
         for j in range(i + 1, n + 1):
             rels.append(((e_(i), e_(j)), (e_(j), e_(i))))
+    return rels
+
+
+def _r_in(base, n, cap):
+    alphabet = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
+    rels = _r_in_core(n) + _omissions(n)
     for i in range(1, n):                                     # swap past an untouched omission
         for j in range(1, n + 1):
             if j not in (i, i + 1):
@@ -220,9 +224,8 @@ def _r_in_popova(base, n, cap):
 
 def _r_min(base, n, cap):
     letters = base.alphabet
-    alphabet = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
+    alphabet, rels = _r_in(base, n, cap)
     alphabet += [x_(x, i) for i in range(1, n + 1) for x in letters]
-    _, rels = _r_in(base, n, cap)
     for (u, v) in base.relations:                             # base relations per slot
         for i in range(1, n + 1):
             rels.append((lift_word_i(u, i), lift_word_i(v, i)))
@@ -277,102 +280,23 @@ def _r_min_small(base, n, cap):
 # ---------------------------------------------------------------------------
 # category kind
 
-def _level_edges(letters, n):
-    out = [sl(i, n) for i in range(1, n)]
-    out += [el(i, n) for i in range(1, n + 1)]
-    out += [xl(x, i, n) for i in range(1, n + 1) for x in letters]
-    return out
-
-
 def _omega_mi(base, n, cap):
-    letters = base.alphabet
-    alphabet = []
-    for k in range(cap + 1):
-        alphabet.extend(_level_edges(letters, k))
+    alphabet, rels, levels = [], [], []
+    for k in range(cap + 1):                                  # r-min at every level
+        gens, loops = _r_min(base, k, None)
+        levels.append(leveled_word(gens, k))
+        alphabet.extend(levels[k])
+        for (u, v) in loops:
+            rels.append((Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k))))
     for k in range(cap):
-        alphabet.append(lam(k))
-        alphabet.append(rho(k))
-
-    def loop(k, *syms):
-        return Path(k, tuple(syms))
-
-    rels = []
-    for k in range(cap + 1):
-        for i in range(1, k):
-            rels.append((loop(k, sl(i, k), sl(i, k)), loop(k)))
-        for i in range(1, k + 1):
-            rels.append((loop(k, el(i, k), el(i, k)), loop(k, el(i, k))))
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                rels.append((loop(k, el(i, k), el(j, k)), loop(k, el(j, k), el(i, k))))
-        for i in range(1, k):
-            for j in range(1, k + 1):
-                if j not in (i, i + 1):
-                    rels.append((loop(k, sl(i, k), el(j, k)), loop(k, el(j, k), sl(i, k))))
-        for i in range(1, k):
-            rels.append((loop(k, sl(i, k), el(i, k)), loop(k, el(i + 1, k), sl(i, k))))
-            rels.append((loop(k, el(i, k), el(i + 1, k), sl(i, k)),
-                         loop(k, el(i, k), el(i + 1, k))))
-        for i in range(1, k):
-            for j in range(i + 2, k):
-                rels.append((loop(k, sl(i, k), sl(j, k)), loop(k, sl(j, k), sl(i, k))))
-        for i in range(1, k - 1):
-            rels.append((loop(k, sl(i, k), sl(i + 1, k), sl(i, k)),
-                         loop(k, sl(i + 1, k), sl(i, k), sl(i + 1, k))))
-        for (u, v) in base.relations:
-            for i in range(1, k + 1):
-                rels.append((loop(k, *_leveled_slot(u, i, k)),
-                             loop(k, *_leveled_slot(v, i, k))))
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                for x in letters:
-                    for y in letters:
-                        rels.append((loop(k, xl(x, i, k), xl(y, j, k)),
-                                     loop(k, xl(y, j, k), xl(x, i, k))))
-        for i in range(1, k):
-            for j in range(1, k + 1):
-                if j not in (i, i + 1):
-                    for x in letters:
-                        rels.append((loop(k, sl(i, k), xl(x, j, k)),
-                                     loop(k, xl(x, j, k), sl(i, k))))
-        for i in range(1, k):
-            for x in letters:
-                rels.append((loop(k, sl(i, k), xl(x, i, k)),
-                             loop(k, xl(x, i + 1, k), sl(i, k))))
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if j != i:
-                    for x in letters:
-                        rels.append((loop(k, el(i, k), xl(x, j, k)),
-                                     loop(k, xl(x, j, k), el(i, k))))
-        for i in range(1, k + 1):
-            for x in letters:
-                rels.append((loop(k, el(i, k), xl(x, i, k)), loop(k, el(i, k))))
-                rels.append((loop(k, el(i, k)), loop(k, xl(x, i, k), el(i, k))))
-    for k in range(cap):
-        rels.append((Path(k, (lam(k), rho(k))), Path(k, ())))
+        alphabet += [lam(k), rho(k)]
+        rels.append((Path(k, (lam(k), rho(k))), Path(k, ())))  # the two sandwiches
         rels.append((Path(k + 1, (rho(k), lam(k))), Path(k + 1, (el(k + 1, k + 1),))))
-        for i in range(1, k):
-            rels.append((Path(k, (sl(i, k), lam(k))), Path(k, (lam(k), sl(i, k + 1)))))
-        for i in range(1, k + 1):
-            rels.append((Path(k, (el(i, k), lam(k))), Path(k, (lam(k), el(i, k + 1)))))
-        for i in range(1, k + 1):
-            for x in letters:
-                rels.append((Path(k, (xl(x, i, k), lam(k))),
-                             Path(k, (lam(k), xl(x, i, k + 1)))))
-        for i in range(1, k):
-            rels.append((Path(k + 1, (rho(k), sl(i, k))), Path(k + 1, (sl(i, k + 1), rho(k)))))
-        for i in range(1, k + 1):
-            rels.append((Path(k + 1, (rho(k), el(i, k))), Path(k + 1, (el(i, k + 1), rho(k)))))
-        for i in range(1, k + 1):
-            for x in letters:
-                rels.append((Path(k + 1, (rho(k), xl(x, i, k))),
-                             Path(k + 1, (xl(x, i, k + 1), rho(k)))))
+        for g in levels[k]:                                   # generators pass the inclusion
+            rels.append((Path(k, (g, lam(k))), Path(k, (lam(k),) + plus_word((g,)))))
+        for g in levels[k]:                                   # and the projection
+            rels.append((Path(k + 1, (rho(k), g)), Path(k + 1, plus_word((g,)) + (rho(k),))))
     return alphabet, rels
-
-
-def _leveled_slot(word, i, k):
-    return tuple(xl(x, i, k) for x in word)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +412,7 @@ def _r_sing_tuples(base, n, cap):
     alphabet = [e_(i) for i in range(1, n + 1)]
     alphabet += [xc(x, i, j) for i in range(1, n + 1)
                  for j in range(1, n + 1) if j != i for x in letters]
-    rels = []
-    for i in range(1, n + 1):
-        rels.append(((e_(i), e_(i)), (e_(i),)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(((e_(i), e_(j)), (e_(j), e_(i))))
+    rels = _omissions(n)
     for (u, v) in base.relations:                             # base relations, pinned
         for i, j in _ordered_pairs(n):
             rels.append((lift_word_ij(u, i, j), lift_word_ij(v, i, j)))
@@ -586,16 +505,7 @@ _BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# generator images and emission
-
-def generator_images(p: Presentation) -> dict:
-    """Total map from the alphabet to concrete elements.  Needs a base
-    monoid table.  Leveled and tensor edges ignore the ambient level; a
-    bare base letter of a tensor kind lives on one strand."""
-    p.base.require_evaluation()
-    level = 1 if p.flavor == "tensor" else p.n
-    return {sym: sym_image(sym, p.base, level) for sym in p.alphabet}
-
+# emission
 
 def emit_text(p: Presentation) -> str:
     """One relation per line, ``lhs = rhs``, after a short comment header."""

@@ -11,14 +11,13 @@ than failure.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 from . import wreath, words
 from .base import BasePresentation, MTuple, adjoin_zero, builtin, closure
 from .congruence import enumerate_congruence
-from .pperm import PartialBijection, count_partial_bijections
+from .pperm import PartialBijection
 from .presentations import FLAVOR_SYNTAX, Presentation, build
 from .words import (
     Path,
@@ -130,49 +129,48 @@ def _typed_mul(m0):
     return mul
 
 
-def _target_monoid(p: Presentation):
+_TARGET_VARIANT = {
+    "r-in": "full", "r-in-popova": "full", "r-min": "full", "r-min-small": "full",
+    "r-sing-in": "singular-monoid",
+    "r-sing-tuples": "singular-tuples",
+    "r-m-sing-in": "singular-monoid",
+}
+
+
+def _target(p: Presentation):
+    """Base monoid and ``wreath`` variant of the structure a flat kind
+    presents at level ``p.n``."""
+    if p.kind not in _TARGET_VARIANT:
+        raise ValueError(f"no flat target for kind {p.kind!r}")
+    return _target_base(p).require_evaluation(), _TARGET_VARIANT[p.kind]
+
+
+def _target_base(p: Presentation) -> BasePresentation:
     # plain-map kinds target unlabelled partial bijections
     if p.kind in ("r-in", "r-in-popova", "r-sing-in"):
-        return builtin("trivial").monoid
-    return p.base.require_evaluation()
+        return builtin("trivial")
+    return p.base
 
 
 def enumerate_target(p: Presentation) -> set:
     """Brute-force element set of the structure the kind presents."""
-    n = p.n
-    variant = {
-        "r-in": "full", "r-in-popova": "full", "r-min": "full", "r-min-small": "full",
-        "r-sing-in": "singular-monoid",
-        "r-sing-tuples": "singular-tuples",
-        "r-m-sing-in": "singular-monoid",
-    }.get(p.kind)
-    if variant is None:
-        raise ValueError(f"no flat target enumeration for kind {p.kind!r}")
-    return set(wreath.enumerate_wreath(_target_monoid(p), n, n, variant, cap=n))
+    monoid, variant = _target(p)
+    return set(wreath.enumerate_wreath(monoid, p.n, p.n, variant, cap=p.n))
 
 
 def target_size(p: Presentation) -> int:
-    monoid = p.base.require_evaluation()
-    n = p.n
-    if p.kind in ("r-in", "r-in-popova"):
-        return count_partial_bijections(n, n)
-    if p.kind in ("r-min", "r-min-small"):
-        return wreath.count_wreath(monoid, n, n, "full")
-    if p.kind == "r-sing-in":
-        return count_partial_bijections(n, n) - math.factorial(n)
-    if p.kind == "r-sing-tuples":
-        return wreath.count_wreath(monoid, n, n, "singular-tuples")
-    if p.kind == "r-m-sing-in":
-        return wreath.count_wreath(monoid, n, n, "singular-monoid")
-    raise ValueError(f"no flat target size for kind {p.kind!r}")
+    """Closed-form size of the same set."""
+    monoid, variant = _target(p)
+    return wreath.count_wreath(monoid, p.n, p.n, variant)
 
 
 def check_generation(p: Presentation) -> GenerationResult:
     """Close the generator images under composition and compare with the
     brute-force target, keeping one witness word per element reached."""
-    tgt_monoid = _target_monoid(p)
+    tgt_base = _target_base(p)
+    tgt_monoid = tgt_base.require_evaluation()
     m0 = adjoin_zero(tgt_monoid)
-    images = [(sym, _image_in_target(sym, p)) for sym in p.alphabet]
+    images = [(sym, words.sym_image(sym, tgt_base, p.n)) for sym in p.alphabet]
     if p.flavor == "monoid":
         seeds = [(wreath.identity_element(tgt_monoid, p.n), ())]
     else:
@@ -184,13 +182,6 @@ def check_generation(p: Presentation) -> GenerationResult:
     missing.sort(key=lambda e: e.sort_key())
     return GenerationResult(covered, len(target), witness,
                             missing[0] if missing else None)
-
-
-def _image_in_target(sym, p: Presentation) -> WreathElement:
-    base = p.base
-    if p.kind in ("r-in", "r-in-popova", "r-sing-in"):
-        base = builtin("trivial")
-    return words.sym_image(sym, base, p.n)
 
 
 def verify_presentation(kind: str, base: BasePresentation, n: int,

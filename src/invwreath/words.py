@@ -677,44 +677,45 @@ def separate(word, is_x, rules, condition: str = "prefix"):
                 f"rule for {token(key[0])} {token(key[1])} has Y part longer than 1")
         split[key] = (u, v)
 
+    # Loops, not recursion, so the length of a word is not bounded by
+    # Python's recursion limit.
     if condition == "prefix":
-        def push_left(v, z):
-            # v in Y*, z in X; returns (u, v') with len(u) <= 1
-            if not v:
-                return (z,), ()
-            u1, v1 = split[(v[-1], z)]
-            if not u1:
-                return (), v[:-1] + v1
-            u2, v2 = push_left(v[:-1], u1[0])
-            return u2, v2 + v1
-
-        u, v = [], ()
+        u, v = [], []
         for z in word:
-            if is_x(z):
-                u2, v = push_left(v, z)
-                u.extend(u2)
-            else:
-                v = v + (z,)
-        return tuple(u) + v
+            if not is_x(z):
+                v.append(z)
+                continue
+            # push z left through v; a rule leaves at most one X letter to
+            # push on, and its Y part lands after what is left of v
+            tail = []
+            while z is not None and v:
+                u1, v1 = split[(v.pop(), z)]
+                tail.append(v1)
+                z = u1[0] if u1 else None
+            if z is not None:
+                u.append(z)
+            for piece in reversed(tail):
+                v.extend(piece)
+        return tuple(u) + tuple(v)
 
-    def push_right(z, u):
-        # z in Y, u in X*; returns (u', v) with len(v) <= 1
-        if not u:
-            return (), (z,)
-        u1, v1 = split[(z, u[0])]
-        if not v1:
-            return u1 + u[1:], ()
-        u2, v2 = push_right(v1[0], u[1:])
-        return u1 + u2, v2
-
-    u, v = (), ()
+    # suffix: read the word backwards, keeping u and v reversed so their
+    # first letters sit at the ends of the lists
+    u, v = [], []
     for z in reversed(word):
         if is_x(z):
-            u = (z,) + u
-        else:
-            u, v2 = push_right(z, u)
-            v = v2 + v
-    return u + v
+            u.append(z)
+            continue
+        # push z right through u; a rule leaves at most one Y letter to
+        # push on, and its X part lands before what is left of u
+        head = []
+        while z is not None and u:
+            u1, v1 = split[(z, u.pop())]
+            head.extend(u1)
+            z = v1[0] if v1 else None
+        u.extend(reversed(head))
+        if z is not None:
+            v.append(z)
+    return tuple(reversed(u)) + tuple(reversed(v))
 
 
 def min_separation_rules(base: BasePresentation, n: int):

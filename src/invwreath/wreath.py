@@ -31,8 +31,6 @@ __all__ = [
     "embed_tuple",
     "embed_map",
     "identity_element",
-    "mixed_product",
-    "is_unit",
     "enumerate_wreath",
     "count_wreath",
     "hom_count",
@@ -96,20 +94,6 @@ def embed_map(monoid: FiniteMonoid, alpha: PartialBijection) -> WreathElement:
 
 def identity_element(monoid: FiniteMonoid, n: int) -> WreathElement:
     return embed_map(monoid, pperm.identity(n))
-
-
-def mixed_product(m0: ZeroExtended, a: MTuple, alpha: PartialBijection) -> WreathElement:
-    """Product of an embedded tuple with an embedded map of matching length:
-    the tuple is zeroed off the map's domain and the map restricted to the
-    tuple's support."""
-    return compose(m0, embed_tuple(a), embed_map(m0.base, alpha))
-
-
-def is_unit(p: WreathElement) -> bool:
-    """Whether an endo-element is invertible (its map is a full permutation)."""
-    if p.dom_size != p.cod_size:
-        raise ValueError("unit test only applies to endo-elements")
-    return p.pmap.is_total_bijection()
 
 
 def default_level_cap(monoid: FiniteMonoid) -> int:

@@ -17,7 +17,6 @@ from invwreath.base import (
     ones,
     ones_on,
     pinned,
-    special_tuple,
     tuple_mul,
     tuple_tensor,
     unit_at,
@@ -127,7 +126,6 @@ def test_special_tuples():
     assert unit_at(c2, 1, 2, 3) == MTuple((1, 2, 1))
     assert pinned(c2, 1, 1, 3, 3) == MTuple((2, 1, 0))
     assert ones_on(c2, (1, 3), 3) == MTuple((1, 0, 1))
-    assert special_tuple("pinned", c2, 3, elt=1, i=1, j=3) == MTuple((2, 1, 0))
     with pytest.raises(ValueError):
         pinned(c2, 1, 2, 2, 3)
     # acting on the all-ones tuple marks the domain

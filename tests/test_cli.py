@@ -81,6 +81,30 @@ def test_matrix_zero_budget_cell_is_an_error(tmp_path, capsys):
     assert obj["cells"][1]["verdict"] == "pass"
 
 
+def test_budget_on_a_tensor_kind_exits_one(capsys, monkeypatch):
+    code, _, err = run(capsys, "verify", "--kind", "xi-i", "--monoid", "c2", "--budget", "5")
+    assert code == 1 and "enumeration" in err
+    # the run-wide default applies only to kinds that enumerate
+    monkeypatch.setenv("INVWREATH_BUDGET", "5")
+    assert run(capsys, "verify", "--kind", "xi-i", "--monoid", "c2")[0] == 0
+
+
+def test_matrix_tensor_cell_with_budget_is_an_error(tmp_path, capsys):
+    config = {"cells": [
+        {"kind": "xi-i", "monoid": "c2", "budget": 5},
+        {"kind": "xi-i", "monoid": "c2"},
+        {"kind": "r-in", "monoid": "trivial", "n": 2},
+    ]}
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "matrix", str(path), "--budget", "1000", "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    assert obj["cells"][0]["verdict"] == "error" and "enumeration" in obj["cells"][0]["error"]
+    assert [c["verdict"] for c in obj["cells"][1:]] == ["pass", "pass"]
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "emit", "--kind", "nope", "--monoid", "c2", "--n", "2")[0] == 1
     assert run(capsys, "emit", "--kind", "r-min", "--monoid", "c2")[0] == 1

@@ -9,13 +9,15 @@ from invwreath.pperm import (
     CompositionError,
     PartialBijection,
     count_partial_bijections,
+    drop1,
     enumerate_partial_bijections,
     identity,
     inclusion,
-    make_generator,
+    lift1,
     omit,
     partial_identity,
     projection,
+    swap2,
     swap_adjacent,
     transfer,
 )
@@ -135,10 +137,10 @@ def test_named_generators():
             assert e.compose(e) == e
     for n in range(5):
         assert inclusion(n).compose(projection(n)) == identity(n)
-    assert make_generator("f", 3, 1, 2) == transfer(1, 2, 3)
-    assert make_generator("X", 0) == swap_adjacent(1, 2)
-    assert make_generator("U", 0) == PartialBijection(1, 0, (0,))
-    assert make_generator("Ubar", 0) == PartialBijection(0, 1, ())
+    assert swap2() == swap_adjacent(1, 2)
+    assert drop1() == PartialBijection(1, 0, (0,))
+    assert lift1() == PartialBijection(0, 1, ())
+    assert lift1().compose(drop1()) == identity(0)
 
 
 def test_generator_errors():
@@ -148,8 +150,6 @@ def test_generator_errors():
         omit(0, 3)
     with pytest.raises(ValueError):
         transfer(2, 2, 3)
-    with pytest.raises(ValueError):
-        make_generator("nope", 3)
 
 
 def test_invert():

@@ -11,13 +11,15 @@ from invwreath.presentations import (
     build,
     emit_json,
     emit_text,
-    generator_images,
 )
 from invwreath.pperm import omit, swap_adjacent
 from invwreath.words import (
+    TUBAR,
     Path,
+    leveled_word,
     parse_monoid_word as w,
     sl,
+    sym_image,
     term_d,
     term_r,
     token,
@@ -143,6 +145,24 @@ def test_category_relations_typed():
         assert lhs.src == rhs.src and lhs.tgt == rhs.tgt
 
 
+def test_category_kind_is_leveled_r_min():
+    counts = {"trivial": [0, 3, 13, 36, 76, 137], "c2": [0, 6, 28, 77, 162, 292]}
+    for name, want in counts.items():
+        got = [len(build("omega-mi", builtin(name), cap=cap).relations) for cap in range(6)]
+        assert got == want, name
+    # cap 3 reaches level 3, the first level with a braid relation
+    p = build("omega-mi", C2, cap=3)
+    for k in range(4):
+        q = build("r-min", C2, n=k)
+        assert [s for s in p.alphabet if s.kind not in ("lam", "rho") and s.n == k] == \
+            list(leveled_word(q.alphabet, k))
+        loops = [(lhs, rhs) for lhs, rhs in p.relations
+                 if lhs.src == lhs.tgt == k
+                 and all(s.kind not in ("lam", "rho") for s in lhs.edges + rhs.edges)]
+        assert loops == [(Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k)))
+                         for u, v in q.relations]
+
+
 def test_tensor_relations_typed():
     p = build("xi-mi", C2)
     for lhs, rhs in p.relations:
@@ -155,22 +175,23 @@ def test_tensor_relations_typed():
 
 
 def test_generator_image_examples():
+    # leveled and tensor edges carry their own level; flat symbols take n
     p = build("omega-mi", C2, cap=3)
-    images = generator_images(p)
+    images = {sym: sym_image(sym, C2) for sym in p.alphabet}
     assert images[sl(1, 2)].pmap == swap_adjacent(1, 2)
     q = build("r-sing-tuples", C2, n=3)
-    img = generator_images(q)[xc("g", 1, 3)]
+    assert xc("g", 1, 3) in q.alphabet
+    img = sym_image(xc("g", 1, 3), C2, 3)
     assert img.tup.support == (1, 2)
     assert img.pmap == omit(3, 3)
-    r = build("xi-mi", C2)
-    from invwreath.words import TUBAR
-    assert generator_images(r)[TUBAR].pmap.to_json() == {"m": 0, "n": 1, "images": []}
+    assert TUBAR in build("xi-mi", C2).alphabet
+    assert sym_image(TUBAR, C2).pmap.to_json() == {"m": 0, "n": 1, "images": []}
 
 
 def test_no_evaluation_is_distinct_error():
     p = build("r-min", BICYCLIC, n=2)
     with pytest.raises(NoEvaluationError):
-        generator_images(p)
+        sym_image(p.alphabet[0], BICYCLIC, 2)
 
 
 def test_build_argument_errors():

@@ -298,6 +298,13 @@ def test_plus_and_reverse():
 # ---------------------------------------------------------------------------
 # separation
 
+def _is_separated(out, is_x):
+    k = 0
+    while k < len(out) and is_x(out[k]):
+        k += 1
+    return not any(is_x(s) for s in out[k:])
+
+
 def test_separation_shapes_and_eval():
     is_x, rules = min_separation_rules(C2, 3)
     already = (x_("g", 1), s_(1), e_(2))
@@ -308,10 +315,7 @@ def test_separation_shapes_and_eval():
     for _ in range(400):
         w = random_word(rng, syms)
         out = separate(w, is_x, rules, "prefix")
-        k = 0
-        while k < len(out) and is_x(out[k]):
-            k += 1
-        assert not any(is_x(s) for s in out[k:])
+        assert _is_separated(out, is_x)
         assert eval_word(out, C2, 3) == eval_word(w, C2, 3)
 
 
@@ -326,11 +330,22 @@ def test_separation_suffix_condition():
     for _ in range(400):
         w = random_word(rng, syms, min_len=1)
         out = separate(w, is_x, rules, "suffix")
-        k = 0
-        while k < len(out) and is_x(out[k]):
-            k += 1
-        assert not any(is_x(s) for s in out[k:])
+        assert _is_separated(out, is_x)
         assert eval_word(out, C2, 3) == eval_word(w, C2, 3)
+
+
+def test_separation_of_long_words():
+    # words far longer than Python's recursion limit
+    is_x, rules = min_separation_rules(C2, 3)
+    word = (s_(1),) * 2999 + (x_("g", 1),)
+    out = separate(word, is_x, rules, "prefix")
+    assert _is_separated(out, is_x)
+    assert eval_word(out, C2, 3) == eval_word(word, C2, 3)
+    is_x, rules = sing_separation_rules(C2, 3)
+    word = (xc("g", 1, 2),) * 1500 + (e_(3),) * 1500
+    out = separate(word, is_x, rules, "suffix")
+    assert _is_separated(out, is_x)
+    assert eval_word(out, C2, 3) == eval_word(word, C2, 3)
 
 
 # ---------------------------------------------------------------------------

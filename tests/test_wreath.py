@@ -20,8 +20,6 @@ from invwreath.wreath import (
     enumerate_wreath,
     hom_count,
     identity_element,
-    is_unit,
-    mixed_product,
     tensor,
 )
 
@@ -107,7 +105,7 @@ def test_embeddings():
     # tuple zeroed off the domain, map cut to the support
     b = MTuple((2, 1, 0))
     beta = PartialBijection(3, 3, (0, 3, 2))
-    got = mixed_product(m0, b, beta)
+    got = compose(m0, embed_tuple(b), embed_map(C2.monoid, beta))
     assert got.tup == MTuple((0, 1, 0))
     assert got.pmap == beta.restrict((2,))
 
@@ -129,12 +127,12 @@ def test_enumeration_counts():
 
 
 def test_unit_detection():
-    assert is_unit(identity_element(C2.monoid, 2))
-    assert not is_unit(embed_map(C2.monoid, partial_identity((1,), 2)))
-    units = sum(1 for e in enumerate_wreath(C2.monoid, 2, 2) if is_unit(e))
+    # an element is a unit exactly when its map is a total bijection
+    assert identity_element(C2.monoid, 2).pmap.is_total_bijection()
+    assert not embed_map(C2.monoid, partial_identity((1,), 2)).pmap.is_total_bijection()
+    units = sum(1 for e in enumerate_wreath(C2.monoid, 2, 2) if e.pmap.is_total_bijection())
     assert units == 8  # 2! * |M|^2
-    with pytest.raises(ValueError):
-        is_unit(embed_map(C2.monoid, PartialBijection(1, 2, (1,))))
+    assert not PartialBijection(1, 2, (1,)).is_total_bijection()
 
 
 def test_degenerate_levels():
