@@ -251,9 +251,6 @@ class BasePresentation:
                     != self.monoid.size:
                 raise ValueError("alphabet does not generate the monoid")
 
-    def has_evaluation(self) -> bool:
-        return self.monoid is not None
-
     def require_evaluation(self) -> FiniteMonoid:
         if self.monoid is None:
             raise NoEvaluationError(

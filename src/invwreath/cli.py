@@ -20,14 +20,18 @@ from .pperm import enumerate_partial_bijections
 from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, build, emit_json, emit_text
 from .words import (
     ParseError,
+    hat_path,
     normal_form_singular_tuple,
     normal_form_wreath_word,
     parse_monoid_word,
     parse_path,
+    plus_word,
+    psi1_word,
+    psi2_word,
     reassemble_singular,
     reassemble_wreath,
+    reverse_word,
     term_text,
-    translate,
     word_text,
 )
 
@@ -219,17 +223,19 @@ def _cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
+# --which -> (parser, translation map, printer)
+_TRANSLATIONS = {
+    "psi1": (parse_monoid_word, psi1_word, word_text),
+    "psi2": (parse_monoid_word, psi2_word, word_text),
+    "hat": (parse_path, hat_path, term_text),
+    "plus": (lambda text: parse_path(text).edges, plus_word, word_text),
+    "reverse": (parse_monoid_word, reverse_word, word_text),
+}
+
+
 def _cmd_translate(args) -> int:
-    if args.which in ("psi1", "psi2", "plus", "reverse"):
-        obj = parse_monoid_word(args.word) if args.which in ("psi1", "psi2", "reverse") \
-            else parse_path(args.word).edges
-        out = translate(tuple(obj), args.which)
-        print(word_text(out))
-    elif args.which == "hat":
-        out = translate(parse_path(args.word), "hat")
-        print(term_text(out))
-    else:
-        raise UsageError(f"unknown translation {args.which!r}")
+    parse, translate, show = _TRANSLATIONS[args.which]
+    print(show(translate(parse(args.word))))
     return EXIT_OK
 
 
@@ -257,13 +263,21 @@ def _cmd_enumerate(args) -> int:
 def _cmd_matrix(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    cells = config.get("cells", [])
+    cells = config.get("cells", []) if isinstance(config, dict) else None
+    if not isinstance(cells, list):
+        raise UsageError(f"{args.config}: a matrix config is an object with a 'cells' list")
     default_budget = _budget(args.budget)
     results = []
     worst = EXIT_OK
     for idx, cell in enumerate(cells):
-        entry = {"cell": idx, **cell}
+        entry = {"cell": idx}
         try:
+            if not isinstance(cell, dict):
+                raise UsageError(f"cell is not an object: {json.dumps(cell)}")
+            entry.update(cell)
+            for key in ("kind", "monoid"):
+                if key not in cell:
+                    raise UsageError(f"cell is missing {key!r}")
             base = _load_monoid(cell["monoid"])
             report = _run_verify_cell(cell["kind"], base, cell.get("n"), cell.get("cap"),
                                       _positive_budget(cell.get("budget")), default_budget)
@@ -333,8 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_normal_form)
 
     sp = sub.add_parser("translate", help="apply a named translation map")
-    sp.add_argument("--which", required=True,
-                    choices=("psi1", "psi2", "hat", "plus", "reverse"))
+    sp.add_argument("--which", required=True, choices=tuple(_TRANSLATIONS))
     sp.add_argument("--word", required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_translate)

@@ -29,7 +29,7 @@ widen the bound if needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentations import Presentation, build
 from .words import edge_dr
@@ -77,7 +77,6 @@ class CongruenceTable:
     transitions: list | None = None
     roots: dict | None = None
     gen_index: dict | None = None
-    notes: dict = field(default_factory=dict)
 
     def trace(self, start_object: int, word) -> int:
         """Class reached from the identity at ``start_object`` by reading

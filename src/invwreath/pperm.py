@@ -84,10 +84,6 @@ class PartialBijection:
     def im(self) -> tuple[int, ...]:
         return tuple(sorted(v for v in self.images if v))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for v in self.images if v)
-
     def is_total_bijection(self) -> bool:
         return self.m == self.n and all(self.images)
 
@@ -102,9 +98,6 @@ class PartialBijection:
             for v in self.images
         )
         return PartialBijection(self.m, other.n, row)
-
-    def __mul__(self, other: "PartialBijection") -> "PartialBijection":
-        return self.compose(other)
 
     def tensor(self, other: "PartialBijection") -> "PartialBijection":
         """Horizontal sum: ``self`` on the first block, ``other`` shifted after it."""
@@ -134,13 +127,6 @@ class PartialBijection:
     @staticmethod
     def from_json(obj: dict) -> "PartialBijection":
         return PartialBijection(int(obj["m"]), int(obj["n"]), tuple(int(v) for v in obj["images"]))
-
-    @staticmethod
-    def from_pairs(m: int, n: int, pairs) -> "PartialBijection":
-        row = [0] * m
-        for i, j in dict(pairs).items():
-            row[i - 1] = j
-        return PartialBijection(m, n, tuple(row))
 
     def render(self) -> str:
         """Two-row ASCII diagram with the edge list between the rows."""

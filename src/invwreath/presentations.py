@@ -45,7 +45,6 @@ from .words import (
     leveled_word,
     lift_word_i,
     lift_word_ij,
-    el,
     parse_monoid_word,
     parse_path,
     parse_term,
@@ -291,7 +290,7 @@ def _omega_mi(base, n, cap):
     for k in range(cap):
         alphabet += [lam(k), rho(k)]
         rels.append((Path(k, (lam(k), rho(k))), Path(k, ())))  # the two sandwiches
-        rels.append((Path(k + 1, (rho(k), lam(k))), Path(k + 1, (el(k + 1, k + 1),))))
+        rels.append((Path(k + 1, (rho(k), lam(k))), Path(k + 1, (e_(k + 1, k + 1),))))
         for g in levels[k]:                                   # generators pass the inclusion
             rels.append((Path(k, (g, lam(k))), Path(k, (lam(k),) + plus_word((g,)))))
         for g in levels[k]:                                   # and the projection

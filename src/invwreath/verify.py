@@ -21,7 +21,7 @@ from .pperm import PartialBijection
 from .presentations import FLAVOR_SYNTAX, Presentation, build
 from .words import (
     Path,
-    el,
+    e_,
     eval_path,
     eval_term,
     hat_path,
@@ -131,6 +131,7 @@ def _typed_mul(m0):
 
 _TARGET_VARIANT = {
     "r-in": "full", "r-in-popova": "full", "r-min": "full", "r-min-small": "full",
+    "omega-mi": "full",
     "r-sing-in": "singular-monoid",
     "r-sing-tuples": "singular-tuples",
     "r-m-sing-in": "singular-monoid",
@@ -138,50 +139,63 @@ _TARGET_VARIANT = {
 
 
 def _target(p: Presentation):
-    """Base monoid and ``wreath`` variant of the structure a flat kind
-    presents at level ``p.n``."""
+    """Base presentation, ``wreath`` variant and hom-sets ``(m, n)`` of the
+    structure the kind presents: every pair of levels up to the cap for
+    the category kind, the one pair ``(n, n)`` for a flat kind.  Plain-map
+    kinds target unlabelled partial bijections, over the trivial base."""
     if p.kind not in _TARGET_VARIANT:
-        raise ValueError(f"no flat target for kind {p.kind!r}")
-    return _target_base(p).require_evaluation(), _TARGET_VARIANT[p.kind]
-
-
-def _target_base(p: Presentation) -> BasePresentation:
-    # plain-map kinds target unlabelled partial bijections
-    if p.kind in ("r-in", "r-in-popova", "r-sing-in"):
-        return builtin("trivial")
-    return p.base
+        raise ValueError(f"no enumerable target for kind {p.kind!r}")
+    objects = range(p.cap + 1) if p.flavor == "category" else (p.n,)
+    homs = [(m, n) for m in objects for n in objects]
+    base = builtin("trivial") if p.kind in ("r-in", "r-in-popova", "r-sing-in") else p.base
+    return base, _TARGET_VARIANT[p.kind], homs
 
 
 def enumerate_target(p: Presentation) -> set:
     """Brute-force element set of the structure the kind presents."""
-    monoid, variant = _target(p)
-    return set(wreath.enumerate_wreath(monoid, p.n, p.n, variant, cap=p.n))
+    base, variant, homs = _target(p)
+    monoid = base.require_evaluation()
+    return {elem for m, n in homs
+            for elem in wreath.enumerate_wreath(monoid, m, n, variant, cap=max(m, n))}
 
 
 def target_size(p: Presentation) -> int:
     """Closed-form size of the same set."""
-    monoid, variant = _target(p)
-    return wreath.count_wreath(monoid, p.n, p.n, variant)
+    base, variant, homs = _target(p)
+    monoid = base.require_evaluation()
+    return sum(wreath.count_wreath(monoid, m, n, variant) for m, n in homs)
 
 
 def check_generation(p: Presentation) -> GenerationResult:
     """Close the generator images under composition and compare with the
     brute-force target, keeping one witness word per element reached."""
-    tgt_base = _target_base(p)
+    tgt_base, _, homs = _target(p)
     tgt_monoid = tgt_base.require_evaluation()
     m0 = adjoin_zero(tgt_monoid)
     images = [(sym, words.sym_image(sym, tgt_base, p.n)) for sym in p.alphabet]
-    if p.flavor == "monoid":
-        seeds = [(wreath.identity_element(tgt_monoid, p.n), ())]
-    else:
+    if p.flavor == "semigroup":
         seeds = [(g, (sym,)) for sym, g in images]
+    else:
+        # the identity at each object
+        seeds = [(wreath.identity_element(tgt_monoid, m), ()) for m, n in homs if m == n]
     witness = closure(seeds, images, _typed_mul(m0))
     target = enumerate_target(p)
-    covered = sum(1 for t in target if t in witness)
     missing = [t for t in target if t not in witness]
     missing.sort(key=lambda e: e.sort_key())
-    return GenerationResult(covered, len(target), witness,
+    return GenerationResult(len(target) - len(missing), len(target), witness,
                             missing[0] if missing else None)
+
+
+def _generation_stage(p: Presentation, report: VerificationReport) -> GenerationResult:
+    """Generation into ``report``, with the brute-force target checked
+    against the closed form."""
+    gen = check_generation(p)
+    report.generation = (gen.covered, gen.target)
+    tgt = target_size(p)
+    if gen.target != tgt:
+        raise AssertionError(
+            f"target enumeration ({gen.target}) disagrees with the closed form ({tgt})")
+    return gen
 
 
 def verify_presentation(kind: str, base: BasePresentation, n: int,
@@ -193,13 +207,8 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
-    gen = check_generation(p)
-    report.generation = (gen.covered, gen.target)
-    tgt = target_size(p)
-    if gen.target != tgt:
-        raise AssertionError(
-            f"target enumeration ({gen.target}) disagrees with the closed form ({tgt})")
-    report.target_size = tgt
+    gen = _generation_stage(p, report)
+    report.target_size = tgt = gen.target
     if not gen.ok:
         report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
         return report
@@ -243,7 +252,7 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
         if (k, (words.lam(k), words.rho(k)), ()) not in rel_set:
             report.soundness = StageReport(False, f"missing sandwich relation at {k}")
             return report
-        if (k + 1, (words.rho(k), words.lam(k)), (el(k + 1, k + 1),)) not in rel_set:
+        if (k + 1, (words.rho(k), words.lam(k)), (e_(k + 1, k + 1),)) not in rel_set:
             report.soundness = StageReport(False, f"missing reverse sandwich at {k}")
             return report
     report.notes["sandwich_checks"] = 3 * cap
@@ -262,23 +271,11 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
             samples += 1
     report.notes["sandwich_witnesses"] = samples
 
-    images = [(sym, words.sym_image(sym, base)) for sym in p.alphabet]
-    seeds = [(wreath.identity_element(monoid, m), ()) for m in range(cap + 1)]
-    witness = closure(seeds, images, _typed_mul(m0))
-    total = covered = 0
-    for m in range(cap + 1):
-        for n in range(cap + 1):
-            for elem in wreath.enumerate_wreath(monoid, m, n, "full", cap=cap):
-                total += 1
-                covered += elem in witness
-    report.generation = (covered, total)
-    if covered != total:
+    if not _generation_stage(p, report).ok:
         return report
 
-    expected = {
-        (m, n): wreath.hom_count(monoid, m, n)
-        for m in range(cap + 1) for n in range(cap + 1)
-    }
+    _, _, homs = _target(p)
+    expected = {(m, n): wreath.hom_count(monoid, m, n) for m, n in homs}
     report.target_size = expected
     h = headroom
     while True:
@@ -306,7 +303,7 @@ def _sandwich_witness_ok(u, k: int, base: BasePresentation) -> bool:
     """For an endo word ``u`` at level ``k+1``, squeeze it between
     omissions of the top slot, factor the restriction at level ``k``
     canonically, push the factorization one level up, and compare."""
-    e_top = (el(k + 1, k + 1),)
+    e_top = (e_(k + 1, k + 1),)
     squeezed = eval_path(Path(k + 1, e_top + u + e_top), base)
     inner = WreathElement(
         MTuple(squeezed.tup.entries[:k]),

@@ -6,7 +6,7 @@ Text syntax (whitespace separated, round-trips with the printers):
 
     s1 e2 e          adjacent swap, domain omission, the one-generator omission
     x@1  x@1;3       letter x at slot 1; letter x at slot 1 with slot 3 zeroed
-    s1:4 e2:4 x@1:4  the same generators tagged with their level
+    s1:4 e2:4 x@1:4  the same symbols with a level (here 4), as path edges
     f1,2             transfer: 2 -> 1, slot 1 removed
     lam3 rho3        inclusion 3->4 and its partial inverse 4->3
     X U Ubar         the tensor edges
@@ -17,7 +17,7 @@ Text syntax (whitespace separated, round-trips with the printers):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import pperm, wreath
@@ -28,7 +28,7 @@ from .wreath import WreathElement
 __all__ = [
     "ParseError",
     "Sym",
-    "s_", "e_", "pe", "x_", "bx", "f_", "xc", "sl", "el", "xl", "lam", "rho",
+    "s_", "e_", "pe", "x_", "bx", "f_", "xc", "lam", "rho",
     "TX", "TU", "TUBAR",
     "token", "word_text", "parse_monoid_word",
     "Path", "path_text", "parse_path", "edge_dr",
@@ -37,7 +37,6 @@ __all__ = [
     "term_text", "parse_term",
     "sym_image", "eval_word", "eval_path", "eval_term",
     "psi1_word", "psi2_word", "hat_edge", "hat_path", "plus_word", "reverse_word",
-    "translate",
     "separate",
     "min_separation_rules", "sing_separation_rules",
     "word_for_monoid_element", "word_for_pperm", "word_for_singular_pperm",
@@ -59,35 +58,43 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class Sym:
     """One generator symbol.  ``kind`` selects the family; unused fields
-    stay at their defaults so symbols hash and compare structurally."""
+    stay at their defaults so symbols hash and compare structurally.  ``n``
+    is the level of a swap, omission or slot letter on a path (``None``:
+    level-free) and the lower level of ``lam``/``rho``."""
 
     kind: str
     letter: str = ""
     i: int = 0
     j: int = 0
-    n: int = 0
+    n: int | None = None
 
 
-def s_(i: int) -> Sym:
+def s_(i: int, n: int | None = None) -> Sym:
     if i < 1:
         raise ValueError(f"swap index {i} must be positive")
-    return Sym("s", i=i)
+    if n is not None and i >= n:
+        raise ValueError(f"leveled swap s{i}:{n} needs i < n")
+    return Sym("s", i=i, n=n)
 
 
-def e_(i: int) -> Sym:
+def e_(i: int, n: int | None = None) -> Sym:
     if i < 1:
         raise ValueError(f"omit index {i} must be positive")
-    return Sym("e", i=i)
+    if n is not None and i > n:
+        raise ValueError(f"leveled omit e{i}:{n} needs i <= n")
+    return Sym("e", i=i, n=n)
 
 
 def pe() -> Sym:
     return Sym("pe")
 
 
-def x_(letter: str, i: int) -> Sym:
+def x_(letter: str, i: int, n: int | None = None) -> Sym:
     if i < 1:
         raise ValueError(f"slot {i} must be positive")
-    return Sym("x", letter=letter, i=i)
+    if n is not None and i > n:
+        raise ValueError(f"leveled letter {letter}@{i}:{n} needs i <= n")
+    return Sym("x", letter=letter, i=i, n=n)
 
 
 def bx(letter: str) -> Sym:
@@ -106,24 +113,6 @@ def xc(letter: str, i: int, j: int) -> Sym:
     return Sym("xc", letter=letter, i=i, j=j)
 
 
-def sl(i: int, n: int) -> Sym:
-    if not 1 <= i < n:
-        raise ValueError(f"leveled swap s{i}:{n} needs 1 <= i < n")
-    return Sym("sl", i=i, n=n)
-
-
-def el(i: int, n: int) -> Sym:
-    if not 1 <= i <= n:
-        raise ValueError(f"leveled omit e{i}:{n} needs 1 <= i <= n")
-    return Sym("el", i=i, n=n)
-
-
-def xl(letter: str, i: int, n: int) -> Sym:
-    if not 1 <= i <= n:
-        raise ValueError(f"leveled letter {letter}@{i}:{n} needs 1 <= i <= n")
-    return Sym("xl", letter=letter, i=i, n=n)
-
-
 def lam(n: int) -> Sym:
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -140,31 +129,24 @@ TX = Sym("TX")
 TU = Sym("TU")
 TUBAR = Sym("TUbar")
 
-Word = tuple  # tuple[Sym, ...]
-
 
 def token(sym: Sym) -> str:
     k = sym.kind
+    level = "" if sym.n is None else f":{sym.n}"
     if k == "s":
-        return f"s{sym.i}"
+        return f"s{sym.i}{level}"
     if k == "e":
-        return f"e{sym.i}"
+        return f"e{sym.i}{level}"
     if k == "pe":
         return "e"
     if k == "x":
-        return f"{sym.letter}@{sym.i}"
+        return f"{sym.letter}@{sym.i}{level}"
     if k == "bx":
         return sym.letter
     if k == "f":
         return f"f{sym.i},{sym.j}"
     if k == "xc":
         return f"{sym.letter}@{sym.i};{sym.j}"
-    if k == "sl":
-        return f"s{sym.i}:{sym.n}"
-    if k == "el":
-        return f"e{sym.i}:{sym.n}"
-    if k == "xl":
-        return f"{sym.letter}@{sym.i}:{sym.n}"
     if k == "lam":
         return f"lam{sym.n}"
     if k == "rho":
@@ -182,19 +164,16 @@ _TOKEN_PATTERNS = (
     (re.compile(r"X$"), lambda m: TX),
     (re.compile(r"U$"), lambda m: TU),
     (re.compile(r"Ubar$"), lambda m: TUBAR),
-    (re.compile(r"s(\d+):(\d+)$"), lambda m: sl(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"s(\d+)$"), lambda m: s_(int(m.group(1)))),
-    (re.compile(r"e(\d+):(\d+)$"), lambda m: el(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"e(\d+)$"), lambda m: e_(int(m.group(1)))),
+    (re.compile(r"s(\d+)(?::(\d+))?$"), lambda m: s_(int(m[1]), m[2] and int(m[2]))),
+    (re.compile(r"e(\d+)(?::(\d+))?$"), lambda m: e_(int(m[1]), m[2] and int(m[2]))),
     (re.compile(r"e$"), lambda m: pe()),
     (re.compile(r"f(\d+),(\d+)$"), lambda m: f_(int(m.group(1)), int(m.group(2)))),
     (re.compile(r"lam(\d+)$"), lambda m: lam(int(m.group(1)))),
     (re.compile(r"rho(\d+)$"), lambda m: rho(int(m.group(1)))),
-    (re.compile(r"([a-z][a-z0-9_]*)@(\d+):(\d+)$"),
-     lambda m: xl(m.group(1), int(m.group(2)), int(m.group(3)))),
     (re.compile(r"([a-z][a-z0-9_]*)@(\d+);(\d+)$"),
      lambda m: xc(m.group(1), int(m.group(2)), int(m.group(3)))),
-    (re.compile(r"([a-z][a-z0-9_]*)@(\d+)$"), lambda m: x_(m.group(1), int(m.group(2)))),
+    (re.compile(r"([a-z][a-z0-9_]*)@(\d+)(?::(\d+))?$"),
+     lambda m: x_(m[1], int(m[2]), m[3] and int(m[3]))),
     (re.compile(r"([a-z][a-z0-9_]*)$"), lambda m: bx(m.group(1))),
 )
 
@@ -226,7 +205,7 @@ def parse_monoid_word(text: str):
         if _IDENT_RE.match(tok):
             raise ParseError(f"token {pos}: {tok!r} is a path identity, not a monoid word")
         sym = _parse_token(tok)
-        if sym.kind in ("sl", "el", "xl", "lam", "rho", "TX", "TU", "TUbar"):
+        if sym.n is not None or sym.kind in ("TX", "TU", "TUbar"):
             raise ParseError(f"token {pos}: {tok!r} is not a monoid-word symbol")
         out.append(sym)
     return tuple(out)
@@ -237,13 +216,13 @@ def parse_monoid_word(text: str):
 
 def edge_dr(sym: Sym) -> tuple[int, int]:
     """Source and target level of a path edge."""
-    if sym.kind in ("sl", "el", "xl"):
-        return sym.n, sym.n
+    if sym.n is None:
+        raise ValueError(f"{token(sym)} is not a path edge")
     if sym.kind == "lam":
         return sym.n, sym.n + 1
     if sym.kind == "rho":
         return sym.n + 1, sym.n
-    raise ValueError(f"{token(sym)} is not a path edge")
+    return sym.n, sym.n
 
 
 @dataclass(frozen=True)
@@ -458,37 +437,27 @@ def parse_term(text: str):
 
 def sym_image(sym: Sym, base: BasePresentation, n: int | None = None) -> WreathElement:
     """Concrete diagram named by a symbol.  Level-free symbols need the
-    ambient level ``n``."""
+    ambient level ``n``; a leveled one uses its own."""
     monoid = base.require_evaluation()
     k = sym.kind
-    if k in ("s", "e", "pe", "x", "bx", "f", "xc") and n is None:
+    if sym.n is not None:
+        n = sym.n
+    elif n is None and k not in ("TX", "TU", "TUbar"):
         raise ValueError(f"symbol {token(sym)} needs an ambient level")
     if k == "s":
         return wreath.embed_map(monoid, pperm.swap_adjacent(sym.i, n))
-    if k == "e":
-        return wreath.embed_map(monoid, pperm.omit(sym.i, n))
-    if k == "pe":
-        return wreath.embed_map(monoid, pperm.omit(1, n))
-    if k == "x":
+    # the one-generator omission and a bare letter (``i`` is 0) act at slot 1
+    if k in ("e", "pe"):
+        return wreath.embed_map(monoid, pperm.omit(sym.i or 1, n))
+    if k in ("x", "bx"):
         return WreathElement(
-            unit_at(monoid, base.image_of(sym.letter), sym.i, n), pperm.identity(n))
-    if k == "bx":
-        return WreathElement(
-            unit_at(monoid, base.image_of(sym.letter), 1, n), pperm.identity(n))
+            unit_at(monoid, base.image_of(sym.letter), sym.i or 1, n), pperm.identity(n))
     if k == "f":
         return wreath.embed_map(monoid, pperm.transfer(sym.i, sym.j, n))
     if k == "xc":
         return WreathElement(
             pinned(monoid, base.image_of(sym.letter), sym.i, sym.j, n),
             pperm.omit(sym.j, n))
-    if k == "sl":
-        return wreath.embed_map(monoid, pperm.swap_adjacent(sym.i, sym.n))
-    if k == "el":
-        return wreath.embed_map(monoid, pperm.omit(sym.i, sym.n))
-    if k == "xl":
-        return WreathElement(
-            unit_at(monoid, base.image_of(sym.letter), sym.i, sym.n),
-            pperm.identity(sym.n))
     if k == "lam":
         return wreath.embed_map(monoid, pperm.inclusion(sym.n))
     if k == "rho":
@@ -554,6 +523,8 @@ def psi1_word(word):
     slot-i generators down to slot 1."""
     out = []
     for sym in word:
+        if sym.n is not None:
+            raise ValueError(f"{token(sym)} is not in the source alphabet of psi1")
         if sym.kind == "s":
             out.append(sym)
         elif sym.kind == "e":
@@ -571,6 +542,8 @@ def psi2_word(word):
     """Inclusion of the small alphabet into the full one at slot 1."""
     out = []
     for sym in word:
+        if sym.n is not None:
+            raise ValueError(f"{token(sym)} is not in the source alphabet of psi2")
         if sym.kind == "s":
             out.append(sym)
         elif sym.kind == "pe":
@@ -585,18 +558,18 @@ def psi2_word(word):
 def hat_edge(sym: Sym):
     """Tensor term realizing a path edge: the local picture padded by
     identity blocks."""
-    k = sym.kind
-    if k == "sl":
-        return pad_term(tedge(TX), sym.i - 1, sym.n - sym.i - 1)
-    if k == "el":
-        return pad_term(ttensor(tedge(TU), tedge(TUBAR)), sym.i - 1, sym.n - sym.i)
-    if k == "xl":
-        return pad_term(tedge(bx(sym.letter)), sym.i - 1, sym.n - sym.i)
+    k, n = sym.kind, sym.n
+    if n is None:
+        raise ValueError(f"{token(sym)} is not a path edge")
+    if k == "s":
+        return pad_term(tedge(TX), sym.i - 1, n - sym.i - 1)
+    if k == "e":
+        return pad_term(ttensor(tedge(TU), tedge(TUBAR)), sym.i - 1, n - sym.i)
+    if k == "x":
+        return pad_term(tedge(bx(sym.letter)), sym.i - 1, n - sym.i)
     if k == "lam":
-        return pad_term(tedge(TUBAR), sym.n, 0)
-    if k == "rho":
-        return pad_term(tedge(TU), sym.n, 0)
-    raise ValueError(f"{token(sym)} is not a path edge")
+        return pad_term(tedge(TUBAR), n, 0)
+    return pad_term(tedge(TU), n, 0)
 
 
 def hat_path(path: Path):
@@ -607,40 +580,18 @@ def hat_path(path: Path):
 
 def plus_word(word):
     """Re-tag leveled symbols one level up (same slots)."""
-    out = []
     for sym in word:
-        if sym.kind == "sl":
-            out.append(sl(sym.i, sym.n + 1))
-        elif sym.kind == "el":
-            out.append(el(sym.i, sym.n + 1))
-        elif sym.kind == "xl":
-            out.append(xl(sym.letter, sym.i, sym.n + 1))
-        else:
+        if sym.n is None or sym.kind not in ("s", "e", "x"):
             raise ValueError(f"{token(sym)} is not a leveled symbol")
-    return tuple(out)
+    return tuple(replace(sym, n=sym.n + 1) for sym in word)
 
 
 def reverse_word(word):
     """Reverse a word of swaps; evaluates to the inverse map."""
     for sym in word:
-        if sym.kind not in ("s", "sl"):
+        if sym.kind != "s":
             raise ValueError(f"{token(sym)} is not a swap")
     return tuple(reversed(word))
-
-
-def translate(obj, which: str):
-    """Dispatch over the named translation maps."""
-    if which == "psi1":
-        return psi1_word(obj)
-    if which == "psi2":
-        return psi2_word(obj)
-    if which == "hat":
-        return hat_path(obj) if isinstance(obj, Path) else hat_edge(obj)
-    if which == "plus":
-        return plus_word(obj)
-    if which == "reverse":
-        return reverse_word(obj)
-    raise ValueError(f"unknown translation {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +617,12 @@ def separate(word, is_x, rules, condition: str = "prefix"):
     """
     if condition not in ("prefix", "suffix"):
         raise ValueError(f"unknown condition {condition!r}")
+    # the loops run on letters numbered as ints: int pairs hash fast
+    ids: dict = {}
+
+    def num(w):
+        return [ids.setdefault(sym, len(ids)) for sym in w]
+
     split = {}
     for key, rep in rules.items():
         u, v = _split_rule(rep, is_x)
@@ -675,47 +632,54 @@ def separate(word, is_x, rules, condition: str = "prefix"):
         if condition == "suffix" and len(v) > 1:
             raise ValueError(
                 f"rule for {token(key[0])} {token(key[1])} has Y part longer than 1")
-        split[key] = (u, v)
+        split[tuple(num(key))] = (num(u), num(v))
+    word = num(word)
+    syms = list(ids)
+    xs = [is_x(sym) for sym in syms]
 
     # Loops, not recursion, so the length of a word is not bounded by
     # Python's recursion limit.
-    if condition == "prefix":
-        u, v = [], []
-        for z in word:
-            if not is_x(z):
-                v.append(z)
-                continue
-            # push z left through v; a rule leaves at most one X letter to
-            # push on, and its Y part lands after what is left of v
-            tail = []
-            while z is not None and v:
-                u1, v1 = split[(v.pop(), z)]
-                tail.append(v1)
-                z = u1[0] if u1 else None
-            if z is not None:
-                u.append(z)
-            for piece in reversed(tail):
-                v.extend(piece)
-        return tuple(u) + tuple(v)
+    try:
+        if condition == "prefix":
+            u, v = [], []
+            for z in word:
+                if not xs[z]:
+                    v.append(z)
+                    continue
+                # push z left through v; a rule leaves at most one X letter to
+                # push on, and its Y part lands after what is left of v
+                tail = []
+                while z is not None and v:
+                    u1, v1 = split[(v.pop(), z)]
+                    tail.append(v1)
+                    z = u1[0] if u1 else None
+                if z is not None:
+                    u.append(z)
+                for piece in reversed(tail):
+                    v.extend(piece)
+            return tuple(syms[k] for k in u + v)
 
-    # suffix: read the word backwards, keeping u and v reversed so their
-    # first letters sit at the ends of the lists
-    u, v = [], []
-    for z in reversed(word):
-        if is_x(z):
-            u.append(z)
-            continue
-        # push z right through u; a rule leaves at most one Y letter to
-        # push on, and its X part lands before what is left of u
-        head = []
-        while z is not None and u:
-            u1, v1 = split[(z, u.pop())]
-            head.extend(u1)
-            z = v1[0] if v1 else None
-        u.extend(reversed(head))
-        if z is not None:
-            v.append(z)
-    return tuple(reversed(u)) + tuple(reversed(v))
+        # suffix: read the word backwards, keeping u and v reversed so their
+        # first letters sit at the ends of the lists
+        u, v = [], []
+        for z in reversed(word):
+            if xs[z]:
+                u.append(z)
+                continue
+            # push z right through u; a rule leaves at most one Y letter to
+            # push on, and its X part lands before what is left of u
+            head = []
+            while z is not None and u:
+                u1, v1 = split[(z, u.pop())]
+                head.extend(u1)
+                z = v1[0] if v1 else None
+            u.extend(reversed(head))
+            if z is not None:
+                v.append(z)
+        return tuple(syms[k] for k in u[::-1] + v[::-1])
+    except KeyError as exc:
+        # no rule for this pair: name the symbols, not their numbers
+        raise KeyError(tuple(syms[k] for k in exc.args[0])) from None
 
 
 def min_separation_rules(base: BasePresentation, n: int):
@@ -775,13 +739,11 @@ def word_for_monoid_element(base: BasePresentation):
 def word_for_pperm(n: int, popova: bool = False):
     """Witness words over the swap/omit alphabet for every partial
     bijection at level ``n``, by breadth-first closure from the identity."""
-    if popova:
-        gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
-        if n >= 1:
-            gens.append((pe(), pperm.omit(1, n)))
-    else:
-        gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
+    gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
+    if not popova:
         gens.extend((e_(i), pperm.omit(i, n)) for i in range(1, n + 1))
+    elif n >= 1:
+        gens.append((pe(), pperm.omit(1, n)))
     return closure([(pperm.identity(n), ())], gens, PartialBijection.compose)
 
 
@@ -812,12 +774,14 @@ def leveled_word(word, level: int):
     """Tag a level-free word with an explicit level."""
     out = []
     for sym in word:
+        if sym.n is not None:
+            raise ValueError(f"cannot level {token(sym)}")
         if sym.kind == "s":
-            out.append(sl(sym.i, level))
+            out.append(s_(sym.i, level))
         elif sym.kind == "e":
-            out.append(el(sym.i, level))
+            out.append(e_(sym.i, level))
         elif sym.kind == "x":
-            out.append(xl(sym.letter, sym.i, level))
+            out.append(x_(sym.letter, sym.i, level))
         else:
             raise ValueError(f"cannot level {token(sym)}")
     return tuple(out)
@@ -981,20 +945,13 @@ def reassemble_singular(q: int, n: int, slot_words):
 def x_mn_decompose(sym: Sym, m: int, n: int):
     """A padded edge as a term, and a path whose edgewise tensor
     realization evaluates to the same element."""
+    term = pad_term(tedge(sym), m, n)
     if sym.kind == "TX":
-        term = pad_term(tedge(TX), m, n)
-        path = Path(m + n + 2, (sl(m + 1, m + n + 2),))
-        return term, path
+        return term, Path(m + n + 2, (s_(m + 1, m + n + 2),))
     if sym.kind == "bx":
-        term = pad_term(tedge(sym), m, n)
-        path = Path(m + n + 1, (xl(sym.letter, m + 1, m + n + 1),))
-        return term, path
+        return term, Path(m + n + 1, (x_(sym.letter, m + 1, m + n + 1),))
     if sym.kind == "TU":
-        term = pad_term(tedge(TU), m, n)
-        edges = tuple(sl(k, m + n + 1) for k in range(m + 1, m + n + 1)) + (rho(m + n),)
+        edges = tuple(s_(k, m + n + 1) for k in range(m + 1, m + n + 1)) + (rho(m + n),)
         return term, Path(m + n + 1, edges)
-    if sym.kind == "TUbar":
-        term = pad_term(tedge(TUBAR), m, n)
-        edges = (lam(m + n),) + tuple(sl(k, m + n + 1) for k in range(m + n, m, -1))
-        return term, Path(m + n, edges)
-    raise ValueError(f"{token(sym)} is not a tensor edge")
+    edges = (lam(m + n),) + tuple(s_(k, m + n + 1) for k in range(m + n, m, -1))
+    return term, Path(m + n, edges)

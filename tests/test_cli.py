@@ -145,6 +145,12 @@ def test_translate(capsys):
     assert code == 0 and out.strip() == "e1 g@1"
     code, out, _ = run(capsys, "translate", "--which", "hat", "--word", "lam2")
     assert code == 0 and out.strip() == "(p i2 Ubar)"
+    code, out, _ = run(capsys, "translate", "--which", "psi1", "--word", "e2 g@2")
+    assert code == 0 and out.strip() == "s1 e s1 s1 g s1"
+    code, out, _ = run(capsys, "translate", "--which", "plus", "--word", "s1:2 e2:2")
+    assert code == 0 and out.strip() == "s1:3 e2:3"
+    code, out, _ = run(capsys, "translate", "--which", "reverse", "--word", "s1 s2")
+    assert code == 0 and out.strip() == "s2 s1"
 
 
 def test_enumerate(capsys):
@@ -209,6 +215,28 @@ def test_matrix_cell_errors_do_not_kill_siblings(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["cells"][0]["verdict"] == "error"
     assert obj["cells"][1]["verdict"] == "pass"
+
+
+def test_matrix_malformed_configs(tmp_path, capsys):
+    path = tmp_path / "cells.json"
+    # a missing key or a cell that is no object is recorded; the others run
+    path.write_text(json.dumps({"cells": [
+        {"kind": "r-in", "n": 2}, {"monoid": "trivial", "n": 2}, 3,
+        {"kind": "r-in", "monoid": "trivial", "n": 2},
+    ]}))
+    code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    assert [c["verdict"] for c in obj["cells"]] == ["error", "error", "error", "pass"]
+    assert obj["cells"][0]["error"] == "cell is missing 'monoid'"
+    assert obj["cells"][1]["error"] == "cell is missing 'kind'"
+    assert obj["cells"][2]["error"] == "cell is not an object: 3"
+    # a config that is not an object with a cells list is a usage error
+    for config in ([1], {"cells": 3}):
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "matrix", str(path))
+        assert code == 1 and out == "" and "'cells' list" in err
 
 
 def test_matrix_empty(tmp_path, capsys):

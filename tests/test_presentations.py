@@ -18,7 +18,7 @@ from invwreath.words import (
     Path,
     leveled_word,
     parse_monoid_word as w,
-    sl,
+    s_,
     sym_image,
     term_d,
     term_r,
@@ -178,7 +178,7 @@ def test_generator_image_examples():
     # leveled and tensor edges carry their own level; flat symbols take n
     p = build("omega-mi", C2, cap=3)
     images = {sym: sym_image(sym, C2) for sym in p.alphabet}
-    assert images[sl(1, 2)].pmap == swap_adjacent(1, 2)
+    assert images[s_(1, 2)].pmap == swap_adjacent(1, 2)
     q = build("r-sing-tuples", C2, n=3)
     assert xc("g", 1, 3) in q.alphabet
     img = sym_image(xc("g", 1, 3), C2, 3)

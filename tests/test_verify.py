@@ -19,6 +19,7 @@ from invwreath.verify import (
     verify_tensor,
 )
 from invwreath.words import parse_monoid_word as w
+from invwreath.wreath import hom_count
 
 C2 = builtin("c2")
 TRIV = builtin("trivial")
@@ -50,6 +51,12 @@ def test_generation_witnesses():
     q = build("r-min", C2, n=2)
     gen = check_generation(q)
     assert gen.ok and gen.target == 17
+    # the category kind: every hom-set (m, n) with m, n <= cap
+    omega = build("omega-mi", C2, cap=2)
+    gen = check_generation(omega)
+    total = sum(hom_count(C2.monoid, m, n) for m in range(3) for n in range(3))
+    assert gen.covered == gen.target == target_size(omega) == total == 35
+    assert len(enumerate_target(omega)) == total
 
 
 def test_generation_failure_reported():

@@ -15,7 +15,6 @@ from invwreath.words import (
     canonical_word,
     e_,
     edge_dr,
-    el,
     eval_path,
     eval_term,
     eval_word,
@@ -23,6 +22,7 @@ from invwreath.words import (
     hat_edge,
     hat_path,
     lam,
+    leveled_word,
     min_separation_rules,
     normal_form_singular_tuple,
     normal_form_wreath_word,
@@ -42,7 +42,6 @@ from invwreath.words import (
     s_,
     separate,
     sing_separation_rules,
-    sl,
     sorting_relabel,
     tedge,
     term_d,
@@ -55,7 +54,6 @@ from invwreath.words import (
     x_,
     x_mn_decompose,
     xc,
-    xl,
     TU,
     TUBAR,
     TX,
@@ -85,11 +83,11 @@ def random_word(rng, syms, max_len=8, min_len=0):
 def test_token_round_trip():
     samples = [
         s_(1), e_(2), pe(), x_("g", 1), bx("g"), f_(1, 2), xc("g", 1, 3),
-        sl(1, 4), el(2, 4), xl("g", 1, 4), lam(3), rho(3), TX, TU, TUBAR,
+        s_(1, 4), e_(2, 4), x_("g", 1, 4), lam(3), rho(3), TX, TU, TUBAR,
     ]
     for sym in samples:
         text = token(sym)
-        if sym.kind in ("sl", "el", "xl", "lam", "rho"):
+        if sym.n is not None:
             assert parse_path(text).edges == (sym,)
         elif sym.kind in ("TX", "TU", "TUbar"):
             assert parse_term(text) == tedge(sym)
@@ -150,7 +148,7 @@ def test_term_round_trip_random():
 
 
 def test_path_round_trip():
-    p = Path(2, (lam(2), sl(1, 3), rho(2)))
+    p = Path(2, (lam(2), s_(1, 3), rho(2)))
     assert parse_path(path_text(p)) == p
     empty = Path(3, ())
     assert path_text(empty) == "i3"
@@ -188,14 +186,25 @@ def test_parse_errors():
         parse_monoid_word("lam2")
     with pytest.raises(ParseError):
         parse_path("g@1")
+    with pytest.raises(ParseError):
+        parse_path("s2:2")
+    with pytest.raises(ParseError):
+        parse_monoid_word("s1:3")
+    for bad in (lambda: s_(2, 2), lambda: e_(3, 2), lambda: x_("g", 0, 3)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_edge_typing():
     assert edge_dr(lam(2)) == (2, 3)
     assert edge_dr(rho(2)) == (3, 2)
-    assert edge_dr(sl(1, 4)) == (4, 4)
+    assert edge_dr(s_(1, 4)) == (4, 4)
+    # a level-free symbol is no path edge: a ValueError, not a TypeError
+    for reject in (edge_dr, hat_edge, lambda sym: plus_word((sym,))):
+        with pytest.raises(ValueError):
+            reject(s_(1))
     with pytest.raises(ValueError):
-        edge_dr(s_(1))
+        leveled_word((s_(1, 3),), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +266,7 @@ def test_psi1_image_evaluates_equal():
 def test_hat_examples():
     assert hat_edge(lam(2)) == ttensor(TIdent(2), tedge(TUBAR))
     assert hat_edge(lam(0)) == tedge(TUBAR)
-    assert hat_edge(sl(1, 2)) == tedge(TX)
+    assert hat_edge(s_(1, 2)) == tedge(TX)
     for n in range(4):
         e = lam(n)
         assert eval_term(hat_edge(e), C2) == eval_path(Path(n, (e,)), C2)
@@ -282,8 +291,8 @@ def test_hat_commutes_on_random_paths():
 
 
 def test_plus_and_reverse():
-    w = (sl(1, 2), el(2, 2))
-    assert plus_word(w) == (sl(1, 3), el(2, 3))
+    w = (s_(1, 2), e_(2, 2))
+    assert plus_word(w) == (s_(1, 3), e_(2, 3))
     rng = random.Random(9)
     for _ in range(100):
         w = tuple(s_(rng.randrange(1, 3)) for _ in range(rng.randrange(0, 6)))
@@ -443,9 +452,9 @@ def test_witness_words_are_shortest_first():
 def test_x_mn_decompose():
     term, path = x_mn_decompose(TX, 0, 0)
     assert term == tedge(TX)
-    assert path == Path(2, (sl(1, 2),))
+    assert path == Path(2, (s_(1, 2),))
     term, path = x_mn_decompose(bx("g"), 1, 2)
-    assert path == Path(4, (xl("g", 2, 4),))
+    assert path == Path(4, (x_("g", 2, 4),))
     assert eval_term(term, C2) == eval_path(path, C2)
     for sym in (TX, TU, TUBAR, bx("g")):
         for m in range(4):
