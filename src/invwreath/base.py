@@ -33,11 +33,17 @@ __all__ = [
     "BasePresentation",
     "builtin",
     "BUILTIN_NAMES",
+    "InternalInconsistency",
 ]
 
 
 class NoEvaluationError(ValueError):
     """The base monoid was given only by presentation, with no table."""
+
+
+class InternalInconsistency(RuntimeError):
+    """Two parts of the program disagree where the mathematics says they
+    must agree: a bug in the program, never in its input."""
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Subcommands: emit, verify, eval, normal-form, word-problem, enumerate,
 translate, matrix.  Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 inconclusive.
+failure or an internal inconsistency, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import verify as verify_mod
 from . import wreath
-from .base import BUILTIN_NAMES, BasePresentation, builtin
+from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
 from .congruence import UnsupportedFlavorError
 from .pperm import enumerate_partial_bijections
 from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, build, emit_json, emit_text
@@ -284,7 +284,8 @@ def _cmd_matrix(args) -> int:
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
             worst = max(worst, _report_exit(report))
-        except (UsageError, ValueError, KeyError, UnsupportedFlavorError) as exc:
+        except (UsageError, ValueError, KeyError, UnsupportedFlavorError,
+                InternalInconsistency) as exc:
             entry["verdict"] = "error"
             entry["error"] = str(exc)
             worst = max(worst, EXIT_FAIL)
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

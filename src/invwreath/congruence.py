@@ -10,6 +10,15 @@ missing transitions along the way) and then has its remaining row entries
 filled with fresh nodes.  On completion the alive-node count is the
 cardinality of the presented structure.
 
+A trace is checked before anything is filled: both sides of ``u = v`` are
+followed through the table in two plain loops, and when both are defined
+to the end and meet, the relation already holds and the trace is done.
+Most traces end there.  Only a trace with an undefined entry or two
+different ends goes on to the fill step, which deduces a missing last
+transition, merges the two ends, or defines the first missing entry and
+traces again.  The check changes no state, so the nodes defined and the
+merges made are those of filling every trace.
+
 One typed engine serves every flavor.  Nodes carry source and target
 objects, generators go between objects, and each source object is the
 root of its own part of the table with its own node budget.  A monoid or
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .base import InternalInconsistency
 from .presentations import Presentation, build
 from .words import edge_dr
 
@@ -38,6 +48,7 @@ __all__ = [
     "UnsupportedFlavorError",
     "CongruenceTable",
     "enumerate_congruence",
+    "node_budget",
     "DEFAULT_MONOID_BUDGET",
     "DEFAULT_CATEGORY_BUDGET",
 ]
@@ -150,7 +161,7 @@ class _Engine:
             if b < a:
                 a, b = b, a
             if self.dobj[a] != self.dobj[b] or self.robj[a] != self.robj[b]:
-                raise AssertionError("attempt to merge nodes of different types")
+                raise InternalInconsistency("attempt to merge nodes of different types")
             self.parent[b] = a
             row_b = self.rows[b]
             self.rows[b] = None
@@ -166,15 +177,16 @@ class _Engine:
     def scan(self, p: int, word) -> tuple[int, int]:
         """Follow ``word`` from ``p`` through defined entries; return the
         last node reached and how many letters were consumed."""
+        rows, parent = self.rows, self.parent
         cur = p
         for k, x in enumerate(word):
-            t = self.rows[cur][x]
+            t = rows[cur][x]
             if t == _UNDEF:
                 return cur, k
-            cur = self.find(t)
+            cur = t if parent[t] == t else self.find(t)
         return cur, len(word)
 
-    def scan_and_fill(self, p: int, u, v):
+    def fill(self, p: int, u, v):
         """Trace the relation ``u = v`` at ``p``: deduce the final
         transition when only it is missing, merge completed endpoints, and
         otherwise fill the first missing slot with a fresh node and rescan.
@@ -203,23 +215,42 @@ class _Engine:
         """One root per source object, then nodes in creation order: trace
         every relation whose source is the node's target, then fill the
         node's remaining defined row entries with fresh nodes."""
+        rows, parent, find = self.rows, self.parent, self.find
         for m in range(len(self.created)):
             self.new_node(m, m)
         # the generators leaving each object within the bound, with targets
         leaving = [[(gen, r) for gen, (d, r) in enumerate(self.dr) if d == obj and r <= self.bound]
                    for obj in range(self.bound + 1)]
         idx = 0
-        while idx < len(self.rows):
-            if self.parent[idx] != idx:
+        while idx < len(rows):
+            if parent[idx] != idx:
                 idx += 1
                 continue
             for u, v in rels_by_src.get(self.robj[idx], ()):
-                self.scan_and_fill(idx, u, v)
-                if self.parent[idx] != idx:
+                # most relations already hold: check inline, ``find`` only
+                # past a merged node, and fill only what does not hold
+                a = idx
+                for x in u:
+                    t = rows[a][x]
+                    if t == _UNDEF:
+                        break
+                    a = t if parent[t] == t else find(t)
+                else:
+                    b = idx
+                    for x in v:
+                        t = rows[b][x]
+                        if t == _UNDEF:
+                            break
+                        b = t if parent[t] == t else find(t)
+                    else:
+                        if a == b:
+                            continue
+                self.fill(idx, u, v)
+                if parent[idx] != idx:
                     # the class was folded into an earlier, fully processed node
                     break
             else:
-                row = self.rows[idx]
+                row = rows[idx]
                 for gen, r in leaving[self.robj[idx]]:
                     if row[gen] == _UNDEF:
                         row[gen] = self.new_node(self.dobj[idx], r)
@@ -237,6 +268,16 @@ class _Engine:
         return renumber, table
 
 
+def node_budget(flavor: str, budget: int | None) -> int:
+    """The per-root node budget of a run: ``budget``, or the flavor's
+    default for ``None``."""
+    if budget is None:
+        return DEFAULT_CATEGORY_BUDGET if flavor == "category" else DEFAULT_MONOID_BUDGET
+    if budget <= 0:
+        raise ValueError(f"node budget must be positive, got {budget}")
+    return budget
+
+
 def enumerate_congruence(p: Presentation, budget: int | None = None,
                          headroom: int = 2) -> CongruenceTable:
     """Enumerate the structure presented by ``p``.
@@ -251,10 +292,7 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
     category = p.flavor == "category"
-    if budget is None:
-        budget = DEFAULT_CATEGORY_BUDGET if category else DEFAULT_MONOID_BUDGET
-    elif budget <= 0:
-        raise ValueError(f"node budget must be positive, got {budget}")
+    budget = node_budget(p.flavor, budget)
 
     if category:
         bound = p.cap + headroom
@@ -297,7 +335,7 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         # the empty word's node 0 must stay its own class (class 0) and
         # no transition may lead into it
         if eng.find(0) != 0 or any(0 in row for row in table):
-            raise AssertionError("empty-word class was touched in a semigroup run")
+            raise InternalInconsistency("empty-word class was touched in a semigroup run")
         done.size = len(table) - 1
         done.empty_class_untouched = True
     else:

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import wreath, words
-from .base import BasePresentation, MTuple, adjoin_zero, builtin, closure
-from .congruence import enumerate_congruence
+from .base import BasePresentation, InternalInconsistency, MTuple, adjoin_zero, builtin, closure
+from .congruence import enumerate_congruence, node_budget
 from .pperm import PartialBijection
 from .presentations import FLAVOR_SYNTAX, Presentation, build
 from .words import (
@@ -159,11 +159,35 @@ def enumerate_target(p: Presentation) -> set:
             for elem in wreath.enumerate_wreath(monoid, m, n, variant, cap=max(m, n))}
 
 
-def target_size(p: Presentation) -> int:
-    """Closed-form size of the same set."""
+def _root_sizes(p: Presentation) -> dict:
+    """Closed-form size of the target's part under each start object."""
     base, variant, homs = _target(p)
     monoid = base.require_evaluation()
-    return sum(wreath.count_wreath(monoid, m, n, variant) for m, n in homs)
+    sizes: dict[int, int] = {}
+    for m, n in homs:
+        sizes[m] = sizes.get(m, 0) + wreath.count_wreath(monoid, m, n, variant)
+    return sizes
+
+
+def target_size(p: Presentation) -> int:
+    """Closed-form size of the same set."""
+    return sum(_root_sizes(p).values())
+
+
+def _over_budget(p: Presentation, budget: int | None, report: VerificationReport) -> bool:
+    """Mark ``report`` inconclusive when the closed-form target alone needs
+    more nodes under one root than the enumeration's budget allows: each
+    class needs a node of its own, and a semigroup run one more for the
+    empty word."""
+    budget = node_budget(p.flavor, budget)
+    need = max(_root_sizes(p).values()) + (1 if p.flavor == "semigroup" else 0)
+    if need <= budget:
+        return False
+    report.verdict = "inconclusive"
+    report.notes["enumeration"] = (
+        f"stopped before generation: the target needs {need} nodes under one root, "
+        f"above the node budget of {budget}")
+    return True
 
 
 def check_generation(p: Presentation) -> GenerationResult:
@@ -193,7 +217,7 @@ def _generation_stage(p: Presentation, report: VerificationReport) -> Generation
     report.generation = (gen.covered, gen.target)
     tgt = target_size(p)
     if gen.target != tgt:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"target enumeration ({gen.target}) disagrees with the closed form ({tgt})")
     return gen
 
@@ -205,7 +229,7 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
     p = build(kind, base, n=n)
     report = VerificationReport(kind, base.name or "custom", n)
     report.soundness = check_soundness(p)
-    if not report.soundness.ok:
+    if not report.soundness.ok or _over_budget(p, budget, report):
         return report
     gen = _generation_stage(p, report)
     report.target_size = tgt = gen.target
@@ -219,7 +243,7 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
         return report
     report.enumerated_size = table.size
     if table.size < tgt:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"enumerated {table.size} classes below the sound target {tgt}")
     report.verdict = "pass" if table.size == tgt else "fail"
     return report
@@ -271,7 +295,7 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
             samples += 1
     report.notes["sandwich_witnesses"] = samples
 
-    if not _generation_stage(p, report).ok:
+    if _over_budget(p, budget, report) or not _generation_stage(p, report).ok:
         return report
 
     _, _, homs = _target(p)
@@ -288,7 +312,7 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
         report.enumerated_size = got
         report.notes["headroom"] = h
         if any(got[key] < expected[key] for key in expected):
-            raise AssertionError("hom-set count below the sound target")
+            raise InternalInconsistency("hom-set count below the sound target")
         if got == expected:
             report.verdict = "pass"
             return report

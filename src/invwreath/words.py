@@ -312,28 +312,32 @@ class TTens:
 _TENSOR_EDGE_DR = {"TX": (2, 2), "TU": (1, 0), "TUbar": (0, 1), "bx": (1, 1)}
 
 
+def _term_width(t, side: int) -> int:
+    """``d`` (``side`` 0) or ``r`` (``side`` 1) of a term, walked with an
+    explicit stack so that long composites do not recurse."""
+    width = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, TIdent):
+            width += t.n
+        elif isinstance(t, TEdge):
+            width += _TENSOR_EDGE_DR[t.sym.kind][side]
+        elif isinstance(t, TComp):
+            stack.append(t.right if side else t.left)
+        elif isinstance(t, TTens):
+            stack.extend((t.left, t.right))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return width
+
+
 def term_d(t) -> int:
-    if isinstance(t, TIdent):
-        return t.n
-    if isinstance(t, TEdge):
-        return _TENSOR_EDGE_DR[t.sym.kind][0]
-    if isinstance(t, TComp):
-        return term_d(t.left)
-    if isinstance(t, TTens):
-        return term_d(t.left) + term_d(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    return _term_width(t, 0)
 
 
 def term_r(t) -> int:
-    if isinstance(t, TIdent):
-        return t.n
-    if isinstance(t, TEdge):
-        return _TENSOR_EDGE_DR[t.sym.kind][1]
-    if isinstance(t, TComp):
-        return term_r(t.right)
-    if isinstance(t, TTens):
-        return term_r(t.left) + term_r(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    return _term_width(t, 1)
 
 
 def tcompose(left, right) -> TComp:
@@ -373,40 +377,43 @@ def compose_chain(terms):
 
 
 def term_text(t) -> str:
-    if isinstance(t, TIdent):
-        return f"i{t.n}"
-    if isinstance(t, TEdge):
-        return token(t.sym)
-    if isinstance(t, TComp):
-        return f"(o {term_text(t.left)} {term_text(t.right)})"
-    if isinstance(t, TTens):
-        return f"(p {term_text(t.left)} {term_text(t.right)})"
-    raise TypeError(f"not a term: {t!r}")
+    out = []
+    stack = [t]     # terms still to print, and literal text
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, TIdent):
+            out.append(f"i{t.n}")
+        elif isinstance(t, TEdge):
+            out.append(token(t.sym))
+        elif isinstance(t, (TComp, TTens)):
+            op = "o" if isinstance(t, TComp) else "p"
+            stack.extend((")", t.right, " ", t.left, f"({op} "))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def parse_term(text: str):
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
         raise ParseError("empty term text")
+    frames = []     # operator and arguments so far of each open parenthesis
     pos = 0
-
-    def expr():
-        nonlocal pos
+    while True:
         if pos >= len(toks):
-            raise ParseError("unexpected end of term")
+            raise ParseError("missing ')'")
         tok = toks[pos]
+        pos += 1
         if tok == "(":
-            pos += 1
             if pos >= len(toks) or toks[pos] not in ("o", "p"):
                 raise ParseError(f"token {pos}: expected 'o' or 'p' after '('")
-            op = toks[pos]
+            frames.append((toks[pos], []))
             pos += 1
-            parts = []
-            while pos < len(toks) and toks[pos] != ")":
-                parts.append(expr())
-            if pos >= len(toks):
-                raise ParseError("missing ')'")
-            pos += 1
+            continue
+        if tok == ")" and frames:
+            op, parts = frames.pop()
             if len(parts) < 2:
                 raise ParseError(f"operator {op!r} needs at least two arguments")
             out = parts[0]
@@ -415,18 +422,17 @@ def parse_term(text: str):
                     out = tcompose(out, t) if op == "o" else ttensor(out, t)
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-            return out
-        pos += 1
-        m = _IDENT_RE.match(tok)
-        if m:
-            return TIdent(int(m.group(1)))
-        sym = _parse_token(tok)
-        try:
-            return tedge(sym)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-
-    out = expr()
+        elif m := _IDENT_RE.match(tok):
+            out = TIdent(int(m.group(1)))
+        else:
+            sym = _parse_token(tok)
+            try:
+                out = tedge(sym)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+        if not frames:
+            break
+        frames[-1][1].append(out)
     if pos != len(toks):
         raise ParseError(f"trailing tokens from position {pos}")
     return out
@@ -491,21 +497,28 @@ def eval_path(path: Path, base: BasePresentation) -> WreathElement:
 
 
 def eval_term(term, base: BasePresentation) -> WreathElement:
+    """Value of a term, evaluated left operand first with an explicit
+    stack, so that long composites do not recurse."""
     monoid = base.require_evaluation()
     m0 = adjoin_zero(monoid)
-
-    def rec(t):
+    values = []
+    stack = [term]  # terms to evaluate, and the TComp/TTens class combining two values
+    while stack:
+        t = stack.pop()
         if isinstance(t, TIdent):
-            return wreath.identity_element(monoid, t.n)
-        if isinstance(t, TEdge):
-            return sym_image(t.sym, base, n=1 if t.sym.kind == "bx" else None)
-        if isinstance(t, TComp):
-            return wreath.compose(m0, rec(t.left), rec(t.right))
-        if isinstance(t, TTens):
-            return wreath.tensor(rec(t.left), rec(t.right))
-        raise TypeError(f"not a term: {t!r}")
-
-    return rec(term)
+            values.append(wreath.identity_element(monoid, t.n))
+        elif isinstance(t, TEdge):
+            values.append(sym_image(t.sym, base, n=1 if t.sym.kind == "bx" else None))
+        elif isinstance(t, (TComp, TTens)):
+            stack.extend((type(t), t.right, t.left))
+        elif t is TComp or t is TTens:
+            right = values.pop()
+            left = values.pop()
+            values.append(wreath.compose(m0, left, right) if t is TComp
+                          else wreath.tensor(left, right))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ def test_verify_inconclusive_exit_three(capsys):
     code, out, _ = run(capsys, "verify", "--kind", "r-min", "--monoid", "c2",
                        "--n", "3", "--budget", "20")
     assert code == 3
+    code, out, _ = run(capsys, "verify", "--kind", "r-in", "--monoid", "trivial",
+                       "--n", "9", "--budget", "100")
+    assert code == 3 and "before generation" in out
 
 
 def test_nonpositive_budget_exits_one(capsys, monkeypatch):
@@ -103,6 +106,28 @@ def test_matrix_tensor_cell_with_budget_is_an_error(tmp_path, capsys):
     jsonschema.validate(obj, MATRIX_SCHEMA)
     assert obj["cells"][0]["verdict"] == "error" and "enumeration" in obj["cells"][0]["error"]
     assert [c["verdict"] for c in obj["cells"][1:]] == ["pass", "pass"]
+
+
+def test_internal_inconsistency_exits_two(tmp_path, capsys, monkeypatch):
+    import invwreath.verify as verify_mod
+
+    real = verify_mod.target_size
+    monkeypatch.setattr(verify_mod, "target_size",
+                        lambda p: real(p) + (p.kind == "r-min"))
+    code, _, err = run(capsys, "verify", "--kind", "r-min", "--monoid", "c2", "--n", "2")
+    assert code == 2 and "internal inconsistency" in err and "closed form" in err
+    config = {"cells": [
+        {"kind": "r-min", "monoid": "c2", "n": 2},
+        {"kind": "r-in", "monoid": "trivial", "n": 2},
+    ]}
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    assert obj["cells"][0]["verdict"] == "error" and "closed form" in obj["cells"][0]["error"]
+    assert obj["cells"][1]["verdict"] == "pass"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -68,6 +68,26 @@ def test_nonpositive_budget_is_rejected():
                 enumerate_congruence(p, budget=budget)
 
 
+def test_engine_counts_are_pinned():
+    # status, class count and nodes defined at the default budget: a change
+    # of enumeration strategy shows here, and must be deliberate
+    cells = (
+        ("r-m-sing-in", C2, 3, 91, 538),
+        ("r-sing-tuples", builtin("s3"), 3, 127, 2324),
+        ("r-in", TRIV, 4, 209, 436),
+        ("omega-mi", C2, 3, 264, 4391),
+        ("omega-mi", TRIV, 3, 90, 823),
+    )
+    for kind, base, n, classes, nodes in cells:
+        if kind == "omega-mi":
+            table = enumerate_congruence(build(kind, base, cap=n))
+            size = sum(table.hom_sizes.values())
+        else:
+            table = enumerate_congruence(build(kind, base, n=n))
+            size = table.size
+        assert (table.status, size, table.nodes_created) == ("complete", classes, nodes), kind
+
+
 def test_budget_exhaustion_is_inconclusive_not_wrong():
     table = enumerate_congruence(build("r-in", TRIV, n=3), budget=10)
     assert table.status == "budget-exceeded"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import jsonschema
 import pytest
@@ -92,6 +93,32 @@ def test_verify_presentation_passes():
 def test_verify_inconclusive_on_budget():
     report = verify_presentation("r-min", C2, 3, budget=20)
     assert report.verdict == "inconclusive"
+
+
+def test_target_above_budget_is_inconclusive_before_generation():
+    start = time.perf_counter()
+    report = verify_presentation("r-in", TRIV, 9, budget=100)
+    assert time.perf_counter() - start < 5
+    assert report.verdict == "inconclusive" and report.generation is None
+    assert "before generation" in report.notes["enumeration"]
+    assert "17572114" in report.notes["enumeration"] and "100" in report.notes["enumeration"]
+    # no budget is the default budget, far below this target too
+    assert verify_presentation("r-in", TRIV, 9).verdict == "inconclusive"
+    # a semigroup run needs a node for the empty word as well
+    assert target_size(build("r-sing-in", TRIV, n=3)) == 28
+    report = verify_presentation("r-sing-in", TRIV, 3, budget=28)
+    assert "before generation" in report.notes["enumeration"]
+    report = verify_presentation("r-sing-in", TRIV, 3, budget=29)
+    assert report.generation == (28, 28)
+    assert report.notes["enumeration"] == "budget exhausted after 29 nodes"
+    # the category kind needs sum over n <= cap of hom_count(m, n) nodes
+    # under root m: 1 + 5 + 17 = 23 under root 2 for c2 at cap 2
+    report = verify_category(2, C2, budget=22)
+    assert report.verdict == "inconclusive" and report.generation is None
+    assert "23 nodes" in report.notes["enumeration"]
+    report = verify_category(2, C2, budget=23)
+    assert report.verdict == "inconclusive" and report.generation == (35, 35)
+    assert report.notes["enumeration"] == "budget exhausted at headroom 2"
 
 
 def test_verify_report_json():

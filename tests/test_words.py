@@ -177,6 +177,18 @@ def test_term_round_trip_and_typing():
         parse_term("(q X X)")
 
 
+def test_long_terms():
+    # a composite far deeper than Python's recursion limit, in both the
+    # flat and the nested spelling
+    t = parse_term("(o" + " X" * 3000 + ")")
+    assert term_d(t) == term_r(t) == 2
+    text = term_text(t)
+    assert text == "(o " * 2999 + "X" + " X)" * 2999
+    assert term_text(parse_term(text)) == text
+    # X is an involution
+    assert eval_term(t, C2) == wreath.identity_element(C2.monoid, 2)
+    assert term_d(ttensor(t, t)) == term_r(ttensor(t, t)) == 4
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_monoid_word("s0")
