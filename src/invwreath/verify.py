@@ -7,6 +7,14 @@ generation makes it onto; equality of the finite sizes makes it a
 bijection.  The three stages are reported separately and the verdict is
 their conjunction, with budget exhaustion reported as inconclusive rather
 than failure.
+
+A cell runs soundness, a check of the closed-form target against the node
+budget, the enumeration, and then generation.  A complete table is the
+right Cayley graph of the presented structure, so generation walks it
+breadth-first from the roots: each class's image is its parent's image
+times one generator image.  Only when the table is incomplete does
+generation close the generator images under composition instead.  Either
+way the witness words are the same breadth-first words.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, MTuple, adjoin_zero, builtin, closure
-from .congruence import enumerate_congruence, node_budget
+from .congruence import CongruenceTable, enumerate_congruence, node_budget
 from .pperm import PartialBijection
 from .presentations import FLAVOR_SYNTAX, Presentation, build
 from .words import (
@@ -190,9 +198,14 @@ def _over_budget(p: Presentation, budget: int | None, report: VerificationReport
     return True
 
 
-def check_generation(p: Presentation) -> GenerationResult:
-    """Close the generator images under composition and compare with the
-    brute-force target, keeping one witness word per element reached."""
+def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
+    """Reach the structure's elements from the generator images, keeping
+    one witness word per element, and compare with the brute-force target.
+
+    With a complete ``table`` the elements are reached by walking it, one
+    product per class; otherwise by closing the generator images under
+    composition.  Both visit in the same breadth-first order, with letters
+    in alphabet order, so they give the same witness words."""
     tgt_base, _, homs = _target(p)
     tgt_monoid = tgt_base.require_evaluation()
     m0 = adjoin_zero(tgt_monoid)
@@ -202,24 +215,56 @@ def check_generation(p: Presentation) -> GenerationResult:
     else:
         # the identity at each object
         seeds = [(wreath.identity_element(tgt_monoid, m), ()) for m, n in homs if m == n]
-    witness = closure(seeds, images, _typed_mul(m0))
+    if table is not None and table.status == "complete":
+        if p.flavor == "semigroup":
+            # the empty word's class is no element: start one letter in
+            empty = table.transitions[table.roots[0]]
+            starts = [empty[table.gen_index[sym]] for sym in p.alphabet]
+        else:
+            starts = list(table.roots.values())     # one per object, in order
+        witness = _walk(table, starts, seeds, images, _typed_mul(m0))
+    else:
+        witness = closure(seeds, images, _typed_mul(m0))
     target = enumerate_target(p)
+    tgt = target_size(p)
+    if len(target) != tgt:
+        raise InternalInconsistency(
+            f"target enumeration ({len(target)}) disagrees with the closed form ({tgt})")
     missing = [t for t in target if t not in witness]
     missing.sort(key=lambda e: e.sort_key())
     return GenerationResult(len(target) - len(missing), len(target), witness,
                             missing[0] if missing else None)
 
 
-def _generation_stage(p: Presentation, report: VerificationReport) -> GenerationResult:
-    """Generation into ``report``, with the brute-force target checked
-    against the closed form."""
-    gen = check_generation(p)
-    report.generation = (gen.covered, gen.target)
-    tgt = target_size(p)
-    if gen.target != tgt:
-        raise InternalInconsistency(
-            f"target enumeration ({gen.target}) disagrees with the closed form ({tgt})")
-    return gen
+def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
+    """``base.closure`` over a complete table: breadth-first over the
+    classes from ``starts`` (the classes of ``seeds``), one ``mul`` per
+    class reached.  A class whose image is new takes its parent's word plus
+    one letter; a class whose image is already known adds no witness, and
+    neither do its children's images, which its first holder has added.
+    Only the letters of ``gens`` are followed, so a category table is
+    walked within the cap."""
+    cols = [table.gen_index[letter] for letter, _ in gens]
+    image = [None] * len(table.transitions)     # per class
+    queue = []
+    witness = {}
+    for c, (elt, word) in zip(starts, seeds):
+        if image[c] is None:
+            image[c] = elt
+            queue.append(c)
+        witness.setdefault(elt, word)
+    for c in queue:         # grows while it is read
+        a = image[c]
+        row = table.transitions[c]
+        for col, (letter, g) in zip(cols, gens):
+            t = row[col]
+            if t < 0 or image[t] is not None:
+                continue
+            b = image[t] = mul(a, g)
+            queue.append(t)
+            if b not in witness:
+                witness[b] = witness[a] + (letter,)
+    return witness
 
 
 def verify_presentation(kind: str, base: BasePresentation, n: int,
@@ -231,12 +276,13 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
     report.soundness = check_soundness(p)
     if not report.soundness.ok or _over_budget(p, budget, report):
         return report
-    gen = _generation_stage(p, report)
+    table = enumerate_congruence(p, budget)
+    gen = check_generation(p, table)
+    report.generation = (gen.covered, gen.target)
     report.target_size = tgt = gen.target
     if not gen.ok:
         report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
         return report
-    table = enumerate_congruence(p, budget)
     if table.status != "complete":
         report.verdict = "inconclusive"
         report.notes["enumeration"] = f"budget exhausted after {table.nodes_created} nodes"
@@ -295,7 +341,12 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
             samples += 1
     report.notes["sandwich_witnesses"] = samples
 
-    if _over_budget(p, budget, report) or not _generation_stage(p, report).ok:
+    if _over_budget(p, budget, report):
+        return report
+    table = enumerate_congruence(p, budget, headroom=headroom)
+    gen = check_generation(p, table)
+    report.generation = (gen.covered, gen.target)
+    if not gen.ok:
         return report
 
     _, _, homs = _target(p)
@@ -303,7 +354,6 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     report.target_size = expected
     h = headroom
     while True:
-        table = enumerate_congruence(p, budget, headroom=h)
         if table.status != "complete":
             report.verdict = "inconclusive"
             report.notes["enumeration"] = f"budget exhausted at headroom {h}"
@@ -321,6 +371,7 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
             report.notes["enumeration"] = f"counts above target at maximal headroom {h}"
             return report
         h += 1
+        table = enumerate_congruence(p, budget, headroom=h)
 
 
 def _sandwich_witness_ok(u, k: int, base: BasePresentation) -> bool:

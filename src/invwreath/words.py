@@ -297,14 +297,39 @@ class TEdge:
     sym: Sym
 
 
-@dataclass(frozen=True)
-class TComp:
+class _Binary:
+    """Equality and hashing of composites and tensors that do not recurse,
+    so that long composites compare and hash."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Binary):
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # equal terms print alike, and printing does not recurse
+        return hash(term_text(self))
+
+
+@dataclass(frozen=True, eq=False)
+class TComp(_Binary):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class TTens:
+@dataclass(frozen=True, eq=False)
+class TTens(_Binary):
     left: object
     right: object
 

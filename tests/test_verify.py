@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from invwreath.base import NoEvaluationError, builtin
+from invwreath.congruence import enumerate_congruence
 from invwreath.presentations import build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
@@ -41,6 +42,11 @@ def test_soundness_needs_evaluation():
         check_soundness(build("r-min", builtin("bicyclic"), n=2))
 
 
+def _same_generation(a, b):
+    return ((a.covered, a.target, a.missing_example, list(a.witness.items()))
+            == (b.covered, b.target, b.missing_example, list(b.witness.items())))
+
+
 def test_generation_witnesses():
     p = build("r-sing-in", TRIV, n=2)
     gen = check_generation(p)
@@ -58,16 +64,41 @@ def test_generation_witnesses():
     total = sum(hom_count(C2.monoid, m, n) for m in range(3) for n in range(3))
     assert gen.covered == gen.target == target_size(omega) == total == 35
     assert len(enumerate_target(omega)) == total
+    # walking a complete table gives the closure's witnesses, in order
+    for kind, base, n in [("r-in", TRIV, 4), ("r-min", builtin("c3"), 3),
+                          ("r-sing-tuples", builtin("s3"), 3), ("r-m-sing-in", C2, 3)]:
+        p = build(kind, base, n=n)
+        table = enumerate_congruence(p)
+        assert table.status == "complete"
+        assert _same_generation(check_generation(p, table), check_generation(p))
+    for headroom in (0, 2):
+        table = enumerate_congruence(omega, headroom=headroom)
+        assert table.status == "complete"
+        assert _same_generation(check_generation(omega, table), check_generation(omega))
 
 
 def test_generation_failure_reported():
     p = build("r-min", C2, n=2)
     # drop the slot letters: the labelled elements become unreachable
-    crippled = dataclasses.replace(
-        p, alphabet=tuple(s for s in p.alphabet if s.kind != "x"), relations=())
+    letters = tuple(s for s in p.alphabet if s.kind != "x")
+    crippled = dataclasses.replace(p, alphabet=letters, relations=())
     gen = check_generation(crippled)
     assert not gen.ok
     assert gen.missing_example is not None
+    # with no relations the table outgrows the budget: the closure decides
+    table = enumerate_congruence(crippled, 1000)
+    assert table.status == "budget-exceeded"
+    assert _same_generation(check_generation(crippled, table), gen)
+    # keeping the relations without slot letters, the table completes and
+    # its walk misses the same elements
+    kept = tuple((lhs, rhs) for lhs, rhs in p.relations
+                 if all(s.kind != "x" for s in lhs + rhs))
+    crippled = dataclasses.replace(p, alphabet=letters, relations=kept)
+    table = enumerate_congruence(crippled)
+    assert table.status == "complete"
+    walked, closed = check_generation(crippled, table), check_generation(crippled)
+    assert not walked.ok
+    assert walked.covered == closed.covered and walked.missing_example == closed.missing_example
 
 
 def test_target_sizes_match_enumeration():

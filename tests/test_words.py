@@ -185,6 +185,8 @@ def test_long_terms():
     text = term_text(t)
     assert text == "(o " * 2999 + "X" + " X)" * 2999
     assert term_text(parse_term(text)) == text
+    assert parse_term(text) == t and hash(parse_term(text)) == hash(t)
+    assert parse_term("(o" + " X" * 2999 + ")") != t
     # X is an involution
     assert eval_term(t, C2) == wreath.identity_element(C2.monoid, 2)
     assert term_d(ttensor(t, t)) == term_r(ttensor(t, t)) == 4
