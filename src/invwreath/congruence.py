@@ -31,9 +31,12 @@ stays a singleton and is excluded from the reported size.
 
 For category presentations the table is truncated at a bound: transitions
 through objects above the bound are left undefined and relation traces
-blocked by the bound are skipped.  Counts can therefore only be too
-coarse, never too fine; callers compare against a brute-force target and
-widen the bound if needed.
+blocked by the bound are skipped.  Truncation only skips
+identifications, so each hom-set count is at least the true count, never
+below it.  Soundness and generation on the cap-level alphabet make the
+true count at least the brute-force target, so a count equal to the
+target, even at headroom 0, is a proof; callers widen the bound only
+where a count is above the target.
 """
 
 from __future__ import annotations
@@ -279,12 +282,13 @@ def node_budget(flavor: str, budget: int | None) -> int:
 
 
 def enumerate_congruence(p: Presentation, budget: int | None = None,
-                         headroom: int = 2) -> CongruenceTable:
+                         headroom: int = 0) -> CongruenceTable:
     """Enumerate the structure presented by ``p``.
 
     Monoid and semigroup flavors return a total class count; the category
     flavor returns per-hom-set counts for objects up to the cap, computed
-    with excursions allowed ``headroom`` objects above it.  ``budget``
+    with excursions allowed ``headroom`` objects above it (see the module
+    docstring for why headroom 0 can certify a count).  ``budget``
     bounds the nodes per source object; ``None`` picks the flavor's
     default.  Tensor flavors have no completeness enumeration.
     """

@@ -15,6 +15,14 @@ breadth-first from the roots: each class's image is its parent's image
 times one generator image.  Only when the table is incomplete does
 generation close the generator images under composition instead.  Either
 way the witness words are the same breadth-first words.
+
+The category kind counts hom-set by hom-set, with its table cut off at
+``cap + headroom``, and a count equal to the target certifies the
+hom-set.  Truncation only skips identifications, so each count at any
+headroom is at least the true count.  Soundness, plus generation on the
+cap-level alphabet, makes the true count at least the target.  So a run
+starts at headroom 0, where the table is smallest, and a count above the
+target re-enumerates one step wider, up to a maximal headroom.
 """
 
 from __future__ import annotations
@@ -296,10 +304,19 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
 
 
 def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
-                    headroom: int = 2, max_headroom: int = 4,
+                    headroom: int = 0, max_headroom: int = 4,
                     seed: int = 0) -> VerificationReport:
     """Structural checks plus typed enumeration of the category kind, one
-    hom-set count per pair of objects up to the cap."""
+    hom-set count per pair of objects up to the cap.
+
+    The table is cut off at ``cap + headroom``.  Truncation only skips
+    identifications, so each hom-set count at any headroom is at least the
+    true count; soundness, plus generation on the cap-level alphabet,
+    makes the true count at least the target.  So counts equal to the
+    target are a proof at any headroom, 0 included.  A count above it
+    re-enumerates from scratch one headroom wider, up to ``max_headroom``,
+    and then the cell is inconclusive; a count below it is an
+    ``InternalInconsistency``."""
     monoid = base.require_evaluation()
     if cap < 1:
         raise ValueError("object cap must be at least 1")

@@ -298,8 +298,8 @@ class TEdge:
 
 
 class _Binary:
-    """Equality and hashing of composites and tensors that do not recurse,
-    so that long composites compare and hash."""
+    """Equality, hashing and ``repr`` of composites and tensors that do not
+    recurse, so that long composites compare, hash and print."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -321,14 +321,17 @@ class _Binary:
         # equal terms print alike, and printing does not recurse
         return hash(term_text(self))
 
+    def __repr__(self):
+        return f"parse_term({term_text(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class TComp(_Binary):
     left: object
     right: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TTens(_Binary):
     left: object
     right: object

@@ -75,8 +75,8 @@ def test_engine_counts_are_pinned():
         ("r-m-sing-in", C2, 3, 91, 538),
         ("r-sing-tuples", builtin("s3"), 3, 127, 2324),
         ("r-in", TRIV, 4, 209, 436),
-        ("omega-mi", C2, 3, 264, 4391),
-        ("omega-mi", TRIV, 3, 90, 823),
+        ("omega-mi", C2, 3, 264, 731),
+        ("omega-mi", TRIV, 3, 90, 218),
     )
     for kind, base, n, classes, nodes in cells:
         if kind == "omega-mi":

@@ -149,7 +149,7 @@ def test_target_above_budget_is_inconclusive_before_generation():
     assert "23 nodes" in report.notes["enumeration"]
     report = verify_category(2, C2, budget=23)
     assert report.verdict == "inconclusive" and report.generation == (35, 35)
-    assert report.notes["enumeration"] == "budget exhausted at headroom 2"
+    assert report.notes["enumeration"] == "budget exhausted at headroom 0"
 
 
 def test_verify_report_json():
@@ -177,6 +177,32 @@ def test_verify_category_small():
     obj = report.to_json()
     jsonschema.validate(obj, REPORT_SCHEMA)
     assert obj["enumerated_size"]["2,2"] == 17
+
+
+def test_verify_category_certifies_at_headroom_zero():
+    # every builtin with an evaluation table: the table at the cap itself
+    # already has the target's hom-set counts
+    cells = [(name, cap) for name in ("trivial", "c2", "c3", "sl2", "s3") for cap in (1, 2)]
+    for name, cap in cells + [("trivial", 3), ("c2", 3)]:
+        report = verify_category(cap, builtin(name))
+        assert (report.verdict, report.notes["headroom"]) == ("pass", 0), (name, cap)
+
+
+def test_verify_category_widens_on_overshoot(monkeypatch):
+    # one class too many at headroom 0 must be retried one step wider
+    def inflated(p, budget=None, headroom=0):
+        table = enumerate_congruence(p, budget, headroom=headroom)
+        if headroom == 0:
+            table.hom_sizes[(1, 1)] += 1
+        return table
+
+    monkeypatch.setattr("invwreath.verify.enumerate_congruence", inflated)
+    report = verify_category(2, C2)
+    assert report.verdict == "pass" and report.notes["headroom"] == 1
+    report = verify_category(2, C2, max_headroom=0)
+    assert report.verdict == "inconclusive" and report.notes["headroom"] == 0
+    assert report.notes["enumeration"] == "counts above target at maximal headroom 0"
+    assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
 
 
 def test_verify_tensor_small():

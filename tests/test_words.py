@@ -187,6 +187,7 @@ def test_long_terms():
     assert term_text(parse_term(text)) == text
     assert parse_term(text) == t and hash(parse_term(text)) == hash(t)
     assert parse_term("(o" + " X" * 2999 + ")") != t
+    assert repr(t) == f"parse_term({text!r})"
     # X is an involution
     assert eval_term(t, C2) == wreath.identity_element(C2.monoid, 2)
     assert term_d(ttensor(t, t)) == term_r(ttensor(t, t)) == 4
