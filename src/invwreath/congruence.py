@@ -10,14 +10,18 @@ missing transitions along the way) and then has its remaining row entries
 filled with fresh nodes.  On completion the alive-node count is the
 cardinality of the presented structure.
 
-A trace is checked before anything is filled: both sides of ``u = v`` are
-followed through the table in two plain loops, and when both are defined
-to the end and meet, the relation already holds and the trace is done.
-Most traces end there.  Only a trace with an undefined entry or two
-different ends goes on to the fill step, which deduces a missing last
+Each relation trace is checked before anything is filled.  The distinct
+prefixes of all relation sides from one object are followed once per
+node, each one letter past a shorter prefix, and a relation holds when
+its two sides end defined in one class.  Most traces end there.  An
+earlier fill at the node may have defined or merged what a side reaches,
+so a relation that seems not to hold is followed again from its longest
+live prefixes.  Only one that still does not hold goes on to the fill
+step, which starts where the trace stopped: it deduces a missing last
 transition, merges the two ends, or defines the first missing entry and
-traces again.  The check changes no state, so the nodes defined and the
-merges made are those of filling every trace.
+carries on from the fresh node.  The check changes no state except to
+write a merged target's class back into the row it was read from, so the
+nodes defined and the merges made are those of filling every trace.
 
 One typed engine serves every flavor.  Nodes carry source and target
 objects, generators go between objects, and each source object is the
@@ -29,19 +33,20 @@ For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-For category presentations the table is truncated at a bound: transitions
-through objects above the bound are left undefined and relation traces
-blocked by the bound are skipped.  Truncation only skips
-identifications, so each hom-set count is at least the true count, never
-below it.  Soundness and generation on the cap-level alphabet make the
-true count at least the brute-force target, so a count equal to the
-target, even at headroom 0, is a proof; callers widen the bound only
-where a count is above the target.
+For category presentations the run enumerates the presentation built at
+``cap + headroom``, with a root only at each object up to the cap, and
+reports the hom-sets within the cap.  Soundness maps each such hom-set of
+the presented category into the target, and generation on the cap-level
+alphabet, whose paths are paths of the wider build too, makes that map
+onto.  So each count is at least the target's, never below it, and a
+count equal to the brute-force target, even at headroom 0, is a proof;
+callers widen the headroom only where a count is above the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .base import InternalInconsistency
 from .presentations import Presentation, build
@@ -76,7 +81,8 @@ class CongruenceTable:
 
     On completion the compressed right Cayley graph is attached:
     ``transitions[c][g]`` is the class reached from class ``c`` by
-    generator ``g`` (``-1`` where truncated, category flavor only), and
+    generator ``g`` (``-1`` where ``g`` does not leave the class's target
+    object, category flavor only), and
     ``roots`` maps each start object to its identity class (flat flavors
     use the single key 0).  ``gen_index`` maps alphabet symbols to ``g``.
     """
@@ -99,7 +105,7 @@ class CongruenceTable:
         for sym in word:
             cur = self.transitions[cur][self.gen_index[sym]]
             if cur < 0:
-                raise ValueError("trace leaves the truncated table")
+                raise ValueError("the word is not a path from the start object")
         return cur
 
 
@@ -107,16 +113,15 @@ class _Engine:
     """Table plus union-find over integer generator ids.
 
     Every node carries its ``(source, target)`` objects and every generator
-    goes between two objects; ``dr[g]`` names them.  A transition is only
-    defined where the node's target is the generator's source and the
-    generator's target is within ``bound``.  Each source object roots its
+    goes between two objects; ``dr[g]`` names them.  Relation sides are
+    well-typed paths, so a trace only defines a transition where the
+    node's target is the generator's source.  Each source object roots its
     own part of the table, with at most ``budget`` nodes.
     """
 
-    def __init__(self, dr, bound: int, budget: int, roots: int):
+    def __init__(self, dr, budget: int, roots: int):
         self.dr = dr
         self.ngens = len(dr)
-        self.bound = bound
         self.budget = budget
         self.created = [0] * roots
         self.rows: list[list[int] | None] = []
@@ -134,14 +139,6 @@ class _Engine:
         self.dobj.append(d)
         self.robj.append(r)
         return idx
-
-    def define(self, node: int, gen: int) -> int | None:
-        """A fresh target for ``node`` by ``gen``, or ``None`` where the
-        transition is ill-typed or leaves the bound."""
-        d, r = self.dr[gen]
-        if d != self.robj[node] or r > self.bound:
-            return None
-        return self.new_node(self.dobj[node], r)
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -169,90 +166,127 @@ class _Engine:
             row_b = self.rows[b]
             self.rows[b] = None
             row_a = self.rows[a]
-            for x in range(self.ngens):
-                t = row_b[x]
+            for x, t in enumerate(row_b):
                 if t != _UNDEF:
-                    if row_a[x] == _UNDEF:
+                    s = row_a[x]
+                    if s == _UNDEF:
                         row_a[x] = t
-                    else:
-                        queue.append((row_a[x], t))
+                    elif s != t:
+                        queue.append((s, t))
 
-    def scan(self, p: int, word) -> tuple[int, int]:
-        """Follow ``word`` from ``p`` through defined entries; return the
-        last node reached and how many letters were consumed."""
-        rows, parent = self.rows, self.parent
-        cur = p
-        for k, x in enumerate(word):
-            t = rows[cur][x]
-            if t == _UNDEF:
-                return cur, k
-            cur = t if parent[t] == t else self.find(t)
-        return cur, len(word)
-
-    def fill(self, p: int, u, v):
-        """Trace the relation ``u = v`` at ``p``: deduce the final
+    def fill(self, u, a: int, i: int, v, b: int, j: int):
+        """Make the relation ``u = v`` hold, given where its sides stop:
+        ``u[:i]`` leads to the class ``a`` and ``v[:j]`` to ``b``, each at
+        an undefined entry or at the end of its side.  Deduce the final
         transition when only it is missing, merge completed endpoints, and
-        otherwise fill the first missing slot with a fresh node and rescan.
-        A trace blocked by the typing or the bound is abandoned."""
+        otherwise fill the first missing slot with a fresh node.  A fresh
+        node has an empty row, so the traces stop at it again."""
+        rows, dr = self.rows, self.dr
         while True:
-            p = self.find(p)
-            a, i = self.scan(p, u)
-            b, j = self.scan(p, v)
             if i == len(u) and j == len(v):
                 if a != b:
                     self.merge(a, b)
                 return
             if i == len(u) and j == len(v) - 1:
-                self.rows[b][v[j]] = a
+                rows[b][v[j]] = a
                 return
             if j == len(v) and i == len(u) - 1:
-                self.rows[a][u[i]] = b
+                rows[a][u[i]] = b
                 return
             node, gen = (a, u[i]) if i < len(u) else (b, v[j])
-            fresh = self.define(node, gen)
-            if fresh is None:
-                return
-            self.rows[node][gen] = fresh
+            fresh = rows[node][gen] = self.new_node(self.dobj[node], dr[gen][1])
+            # the one new entry extends whichever traces stopped at it
+            if i < len(u) and a == node and u[i] == gen:
+                a, i = fresh, i + 1
+            if j < len(v) and b == node and v[j] == gen:
+                b, j = fresh, j + 1
+
+    def follow(self, ends, steps, k: int) -> tuple[int, int]:
+        """The class that the longest defined prefix of prefix ``k``
+        reaches, and that prefix's index.  An end that is undefined (a
+        fill may since have defined it) or merged is followed again from
+        its longest prefix whose end is live, and what that reaches is
+        kept in ``ends``."""
+        rows, parent = self.rows, self.parent
+        chain = []
+        a = ends[k]
+        while a == _UNDEF or parent[a] != a:
+            chain.append(k)
+            k = steps[k - 1][0]
+            a = ends[k]
+        for c in reversed(chain):
+            row = rows[a]
+            x = steps[c - 1][1]
+            t = row[x]
+            if t == _UNDEF:
+                break
+            if parent[t] != t:
+                t = row[x] = self.find(t)
+            a = ends[c] = t
+            k = c
+        return a, k
 
     def run(self, rels_by_src: dict):
         """One root per source object, then nodes in creation order: trace
         every relation whose source is the node's target, then fill the
-        node's remaining defined row entries with fresh nodes."""
-        rows, parent, find = self.rows, self.parent, self.find
+        node's remaining row entries with fresh nodes.
+
+        The distinct prefixes of a source's relation sides are followed
+        once per node, each one letter past a shorter prefix, into
+        ``ends``.  A relation holds when both its ends are one class.  A
+        fill can define entries and merge classes, which leaves later
+        ``ends`` stale but never wrong: a defined end stays defined up to
+        ``find``.  So a relation whose ends do not already meet is
+        followed again from its longest live prefixes, and only one that
+        still does not hold goes to ``fill``."""
+        rows, parent, follow = self.rows, self.parent, self.follow
         for m in range(len(self.created)):
             self.new_node(m, m)
-        # the generators leaving each object within the bound, with targets
-        leaving = [[(gen, r) for gen, (d, r) in enumerate(self.dr) if d == obj and r <= self.bound]
-                   for obj in range(self.bound + 1)]
+        nobj = 1 + max([len(self.created) - 1, *rels_by_src]
+                       + [max(d, r) for d, r in self.dr])
+        # the generators leaving each object, with their targets
+        leaving = [[] for _ in range(nobj)]
+        for gen, (d, r) in enumerate(self.dr):
+            leaving[d].append((gen, r))
+        traces = [None] * nobj
+        for src, rels in rels_by_src.items():
+            traces[src] = _prefixes(rels)
         idx = 0
         while idx < len(rows):
             if parent[idx] != idx:
                 idx += 1
                 continue
-            for u, v in rels_by_src.get(self.robj[idx], ()):
-                # most relations already hold: check inline, ``find`` only
-                # past a merged node, and fill only what does not hold
-                a = idx
-                for x in u:
-                    t = rows[a][x]
-                    if t == _UNDEF:
+            trace = traces[self.robj[idx]]
+            if trace is not None:
+                steps, groups, length, sides = trace
+                ends = [idx] + [_UNDEF] * len(steps)
+                for par, lo, hi, letters in groups:
+                    a = ends[par]
+                    if a != _UNDEF:
+                        if parent[a] != a:
+                            a = follow(ends, steps, par)[0]
+                        if hi - lo == 1:
+                            ends[lo] = rows[a][letters]
+                        else:
+                            # merged targets stay as read; ``follow`` and
+                            # the relation check look past them
+                            ends[lo:hi] = letters(rows[a])
+                for iu, iv, u, v in sides:
+                    a, b = ends[iu], ends[iv]
+                    if a == b and a != _UNDEF:
+                        continue
+                    ku, kv = iu, iv
+                    if a == _UNDEF or parent[a] != a:
+                        a, ku = follow(ends, steps, iu)
+                    if b == _UNDEF or parent[b] != b:
+                        b, kv = follow(ends, steps, iv)
+                    if a == b and ku == iu and kv == iv:
+                        continue
+                    self.fill(u, a, length[ku], v, b, length[kv])
+                    if parent[idx] != idx:
+                        # the class was folded into an earlier, fully processed node
                         break
-                    a = t if parent[t] == t else find(t)
-                else:
-                    b = idx
-                    for x in v:
-                        t = rows[b][x]
-                        if t == _UNDEF:
-                            break
-                        b = t if parent[t] == t else find(t)
-                    else:
-                        if a == b:
-                            continue
-                self.fill(idx, u, v)
-                if parent[idx] != idx:
-                    # the class was folded into an earlier, fully processed node
-                    break
-            else:
+            if parent[idx] == idx:
                 row = rows[idx]
                 for gen, r in leaving[self.robj[idx]]:
                     if row[gen] == _UNDEF:
@@ -271,6 +305,44 @@ class _Engine:
         return renumber, table
 
 
+def _prefixes(rels):
+    """The distinct prefixes of the relation sides ``rels``, numbered
+    breadth-first from the empty prefix 0, so that the one-letter
+    extensions of each prefix have consecutive numbers.  Returns
+
+    - ``steps``: per prefix ``k >= 1`` at ``k - 1``, the number of the
+      prefix one letter shorter and the last letter;
+    - ``groups``: per prefix with extensions, in order, its number, the
+      range ``lo:hi`` of its extensions' numbers, and their letters: the
+      letter itself for one extension, else an ``itemgetter`` of them;
+    - ``length``: each prefix's length;
+    - ``sides``: per relation ``(u, v)``, the numbers of ``u`` and ``v``
+      and the two words.
+    """
+    extensions: dict[tuple, list] = {(): []}
+    for rel in rels:
+        for side in rel:
+            for k in range(len(side)):
+                if side[:k + 1] not in extensions:
+                    extensions[side[:k + 1]] = []
+                    extensions[side[:k]].append(side[k])
+    index = {(): 0}
+    steps, groups, order = [], [], [()]
+    for pre in order:           # grows while it is read
+        letters = extensions[pre]
+        if not letters:
+            continue
+        lo = len(steps) + 1
+        for x in letters:
+            index[pre + (x,)] = len(steps) + 1
+            steps.append((index[pre], x))
+            order.append(pre + (x,))
+        groups.append((index[pre], lo, len(steps) + 1,
+                       itemgetter(*letters) if len(letters) > 1 else letters[0]))
+    return (steps, groups, [len(pre) for pre in order],
+            [(index[u], index[v], u, v) for u, v in rels])
+
+
 def node_budget(flavor: str, budget: int | None) -> int:
     """The per-root node budget of a run: ``budget``, or the flavor's
     default for ``None``."""
@@ -286,11 +358,13 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     """Enumerate the structure presented by ``p``.
 
     Monoid and semigroup flavors return a total class count; the category
-    flavor returns per-hom-set counts for objects up to the cap, computed
-    with excursions allowed ``headroom`` objects above it (see the module
-    docstring for why headroom 0 can certify a count).  ``budget``
-    bounds the nodes per source object; ``None`` picks the flavor's
-    default.  Tensor flavors have no completeness enumeration.
+    flavor returns per-hom-set counts for objects up to the cap, from the
+    presentation built at ``cap + headroom`` (see the module docstring for
+    why headroom 0 can certify a count).  Every relation side must be a
+    well-typed path from its source, or the run raises
+    ``InternalInconsistency``.  ``budget`` bounds the nodes per source
+    object; ``None`` picks the flavor's default.  Tensor flavors have no
+    completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
@@ -306,30 +380,38 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in run.relations]
     else:
         # one object: every generator is an endomorphism of 0
-        run, bound, roots = p, 0, 1
+        run, bound, roots = p, None, 1
         dr = [(0, 0)] * len(p.alphabet)
         sides = [(0, lhs, rhs) for lhs, rhs in p.relations]
     gen_index = {sym: k for k, sym in enumerate(run.alphabet)}
     rels_by_src: dict[int, list] = {}
     for src, lhs, rhs in sides:
-        rels_by_src.setdefault(src, []).append(
-            (tuple(gen_index[s] for s in lhs), tuple(gen_index[s] for s in rhs)))
+        pair = tuple(tuple(gen_index[s] for s in side) for side in (lhs, rhs))
+        # the engine defines a transition wherever a trace is missing one,
+        # which is only sound along a well-typed path
+        for side in pair:
+            obj = src
+            for g in side:
+                if dr[g][0] != obj:
+                    raise InternalInconsistency(
+                        f"a relation side from object {src} is not a well-typed path")
+                obj = dr[g][1]
+        rels_by_src.setdefault(src, []).append(pair)
 
-    eng = _Engine(dr, bound, budget, roots)
-    reported_bound = bound if category else None
+    eng = _Engine(dr, budget, roots)
     try:
         eng.run(rels_by_src)
     except _BudgetExceeded:
         return CongruenceTable(p.flavor, "budget-exceeded",
-                               nodes_created=len(eng.rows), bound=reported_bound)
+                               nodes_created=len(eng.rows), bound=bound)
 
     renumber, table = eng.compressed()      # keyed by the alive nodes, in order
     done = CongruenceTable(p.flavor, "complete", nodes_created=len(eng.rows),
-                           bound=reported_bound, transitions=table, gen_index=gen_index,
+                           bound=bound, transitions=table, gen_index=gen_index,
                            roots={m: renumber[eng.find(m)] for m in range(roots)})
     if category:
-        # nodes above the cap only exist to close relation traces; their
-        # counts are truncation artifacts and are not reported
+        # nodes above the cap belong to paths through wider objects; only
+        # hom-sets within the cap are reported
         done.hom_sizes = {}
         for i in renumber:
             if eng.robj[i] <= p.cap:

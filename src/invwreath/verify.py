@@ -16,13 +16,13 @@ times one generator image.  Only when the table is incomplete does
 generation close the generator images under composition instead.  Either
 way the witness words are the same breadth-first words.
 
-The category kind counts hom-set by hom-set, with its table cut off at
-``cap + headroom``, and a count equal to the target certifies the
-hom-set.  Truncation only skips identifications, so each count at any
-headroom is at least the true count.  Soundness, plus generation on the
-cap-level alphabet, makes the true count at least the target.  So a run
-starts at headroom 0, where the table is smallest, and a count above the
-target re-enumerates one step wider, up to a maximal headroom.
+The category kind counts hom-set by hom-set, enumerating the presentation
+built at ``cap + headroom``, and a count equal to the target certifies the
+hom-set.  Soundness maps each counted hom-set into the target, and
+generation on the cap-level alphabet makes that map onto, so each count
+at any headroom is at least the target's.  So a run starts at headroom 0,
+where the table is smallest, and a count above the target re-enumerates
+one step wider, up to a maximal headroom.
 """
 
 from __future__ import annotations
@@ -213,8 +213,14 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     With a complete ``table`` the elements are reached by walking it, one
     product per class; otherwise by closing the generator images under
     composition.  Both visit in the same breadth-first order, with letters
-    in alphabet order, so they give the same witness words."""
-    tgt_base, _, homs = _target(p)
+    in alphabet order, so they give the same witness words.
+
+    The brute-force target is streamed hom-set by hom-set, never held as
+    a set.  Each hom-set must come in strictly increasing ``sort_key``
+    order and the total must match the closed form, or the run raises
+    ``InternalInconsistency``.  The missing example is the smallest
+    element not reached, by ``sort_key``, the earlier hom-set on a tie."""
+    tgt_base, variant, homs = _target(p)
     tgt_monoid = tgt_base.require_evaluation()
     m0 = adjoin_zero(tgt_monoid)
     images = [(sym, words.sym_image(sym, tgt_base, p.n)) for sym in p.alphabet]
@@ -233,15 +239,27 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
         witness = _walk(table, starts, seeds, images, _typed_mul(m0))
     else:
         witness = closure(seeds, images, _typed_mul(m0))
-    target = enumerate_target(p)
+    # a repeated element shows as a key that does not increase
+    found = covered = 0
+    missing = missing_key = None
+    for m, n in homs:
+        last = None
+        for elem in wreath.enumerate_wreath(tgt_monoid, m, n, variant, cap=max(m, n)):
+            key = elem.sort_key()
+            if last is not None and key <= last:
+                raise InternalInconsistency(
+                    f"target enumeration of hom-set ({m}, {n}) repeats or is out of order")
+            last = key
+            found += 1
+            if elem in witness:
+                covered += 1
+            elif missing is None or key < missing_key:
+                missing, missing_key = elem, key
     tgt = target_size(p)
-    if len(target) != tgt:
+    if found != tgt:
         raise InternalInconsistency(
-            f"target enumeration ({len(target)}) disagrees with the closed form ({tgt})")
-    missing = [t for t in target if t not in witness]
-    missing.sort(key=lambda e: e.sort_key())
-    return GenerationResult(len(target) - len(missing), len(target), witness,
-                            missing[0] if missing else None)
+            f"target enumeration ({found}) disagrees with the closed form ({tgt})")
+    return GenerationResult(covered, found, witness, missing)
 
 
 def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
@@ -309,11 +327,11 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     """Structural checks plus typed enumeration of the category kind, one
     hom-set count per pair of objects up to the cap.
 
-    The table is cut off at ``cap + headroom``.  Truncation only skips
-    identifications, so each hom-set count at any headroom is at least the
-    true count; soundness, plus generation on the cap-level alphabet,
-    makes the true count at least the target.  So counts equal to the
-    target are a proof at any headroom, 0 included.  A count above it
+    The enumeration runs on the presentation built at ``cap + headroom``.
+    Soundness maps each counted hom-set into the target, and generation on
+    the cap-level alphabet makes that map onto, so each count at any
+    headroom is at least the target's.  So counts equal to the target are
+    a proof at any headroom, 0 included.  A count above it
     re-enumerates from scratch one headroom wider, up to ``max_headroom``,
     and then the cell is inconclusive; a count below it is an
     ``InternalInconsistency``."""

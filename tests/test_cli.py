@@ -1,9 +1,13 @@
 """Command-line surface: golden emission, exit codes, JSON validity."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invwreath.cli import main
 from invwreath.schemas import ELEMENT_SCHEMA, MATRIX_SCHEMA, PRESENTATION_SCHEMA, REPORT_SCHEMA
@@ -303,3 +307,44 @@ def test_round_trip_of_emitted_relations(capsys):
             lhs, rhs = line.split(" = ")
             assert render(parse(lhs)) == lhs
             assert render(parse(rhs)) == rhs
+
+
+# tokens of every word syntax, near misses of them and stray characters
+_FUZZ_TOKENS = (
+    "1", "s1", "s2", "s3", "s0", "s9", "e", "e1", "e2", "e0", "e7", "g@1", "g@2", "g@0",
+    "g@1;2", "g@2;2", "g@3;1", "a@1", "b@2", "x@1", "g", "s1:2", "s1:1", "e2:3", "e1:0",
+    "g@1:2", "g@2:1", "g@1;2:3", "f1,2", "f2,1", "f1,1", "f0,3", "lam0", "lam1", "lam9",
+    "rho0", "rho1", "rho5", "i0", "i1", "i2", "i", "X", "U", "Ubar", "(o", "(p", "(", ")",
+    "@", ";", ",", ":", "s", "f", "lam", "zz", "s99999", "-1", "é", "s1s2",
+)
+_FUZZ_WORDS = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=8).map(" ".join),
+    # mostly well-formed flat words over c2, to reach past the parser
+    st.lists(st.sampled_from(("s1", "e1", "e2", "e", "g@1", "g@2", "g@1;2", "f1,2")),
+             max_size=8).map(" ".join),
+    st.text(max_size=12),
+)
+_FUZZ_KINDS = ("r-min", "r-min-small", "r-in", "r-in-popova", "r-sing-in", "r-sing-tuples",
+               "r-m-sing-in", "omega-mi", "xi-i", "xi-mi", "nope")
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(("eval", "word-problem", "normal-form", "translate")),
+       kind=st.sampled_from(_FUZZ_KINDS), n=st.sampled_from((None, "0", "1", "2", "3")),
+       which=st.sampled_from(("psi1", "psi2", "hat", "plus", "reverse")),
+       lhs=_FUZZ_WORDS, rhs=_FUZZ_WORDS)
+def test_random_words_never_raise(command, kind, n, which, lhs, rhs):
+    # whatever the text, the CLI answers with an exit code, never a traceback
+    if command == "translate":
+        argv = ["translate", "--which", which, "--word", lhs]
+    else:
+        argv = [command, "--kind", kind, "--monoid", "c2"]
+        if n is not None:
+            argv += ["--n", n]
+        if command == "word-problem":
+            argv += ["--lhs", lhs, "--rhs", rhs]
+        else:
+            argv += ["--word", lhs]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

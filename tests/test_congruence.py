@@ -1,11 +1,13 @@
 """Coset-style enumeration against brute-force cardinalities."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from invwreath import wreath
-from invwreath.base import builtin
+from invwreath.base import InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.pperm import count_partial_bijections
 from invwreath.presentations import build
@@ -69,16 +71,22 @@ def test_nonpositive_budget_is_rejected():
 
 
 def test_engine_counts_are_pinned():
-    # status, class count and nodes defined at the default budget: a change
-    # of enumeration strategy shows here, and must be deliberate
+    # status, class count, nodes defined at the default budget and a digest
+    # of the compressed table: a change of enumeration strategy shows here,
+    # and must be deliberate
     cells = (
-        ("r-m-sing-in", C2, 3, 91, 538),
-        ("r-sing-tuples", builtin("s3"), 3, 127, 2324),
-        ("r-in", TRIV, 4, 209, 436),
-        ("omega-mi", C2, 3, 264, 731),
-        ("omega-mi", TRIV, 3, 90, 218),
+        ("r-m-sing-in", C2, 3, 91, 538,
+         "266363f4514741b5788dcb8bd310bf30e222e86cf67d8fde4091756390adeb9f"),
+        ("r-sing-tuples", builtin("s3"), 3, 127, 2324,
+         "387d7b70b970e4d9e87795897572ef48827783f0316605fb8d7a45a4154576aa"),
+        ("r-in", TRIV, 4, 209, 436,
+         "129d5d5b3f8ac38542c80656580e11defba226a2dccb87dde158da7980189453"),
+        ("omega-mi", C2, 3, 264, 731,
+         "f4b8c83674531a7cb790b760ce73aacce7a9eda32fe166410577e653540eb07d"),
+        ("omega-mi", TRIV, 3, 90, 218,
+         "75f0d5eb9429934ecc2bbc2e16ca853b9791bdbb34a167dc589f5fd8b98e844c"),
     )
-    for kind, base, n, classes, nodes in cells:
+    for kind, base, n, classes, nodes, digest in cells:
         if kind == "omega-mi":
             table = enumerate_congruence(build(kind, base, cap=n))
             size = sum(table.hom_sizes.values())
@@ -86,6 +94,34 @@ def test_engine_counts_are_pinned():
             table = enumerate_congruence(build(kind, base, n=n))
             size = table.size
         assert (table.status, size, table.nodes_created) == ("complete", classes, nodes), kind
+        transitions = json.dumps(table.transitions).encode()
+        assert hashlib.sha256(transitions).hexdigest() == digest, kind
+    # these runs still outgrow their budget, and stop at it
+    for kind, base, n, budget in (("r-in", TRIV, 5, 1000),
+                                  ("r-sing-tuples", builtin("s3"), 4, 5000)):
+        table = enumerate_congruence(build(kind, base, n=n), budget=budget)
+        assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
+
+
+def test_ill_typed_relation_side_is_an_inconsistency(monkeypatch):
+    # a category relation side whose edges do not compose would let the
+    # engine define transitions between the wrong objects
+    import types
+
+    import invwreath.congruence as congruence_mod
+
+    p = build("omega-mi", C2, cap=1)
+    real_build = congruence_mod.build
+
+    def tampered(kind, base, cap):
+        run = real_build(kind, base, cap=cap)
+        lhs, rhs = run.relations[0]
+        bad = types.SimpleNamespace(src=lhs.src + 1, edges=lhs.edges)
+        return dataclasses.replace(run, relations=run.relations + ((bad, rhs),))
+
+    monkeypatch.setattr(congruence_mod, "build", tampered)
+    with pytest.raises(InternalInconsistency):
+        enumerate_congruence(p)
 
 
 def test_budget_exhaustion_is_inconclusive_not_wrong():

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from invwreath.base import NoEvaluationError, builtin
+from invwreath.base import InternalInconsistency, NoEvaluationError, builtin
 from invwreath.congruence import enumerate_congruence
 from invwreath.presentations import build
 from invwreath.schemas import REPORT_SCHEMA
@@ -84,7 +84,8 @@ def test_generation_failure_reported():
     crippled = dataclasses.replace(p, alphabet=letters, relations=())
     gen = check_generation(crippled)
     assert not gen.ok
-    assert gen.missing_example is not None
+    missing = [e for e in enumerate_target(crippled) if e not in gen.witness]
+    assert gen.missing_example == min(missing, key=lambda e: e.sort_key())
     # with no relations the table outgrows the budget: the closure decides
     table = enumerate_congruence(crippled, 1000)
     assert table.status == "budget-exceeded"
@@ -99,6 +100,23 @@ def test_generation_failure_reported():
     walked, closed = check_generation(crippled, table), check_generation(crippled)
     assert not walked.ok
     assert walked.covered == closed.covered and walked.missing_example == closed.missing_example
+
+
+def test_repeated_target_element_is_an_inconsistency(monkeypatch):
+    # the brute-force target is streamed with no set: a repeated element
+    # must still be caught, here with the count kept at the closed form
+    import invwreath.wreath as wreath_mod
+
+    real = wreath_mod.enumerate_wreath
+
+    def repeating(*args, **kwargs):
+        elems = list(real(*args, **kwargs))
+        yield from elems[:-1] + elems[:1]
+
+    monkeypatch.setattr(wreath_mod, "enumerate_wreath", repeating)
+    p = build("r-min", C2, n=2)
+    with pytest.raises(InternalInconsistency, match="repeats"):
+        check_generation(p, enumerate_congruence(p))
 
 
 def test_target_sizes_match_enumeration():
