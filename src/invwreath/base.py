@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .pperm import CompositionError, PartialBijection
 
@@ -107,10 +107,14 @@ class ZeroExtended:
     def one(self) -> int:
         return self.base.identity + 1
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Multiplication table in the extended encoding."""
+        zero = (0,) * self.size
+        return (zero,) + tuple((0,) + tuple(v + 1 for v in row) for row in self.base.table)
+
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.base.mul(a - 1, b - 1) + 1
+        return self.table[a][b]
 
 
 @lru_cache(maxsize=None)

@@ -100,12 +100,17 @@ class CongruenceTable:
 
     def trace(self, start_object: int, word) -> int:
         """Class reached from the identity at ``start_object`` by reading
-        ``word`` (a sequence of alphabet symbols)."""
+        ``word`` (a sequence of alphabet symbols).  Raises ``ValueError``
+        when ``word`` is not a path from there: a transition is missing or
+        a symbol is outside the alphabet."""
         cur = self.roots[start_object]
-        for sym in word:
-            cur = self.transitions[cur][self.gen_index[sym]]
-            if cur < 0:
-                raise ValueError("the word is not a path from the start object")
+        try:
+            for sym in word:
+                cur = self.transitions[cur][self.gen_index[sym]]
+                if cur < 0:
+                    raise ValueError("the word is not a path from the start object")
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not in the alphabet") from None
         return cur
 
 

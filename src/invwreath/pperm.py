@@ -29,6 +29,7 @@ __all__ = [
     "drop1",
     "lift1",
     "enumerate_partial_bijections",
+    "image_rows",
     "count_partial_bijections",
     "DEFAULT_ENUM_CAP",
 ]
@@ -217,13 +218,18 @@ def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) ->
     """
     if m > cap or n > cap:
         raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
+    return (PartialBijection(m, n, row) for row in image_rows(m, n))
 
+
+def image_rows(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The image rows of ``enumerate_partial_bijections``, in its order,
+    as plain tuples."""
     row: list[int] = []
     used: set[int] = set()
 
-    def rec() -> Iterator[PartialBijection]:
+    def rec() -> Iterator[tuple[int, ...]]:
         if len(row) == m:
-            yield PartialBijection(m, n, tuple(row))
+            yield tuple(row)
             return
         row.append(0)
         yield from rec()

@@ -73,6 +73,7 @@ __all__ = [
     "FLAVOR_SYNTAX",
     "Presentation",
     "build",
+    "check_level",
     "emit_text",
     "emit_json",
 ]
@@ -146,6 +147,16 @@ def build(kind: str, base: BasePresentation, n: int | None = None,
           cap: int | None = None) -> Presentation:
     """Instantiate a presentation kind at level ``n`` (monoid/semigroup
     kinds) or up to object ``cap`` (the category kind)."""
+    check_level(kind, n, cap)
+    flavor = KIND_FLAVOR[kind]
+    alphabet, relations = _BUILDERS[kind](base, n, cap)
+    return Presentation(kind, flavor, base, n if flavor in ("monoid", "semigroup") else None,
+                        cap if kind == "omega-mi" else None,
+                        tuple(alphabet), tuple(relations))
+
+
+def check_level(kind: str, n: int | None = None, cap: int | None = None):
+    """Raise ``ValueError`` unless ``build`` takes this kind and level."""
     if kind not in KIND_FLAVOR:
         raise ValueError(f"unknown presentation kind {kind!r}")
     flavor = KIND_FLAVOR[kind]
@@ -158,11 +169,6 @@ def build(kind: str, base: BasePresentation, n: int | None = None,
     elif kind == "omega-mi":
         if cap is None or cap < 0:
             raise ValueError("the category kind needs an object cap >= 0")
-    builder = _BUILDERS[kind]
-    alphabet, relations = builder(base, n, cap)
-    return Presentation(kind, flavor, base, n if flavor in ("monoid", "semigroup") else None,
-                        cap if kind == "omega-mi" else None,
-                        tuple(alphabet), tuple(relations))
 
 
 # ---------------------------------------------------------------------------

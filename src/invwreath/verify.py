@@ -8,13 +8,17 @@ bijection.  The three stages are reported separately and the verdict is
 their conjunction, with budget exhaustion reported as inconclusive rather
 than failure.
 
-A cell runs soundness, a check of the closed-form target against the node
-budget, the enumeration, and then generation.  A complete table is the
-right Cayley graph of the presented structure, so generation walks it
-breadth-first from the roots: each class's image is its parent's image
-times one generator image.  Only when the table is incomplete does
-generation close the generator images under composition instead.  Either
-way the witness words are the same breadth-first words.
+A cell first checks the closed-form target against the node budget,
+from the kind, base and level alone, so an oversized cell stops before
+anything is built.  It then builds the presentation and runs soundness,
+the enumeration, and generation.  A complete table is the right Cayley
+graph of the presented structure, so generation walks it breadth-first
+from the roots: each class's image is its parent's image times one
+generator image.  Only when the table is incomplete does generation close
+the generator images under composition instead.  Either way the witness
+words are the same breadth-first words.  Generation composes plain forms
+(``wreath.compose_keys``) and validates none of its products; the
+docstring of ``check_generation`` says why that is sound.
 
 The category kind counts hom-set by hom-set, enumerating the presentation
 built at ``cap + headroom``, and a count equal to the target certifies the
@@ -29,12 +33,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from operator import truth
 
 from . import wreath, words
-from .base import BasePresentation, InternalInconsistency, MTuple, adjoin_zero, builtin, closure
+from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
-from .pperm import PartialBijection
-from .presentations import FLAVOR_SYNTAX, Presentation, build
+from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, Presentation, build, check_level
 from .words import (
     Path,
     e_,
@@ -72,7 +78,7 @@ class StageReport:
 class GenerationResult:
     covered: int
     target: int
-    witness: dict
+    witness: dict                                  # plain form -> word
     missing_example: WreathElement | None = None
 
     @property
@@ -134,17 +140,6 @@ def check_soundness(p: Presentation) -> StageReport:
     return StageReport(True, f"{len(p.relations)} relations sound")
 
 
-def _typed_mul(m0):
-    """Composition of labelled partial bijections, ``None`` where the
-    levels do not match.  ``wreath.compose`` is looked up per call, so a
-    wrapper installed on it sees every product."""
-    def mul(a, g):
-        if a.cod_size != g.dom_size:
-            return None
-        return wreath.compose(m0, a, g)
-    return mul
-
-
 _TARGET_VARIANT = {
     "r-in": "full", "r-in-popova": "full", "r-min": "full", "r-min-small": "full",
     "omega-mi": "full",
@@ -154,17 +149,21 @@ _TARGET_VARIANT = {
 }
 
 
+def _target_base(kind: str, base: BasePresentation) -> BasePresentation:
+    """Plain-map kinds target unlabelled partial bijections, over the
+    trivial base."""
+    return builtin("trivial") if kind in ("r-in", "r-in-popova", "r-sing-in") else base
+
+
 def _target(p: Presentation):
     """Base presentation, ``wreath`` variant and hom-sets ``(m, n)`` of the
     structure the kind presents: every pair of levels up to the cap for
-    the category kind, the one pair ``(n, n)`` for a flat kind.  Plain-map
-    kinds target unlabelled partial bijections, over the trivial base."""
+    the category kind, the one pair ``(n, n)`` for a flat kind."""
     if p.kind not in _TARGET_VARIANT:
         raise ValueError(f"no enumerable target for kind {p.kind!r}")
     objects = range(p.cap + 1) if p.flavor == "category" else (p.n,)
     homs = [(m, n) for m in objects for n in objects]
-    base = builtin("trivial") if p.kind in ("r-in", "r-in-popova", "r-sing-in") else p.base
-    return base, _TARGET_VARIANT[p.kind], homs
+    return _target_base(p.kind, p.base), _TARGET_VARIANT[p.kind], homs
 
 
 def enumerate_target(p: Presentation) -> set:
@@ -190,18 +189,41 @@ def target_size(p: Presentation) -> int:
     return sum(_root_sizes(p).values())
 
 
-def _over_budget(p: Presentation, budget: int | None, report: VerificationReport) -> bool:
+# the need is summed exactly up to here, so a report names it
+_EXACT_NEED = 10 ** 12
+
+
+def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | None,
+                 report: VerificationReport) -> bool:
     """Mark ``report`` inconclusive when the closed-form target alone needs
     more nodes under one root than the enumeration's budget allows: each
     class needs a node of its own, and a semigroup run one more for the
-    empty word."""
-    budget = node_budget(p.flavor, budget)
-    need = max(_root_sizes(p).values()) + (1 if p.flavor == "semigroup" else 0)
+    empty word.  ``level`` is the flat kind's ``n`` or the category's cap,
+    and nothing is built.
+
+    The largest root is ``level`` itself, as ``hom_count`` grows with the
+    domain, and its size is summed rank by rank, stopping once the sum
+    passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
+    terms, not a sum of big integers."""
+    if kind not in _TARGET_VARIANT:
+        raise ValueError(f"no enumerable target for kind {kind!r}")
+    flavor = KIND_FLAVOR[kind]
+    budget = node_budget(flavor, budget)
+    monoid = _target_base(kind, base).require_evaluation()
+    cods = range(level + 1) if flavor == "category" else (level,)
+    limit = max(budget, _EXACT_NEED)
+    need = 1 if flavor == "semigroup" else 0
+    for term in chain.from_iterable(
+            wreath.rank_counts(monoid, level, n, _TARGET_VARIANT[kind]) for n in cods):
+        need += term
+        if need > limit:
+            break
     if need <= budget:
         return False
     report.verdict = "inconclusive"
+    needs = f"more than {limit}" if need > limit else need
     report.notes["enumeration"] = (
-        f"stopped before generation: the target needs {need} nodes under one root, "
+        f"stopped before generation: the target needs {needs} nodes under one root, "
         f"above the node budget of {budget}")
     return True
 
@@ -215,20 +237,29 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     composition.  Both visit in the same breadth-first order, with letters
     in alphabet order, so they give the same witness words.
 
-    The brute-force target is streamed hom-set by hom-set, never held as
-    a set.  Each hom-set must come in strictly increasing ``sort_key``
-    order and the total must match the closed form, or the run raises
+    Everything runs on plain forms (``wreath.compose_keys``), and
+    ``witness`` is keyed by them.  The products are not validated, and
+    need not be: a verdict of ``pass`` needs ``covered == target ==
+    classes``.  The walk makes one product per class, so at most
+    ``classes`` distinct images, and ``covered`` of them are target keys;
+    when all three agree, the images are exactly the target's keys, each
+    reached once.
+
+    The target's keys are what is checked.  They are streamed hom-set by
+    hom-set, never held as a set; each must have its support equal to
+    its domain, they must strictly increase within a hom-set, and the
+    total must match the closed form, or the run raises
     ``InternalInconsistency``.  The missing example is the smallest
     element not reached, by ``sort_key``, the earlier hom-set on a tie."""
     tgt_base, variant, homs = _target(p)
     tgt_monoid = tgt_base.require_evaluation()
-    m0 = adjoin_zero(tgt_monoid)
-    images = [(sym, words.sym_image(sym, tgt_base, p.n)) for sym in p.alphabet]
+    mul = partial(wreath.compose_keys, adjoin_zero(tgt_monoid).table)
+    gens = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
     if p.flavor == "semigroup":
-        seeds = [(g, (sym,)) for sym, g in images]
+        seeds = [(g, (sym,)) for sym, g in gens]
     else:
         # the identity at each object
-        seeds = [(wreath.identity_element(tgt_monoid, m), ()) for m, n in homs if m == n]
+        seeds = [(wreath.identity_key(tgt_monoid, m), ()) for m, n in homs if m == n]
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
             # the empty word's class is no element: start one letter in
@@ -236,30 +267,36 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             starts = [empty[table.gen_index[sym]] for sym in p.alphabet]
         else:
             starts = list(table.roots.values())     # one per object, in order
-        witness = _walk(table, starts, seeds, images, _typed_mul(m0))
+        witness = _walk(table, starts, seeds, gens, mul)
     else:
-        witness = closure(seeds, images, _typed_mul(m0))
-    # a repeated element shows as a key that does not increase
+        witness = closure(seeds, gens, mul)
+    # a repeated key shows as a key that does not increase.  Keys of two
+    # hom-sets that tie on ``sort_key`` share the domain size, so the
+    # earlier hom-set's, with the smaller codomain, is the smaller key
     found = covered = 0
-    missing = missing_key = None
+    missing = None
     for m, n in homs:
         last = None
-        for elem in wreath.enumerate_wreath(tgt_monoid, m, n, variant, cap=max(m, n)):
-            key = elem.sort_key()
+        for key in wreath.enumerate_keys(tgt_monoid, m, n, variant, cap=max(m, n)):
+            images, entries, _ = key
+            if list(map(truth, images)) != list(map(truth, entries)):
+                raise InternalInconsistency(
+                    f"target key {key} has its support off its domain")
             if last is not None and key <= last:
                 raise InternalInconsistency(
                     f"target enumeration of hom-set ({m}, {n}) repeats or is out of order")
             last = key
             found += 1
-            if elem in witness:
+            if key in witness:
                 covered += 1
-            elif missing is None or key < missing_key:
-                missing, missing_key = elem, key
+            elif missing is None or key < missing:
+                missing = key
     tgt = target_size(p)
     if found != tgt:
         raise InternalInconsistency(
             f"target enumeration ({found}) disagrees with the closed form ({tgt})")
-    return GenerationResult(covered, found, witness, missing)
+    return GenerationResult(covered, found, witness,
+                            None if missing is None else wreath.from_key(missing))
 
 
 def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
@@ -297,10 +334,14 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
                         budget: int | None = None) -> VerificationReport:
     """Run soundness, generation and congruence enumeration for one flat
     (monoid or semigroup) kind and compare sizes."""
-    p = build(kind, base, n=n)
+    check_level(kind, n)
+    base.require_evaluation()
     report = VerificationReport(kind, base.name or "custom", n)
+    if _over_budget(kind, base, n, budget, report):
+        return report
+    p = build(kind, base, n=n)
     report.soundness = check_soundness(p)
-    if not report.soundness.ok or _over_budget(p, budget, report):
+    if not report.soundness.ok:
         return report
     table = enumerate_congruence(p, budget)
     gen = check_generation(p, table)
@@ -338,8 +379,10 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     monoid = base.require_evaluation()
     if cap < 1:
         raise ValueError("object cap must be at least 1")
-    p = build("omega-mi", base, cap=cap)
     report = VerificationReport("omega-mi", base.name or "custom", cap)
+    if _over_budget("omega-mi", base, cap, budget, report):
+        return report
+    p = build("omega-mi", base, cap=cap)
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
@@ -376,8 +419,6 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
             samples += 1
     report.notes["sandwich_witnesses"] = samples
 
-    if _over_budget(p, budget, report):
-        return report
     table = enumerate_congruence(p, budget, headroom=headroom)
     gen = check_generation(p, table)
     report.generation = (gen.covered, gen.target)
@@ -415,9 +456,7 @@ def _sandwich_witness_ok(u, k: int, base: BasePresentation) -> bool:
     canonically, push the factorization one level up, and compare."""
     e_top = (e_(k + 1, k + 1),)
     squeezed = eval_path(Path(k + 1, e_top + u + e_top), base)
-    inner = WreathElement(
-        MTuple(squeezed.tup.entries[:k]),
-        PartialBijection(k, k, squeezed.pmap.images[:k]))
+    inner = wreath.from_key((squeezed.pmap.images[:k], squeezed.tup.entries[:k], k))
     v = words.canonical_word(inner, "r-min", base)
     back = eval_path(Path(k + 1, e_top + leveled_word(v, k + 1) + e_top), base)
     return back == squeezed

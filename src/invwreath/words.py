@@ -505,23 +505,38 @@ def sym_image(sym: Sym, base: BasePresentation, n: int | None = None) -> WreathE
     raise ValueError(f"unknown symbol kind {k!r}")
 
 
+@lru_cache(maxsize=256)
+def _sym_keys(base: BasePresentation, n: int | None) -> dict:
+    """Plain forms of ``sym_image(sym, base, n)`` by symbol, filled as
+    symbols are met."""
+    return {}
+
+
+def _fold(word, base: BasePresentation, n: int | None, src: int) -> WreathElement:
+    """Left fold of the generator images of ``word`` from the identity at
+    ``src``, composed as plain forms; one element is built at the end."""
+    monoid = base.require_evaluation()
+    z = adjoin_zero(monoid).table
+    images = _sym_keys(base, n)
+    out = wreath.identity_key(monoid, src)
+    for sym in word:
+        g = images.get(sym)
+        if g is None:
+            g = images[sym] = sym_image(sym, base, n).key
+        prod = wreath.compose_keys(z, out, g)
+        if prod is None:
+            raise wreath.level_mismatch(out, g)
+        out = prod
+    return wreath.from_key(out)
+
+
 def eval_word(word, base: BasePresentation, n: int) -> WreathElement:
     """Left fold of the generator images, starting at the identity."""
-    monoid = base.require_evaluation()
-    m0 = adjoin_zero(monoid)
-    out = wreath.identity_element(monoid, n)
-    for sym in word:
-        out = wreath.compose(m0, out, sym_image(sym, base, n))
-    return out
+    return _fold(word, base, n, n)
 
 
 def eval_path(path: Path, base: BasePresentation) -> WreathElement:
-    monoid = base.require_evaluation()
-    m0 = adjoin_zero(monoid)
-    out = wreath.identity_element(monoid, path.src)
-    for sym in path.edges:
-        out = wreath.compose(m0, out, sym_image(sym, base))
-    return out
+    return _fold(path.edges, base, None, path.src)
 
 
 def eval_term(term, base: BasePresentation) -> WreathElement:

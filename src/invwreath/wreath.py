@@ -5,33 +5,44 @@ An element is a tuple over the zero-extended base monoid together with a
 partial bijection whose domain equals the tuple's support.  Composition
 twists the right tuple along the left map before multiplying; the tensor
 stacks blocks side by side.
+
+Products are computed in one plain form, the key ``(images, entries, n)``:
+the map's image row, the tuple's label row and the codomain size.  The
+domain size is the length of the rows; the codomain size keeps apart
+hom-sets whose rows agree, such as the empty maps ``0 -> 1`` and
+``0 -> 2``.  Keys are tuples of ints, so they hash and compare in C.
+``compose_keys`` multiplies two keys without building or validating
+anything, ``enumerate_keys`` lists a hom-set's keys, and ``from_key`` is
+the one constructor that validates.  Within a hom-set, keys order as
+``sort_key`` does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
+from operator import getitem
 from typing import Iterator
 
 from . import pperm
-from .base import (
-    FiniteMonoid,
-    MTuple,
-    ZeroExtended,
-    act,
-    ones_on,
-    tuple_mul,
-    tuple_tensor,
-)
+from .base import FiniteMonoid, MTuple, ZeroExtended, ones_on, tuple_tensor
 from .pperm import CapExceededError, CompositionError, PartialBijection
 
 __all__ = [
     "WreathElement",
+    "from_key",
+    "compose_keys",
+    "level_mismatch",
+    "identity_key",
     "compose",
     "tensor",
     "embed_tuple",
     "embed_map",
     "identity_element",
+    "enumerate_keys",
     "enumerate_wreath",
+    "rank_counts",
     "count_wreath",
     "hom_count",
     "default_level_cap",
@@ -64,18 +75,53 @@ class WreathElement:
     def sort_key(self):
         return (self.pmap.images, self.tup.entries)
 
+    @property
+    def key(self) -> tuple:
+        """The plain form ``(images, entries, n)``."""
+        return (self.pmap.images, self.tup.entries, self.pmap.n)
+
     def to_json(self) -> dict:
         return {"tuple": list(self.tup.entries), "map": self.pmap.to_json()}
 
 
+def from_key(key) -> WreathElement:
+    """The element with plain form ``key``, validated."""
+    images, entries, n = key
+    return WreathElement(MTuple(entries), PartialBijection(len(images), n, images))
+
+
+def compose_keys(z, a, b):
+    """Left-to-right product of the plain forms ``a`` and ``b`` over the
+    zero-extended table ``z`` (``ZeroExtended.table``), or ``None`` when
+    ``a``'s codomain is not ``b``'s domain.
+
+    Position ``i`` goes where ``b`` sends ``a``'s image of ``i``, labelled
+    by ``a``'s label at ``i`` times ``b``'s label at that image.  ``b``'s
+    rows get a leading ``0``, so an undefined image reads ``0`` for both,
+    and ``a``'s label there is ``0`` too, a zero of ``z``."""
+    images, entries, n = a
+    b_images, b_entries, b_n = b
+    if n != len(b_images):
+        return None
+    b_images = (0,) + b_images
+    b_entries = (0,) + b_entries
+    return (tuple(map(b_images.__getitem__, images)),
+            tuple(map(getitem, map(z.__getitem__, entries), map(b_entries.__getitem__, images))),
+            b_n)
+
+
+def level_mismatch(a, b) -> CompositionError:
+    """The error for composing the plain forms ``a`` and ``b``."""
+    return CompositionError(f"cannot compose {len(a[0])}->{a[2]} with {len(b[0])}->{b[2]}")
+
+
 def compose(m0: ZeroExtended, p: WreathElement, q: WreathElement) -> WreathElement:
     """Left-to-right composition: twist ``q``'s tuple along ``p``'s map,
-    multiply tuples, compose maps.  The support/domain match of the result
-    is re-checked by construction."""
-    if p.cod_size != q.dom_size:
-        raise CompositionError(
-            f"cannot compose {p.dom_size}->{p.cod_size} with {q.dom_size}->{q.cod_size}")
-    return WreathElement(tuple_mul(m0, p.tup, act(p.pmap, q.tup)), p.pmap.compose(q.pmap))
+    multiply tuples, compose maps."""
+    out = compose_keys(m0.table, p.key, q.key)
+    if out is None:
+        raise level_mismatch(p.key, q.key)
+    return from_key(out)
 
 
 def tensor(p: WreathElement, q: WreathElement) -> WreathElement:
@@ -92,8 +138,12 @@ def embed_map(monoid: FiniteMonoid, alpha: PartialBijection) -> WreathElement:
     return WreathElement(ones_on(monoid, alpha.dom, alpha.m), alpha)
 
 
+def identity_key(monoid: FiniteMonoid, n: int) -> tuple:
+    return (tuple(range(1, n + 1)), (monoid.identity + 1,) * n, n)
+
+
 def identity_element(monoid: FiniteMonoid, n: int) -> WreathElement:
-    return embed_map(monoid, pperm.identity(n))
+    return from_key(identity_key(monoid, n))
 
 
 def default_level_cap(monoid: FiniteMonoid) -> int:
@@ -105,36 +155,41 @@ def default_level_cap(monoid: FiniteMonoid) -> int:
     return 2
 
 
+def rank_counts(monoid: FiniteMonoid, m: int, n: int, variant: str = "full") -> Iterator[int]:
+    """The variant's closed-form cardinality split by the rank ``k`` of
+    the map, ``k`` ascending: ``C(m,k) C(n,k) k! |M|^k`` labelled maps, or
+    for ``singular-tuples`` ``C(n,k) |M|^k`` tuples with ``k`` nonzero
+    entries.  The singular variants stop below rank ``n``.  The terms are
+    computed one at a time, so a caller may stop summing early."""
+    if variant == "full":
+        ranks = range(min(m, n) + 1)
+    elif variant in ("singular-monoid", "singular-tuples"):
+        if m != n:
+            raise ValueError("singular variant needs m == n")
+        ranks = range(n)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    size = monoid.size
+    if variant == "singular-tuples":
+        return (math.comb(n, k) * size ** k for k in ranks)
+    return (math.comb(m, k) * math.comb(n, k) * math.factorial(k) * size ** k for k in ranks)
+
+
 def count_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full") -> int:
     """Closed-form cardinalities for the enumeration variants."""
-    if variant == "full":
-        return hom_count(monoid, m, n)
-    if variant == "singular-monoid":
-        if m != n:
-            raise ValueError("singular variant needs m == n")
-        import math
-        return hom_count(monoid, n, n) - math.factorial(n) * monoid.size ** n
-    if variant == "singular-tuples":
-        if m != n:
-            raise ValueError("singular variant needs m == n")
-        return (monoid.size + 1) ** n - monoid.size ** n
-    raise ValueError(f"unknown variant {variant!r}")
+    return sum(rank_counts(monoid, m, n, variant))
 
 
 def hom_count(monoid: FiniteMonoid, m: int, n: int) -> int:
     """Number of labelled partial bijections ``m -> n``:
     sum over rank k of C(m,k) C(n,k) k! |M|^k."""
-    import math
-    return sum(
-        math.comb(m, k) * math.comb(n, k) * math.factorial(k) * monoid.size ** k
-        for k in range(min(m, n) + 1)
-    )
+    return count_wreath(monoid, m, n)
 
 
-def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                     cap: int | None = None) -> Iterator[WreathElement]:
-    """All elements of the chosen variant, ordered lexicographically by
-    (map images, tuple entries).
+def enumerate_keys(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
+                   cap: int | None = None) -> Iterator[tuple]:
+    """The plain forms of all elements of the chosen variant, ordered
+    lexicographically by (map images, tuple entries).
 
     Variants: ``full`` (the whole hom-set), ``singular-monoid`` (endo
     elements whose map is not a permutation), ``singular-tuples`` (tuples
@@ -146,29 +201,26 @@ def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full"
         raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
     if variant in ("singular-monoid", "singular-tuples") and m != n:
         raise ValueError("singular variants need m == n")
-
-    size = monoid.size
-
-    def labelled(alpha: PartialBijection) -> Iterator[WreathElement]:
-        dom = alpha.dom
-        def rec(k: int, entries: list[int]) -> Iterator[WreathElement]:
-            if k == len(dom):
-                row = [0] * m
-                for pos, v in zip(dom, entries):
-                    row[pos - 1] = v
-                yield WreathElement(MTuple(tuple(row)), alpha)
-                return
-            for v in range(1, size + 1):
-                entries.append(v)
-                yield from rec(k + 1, entries)
-                entries.pop()
-        return rec(0, [])
-
-    for alpha in pperm.enumerate_partial_bijections(m, n, cap=cap):
-        if variant == "singular-monoid" and alpha.is_total_bijection():
+    values = range(1, monoid.size + 1)
+    for row in pperm.image_rows(m, n):
+        rank = m - row.count(0)
+        if variant == "singular-monoid" and rank == n:
             continue
-        if variant == "singular-tuples" and alpha != pperm.partial_identity(alpha.dom, n):
+        if variant == "singular-tuples" and (
+                rank == n or any(v and v != i for i, v in enumerate(row, start=1))):
             continue
-        if variant == "singular-tuples" and len(alpha.dom) == n:
-            continue
-        yield from labelled(alpha)
+        # slot i reads label number spread[i] of (0,) + labels: 0 off the domain
+        spread, k = [], 0
+        for v in row:
+            if v:
+                k += 1
+            spread.append(k if v else 0)
+        for labels in product(values, repeat=rank):
+            yield row, tuple(map(((0,) + labels).__getitem__, spread)), n
+
+
+def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
+                     cap: int | None = None) -> Iterator[WreathElement]:
+    """The elements of ``enumerate_keys``, in its order."""
+    for key in enumerate_keys(monoid, m, n, variant, cap):
+        yield from_key(key)

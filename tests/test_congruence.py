@@ -173,6 +173,17 @@ def test_table_solves_the_word_problem():
         assert (table.trace(0, u) == table.trace(0, v)) == semantic
 
 
+def test_trace_rejects_words_off_the_table():
+    from invwreath.words import rho
+
+    table = enumerate_congruence(build("r-min", C2, n=2))
+    with pytest.raises(ValueError, match="i=5.* is not in the alphabet"):
+        table.trace(0, w("s1 s5"))
+    omega = enumerate_congruence(build("omega-mi", C2, cap=2))
+    with pytest.raises(ValueError, match="not a path"):
+        omega.trace(0, (rho(0),))
+
+
 def test_category_table_traces_paths():
     from invwreath.words import eval_path
 

@@ -84,7 +84,7 @@ def test_generation_failure_reported():
     crippled = dataclasses.replace(p, alphabet=letters, relations=())
     gen = check_generation(crippled)
     assert not gen.ok
-    missing = [e for e in enumerate_target(crippled) if e not in gen.witness]
+    missing = [e for e in enumerate_target(crippled) if e.key not in gen.witness]
     assert gen.missing_example == min(missing, key=lambda e: e.sort_key())
     # with no relations the table outgrows the budget: the closure decides
     table = enumerate_congruence(crippled, 1000)
@@ -107,13 +107,13 @@ def test_repeated_target_element_is_an_inconsistency(monkeypatch):
     # must still be caught, here with the count kept at the closed form
     import invwreath.wreath as wreath_mod
 
-    real = wreath_mod.enumerate_wreath
+    real = wreath_mod.enumerate_keys
 
     def repeating(*args, **kwargs):
-        elems = list(real(*args, **kwargs))
-        yield from elems[:-1] + elems[:1]
+        keys = list(real(*args, **kwargs))
+        yield from keys[:-1] + keys[:1]
 
-    monkeypatch.setattr(wreath_mod, "enumerate_wreath", repeating)
+    monkeypatch.setattr(wreath_mod, "enumerate_keys", repeating)
     p = build("r-min", C2, n=2)
     with pytest.raises(InternalInconsistency, match="repeats"):
         check_generation(p, enumerate_congruence(p))
@@ -168,6 +168,25 @@ def test_target_above_budget_is_inconclusive_before_generation():
     report = verify_category(2, C2, budget=23)
     assert report.verdict == "inconclusive" and report.generation == (35, 35)
     assert report.notes["enumeration"] == "budget exhausted at headroom 0"
+
+
+def test_huge_levels_stop_at_the_budget_check():
+    # nothing is built or evaluated: the closed form alone is too large
+    start = time.perf_counter()
+    reports = [verify_presentation("r-in", TRIV, 5000),
+               verify_presentation("r-sing-tuples", builtin("s3"), 100000),
+               verify_category(3000, C2)]
+    assert time.perf_counter() - start < 5
+    for report in reports:
+        assert report.verdict == "inconclusive" and report.soundness is None
+        assert report.notes["enumeration"].startswith(
+            "stopped before generation: the target needs more than 1000000000000 nodes")
+        obj = report.to_json()
+        jsonschema.validate(obj, REPORT_SCHEMA)
+        assert obj["soundness"] is None
+    # a level too small for its kind is still an error, not a budget verdict
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        verify_presentation("r-sing-in", TRIV, 1, budget=1)
 
 
 def test_verify_report_json():

@@ -235,16 +235,24 @@ def test_eval_examples():
 
 def test_eval_is_left_fold():
     rng = random.Random(5)
-    syms = full_alphabet(C2, 3)
     from invwreath.base import adjoin_zero
+    from invwreath.pperm import CompositionError
     from invwreath.words import sym_image
-    m0 = adjoin_zero(C2.monoid)
-    for _ in range(100):
-        w = random_word(rng, syms)
-        out = wreath.identity_element(C2.monoid, 3)
-        for sym in w:
-            out = wreath.compose(m0, out, sym_image(sym, C2, 3))
-        assert out == eval_word(w, C2, 3)
+    for base, n in [(C2, 3), (builtin("c3"), 2), (S3, 3), (builtin("trivial"), 4)]:
+        syms = full_alphabet(base, n) + small_alphabet(base, n)
+        syms += [f_(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        syms += [xc(x, i, j) for x in base.alphabet
+                 for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        m0 = adjoin_zero(base.monoid)
+        for _ in range(100):
+            w = random_word(rng, syms, max_len=12)
+            out = wreath.identity_element(base.monoid, n)
+            for sym in w:
+                out = wreath.compose(m0, out, sym_image(sym, base, n))
+            assert out == eval_word(w, base, n)
+    # a leveled symbol off the word's level fails as compose does
+    with pytest.raises(CompositionError, match="cannot compose 3->3 with 2->3"):
+        eval_word((s_(1), lam(2)), C2, 3)
 
 
 def test_eval_path_and_term():

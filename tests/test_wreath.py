@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invwreath.base import MTuple, adjoin_zero, builtin, ones
+from invwreath.base import MTuple, act, adjoin_zero, builtin, ones, tuple_mul
 from invwreath.pperm import (
     CapExceededError,
     CompositionError,
@@ -14,10 +16,13 @@ from invwreath.pperm import (
 from invwreath.wreath import (
     WreathElement,
     compose,
+    compose_keys,
     count_wreath,
     embed_map,
     embed_tuple,
+    enumerate_keys,
     enumerate_wreath,
+    from_key,
     hom_count,
     identity_element,
     tensor,
@@ -164,3 +169,69 @@ def test_singular_closed_under_composition():
 def test_json():
     e = identity_element(C2.monoid, 2)
     assert e.to_json() == {"tuple": [1, 1], "map": {"m": 2, "n": 2, "images": [1, 2]}}
+
+
+# ---------------------------------------------------------------------------
+# the plain-form kernel
+
+KERNEL_BASES = ("trivial", "c2", "c3", "s3")
+
+
+@st.composite
+def labelled_maps(draw, monoid, m, n):
+    """A random labelled partial bijection ``m -> n``."""
+    targets = iter(draw(st.permutations(range(1, n + 1))))
+    images, entries = [], []
+    for defined in draw(st.lists(st.booleans(), min_size=m, max_size=m)):
+        v = next(targets, 0) if defined else 0
+        images.append(v)
+        entries.append(draw(st.integers(1, monoid.size)) if v else 0)
+    return WreathElement(MTuple(tuple(entries)), PartialBijection(m, n, tuple(images)))
+
+
+@st.composite
+def composable_pairs(draw):
+    monoid = builtin(draw(st.sampled_from(KERNEL_BASES))).monoid
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return monoid, draw(labelled_maps(monoid, m, k)), draw(labelled_maps(monoid, k, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_pairs())
+def test_compose_keys_agrees_with_the_tuple_formula(pair):
+    monoid, p, q = pair
+    m0 = adjoin_zero(monoid)
+    expected = WreathElement(tuple_mul(m0, p.tup, act(p.pmap, q.tup)), p.pmap.compose(q.pmap))
+    got = compose_keys(m0.table, p.key, q.key)
+    assert got == expected.key
+    assert from_key(got) == expected == compose(m0, p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_keys_is_none_on_a_level_mismatch(data):
+    monoid = builtin(data.draw(st.sampled_from(KERNEL_BASES))).monoid
+    m, k, j, n = (data.draw(st.integers(0, 4)) for _ in range(4))
+    if j == k:
+        j = k + 1
+    p = data.draw(labelled_maps(monoid, m, k))
+    q = data.draw(labelled_maps(monoid, j, n))
+    m0 = adjoin_zero(monoid)
+    assert compose_keys(m0.table, p.key, q.key) is None
+    with pytest.raises(CompositionError, match=f"cannot compose {m}->{k} with {j}->{n}"):
+        compose(m0, p, q)
+
+
+def test_enumerate_keys_is_the_sorted_hom_set():
+    cells = [(name, variant, m, n)
+             for name in KERNEL_BASES
+             for m in range(4) for n in range(4)
+             for variant in ("full", "singular-monoid", "singular-tuples")
+             if (variant == "full" or m == n) and (name != "s3" or max(m, n) <= 2)]
+    for name, variant, m, n in cells:
+        monoid = builtin(name).monoid
+        keys = list(enumerate_keys(monoid, m, n, variant, cap=3))
+        assert all(a < b for a, b in zip(keys, keys[1:])), (name, variant, m, n)
+        assert [from_key(k).key for k in keys] == keys
+        assert len(keys) == count_wreath(monoid, m, n, variant), (name, variant, m, n)
+        assert [e.key for e in enumerate_wreath(monoid, m, n, variant, cap=3)] == keys
