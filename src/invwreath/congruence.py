@@ -10,18 +10,21 @@ missing transitions along the way) and then has its remaining row entries
 filled with fresh nodes.  On completion the alive-node count is the
 cardinality of the presented structure.
 
-Each relation trace is checked before anything is filled.  The distinct
-prefixes of all relation sides from one object are followed once per
-node, each one letter past a shorter prefix, and a relation holds when
-its two sides end defined in one class.  Most traces end there.  An
-earlier fill at the node may have defined or merged what a side reaches,
-so a relation that seems not to hold is followed again from its longest
-live prefixes.  Only one that still does not hold goes on to the fill
-step, which starts where the trace stopped: it deduces a missing last
-transition, merges the two ends, or defines the first missing entry and
-carries on from the fresh node.  The check changes no state except to
-write a merged target's class back into the row it was read from, so the
-nodes defined and the merges made are those of filling every trace.
+Relation traces run as kernels: plain functions generated once per run,
+one per source object and per run of at most 64 relations.  A kernel
+follows the distinct prefixes of its relations' sides once per node into
+local variables, each one letter past a shorter prefix, and a relation
+holds when its two sides end at one defined node.  Node 0 is a sink whose
+row is all 0, and 0 means "undefined"; a merged node's row becomes the
+sink's, so the walk needs no branch and reads 0 past an undefined or
+merged node.  A relation that seems not to hold goes to ``fix``.  A live
+end is current, since a class changes only by a merge, which kills it;
+a side without one resumes from its live one-letter-shorter prefix end,
+or else from the node.  Where the sides stop, ``fix`` deduces a missing
+last transition, merges the two ends, or defines the first missing entry
+and carries on from the fresh node.  Reading changes no state except to
+write a merged target's class back into its row, so the nodes defined and
+the merges made are those of filling every trace.
 
 One typed engine serves every flavor.  Nodes carry source and target
 objects, generators go between objects, and each source object is the
@@ -63,8 +66,6 @@ __all__ = [
 
 DEFAULT_MONOID_BUDGET = 50_000
 DEFAULT_CATEGORY_BUDGET = 20_000
-
-_UNDEF = -1
 
 
 class UnsupportedFlavorError(ValueError):
@@ -121,7 +122,8 @@ class _Engine:
     goes between two objects; ``dr[g]`` names them.  Relation sides are
     well-typed paths, so a trace only defines a transition where the
     node's target is the generator's source.  Each source object roots its
-    own part of the table, with at most ``budget`` nodes.
+    own part of the table, with at most ``budget`` nodes.  Node 0 is the
+    sink (see the module docstring), in no part and no budget.
     """
 
     def __init__(self, dr, budget: int, roots: int):
@@ -129,17 +131,19 @@ class _Engine:
         self.ngens = len(dr)
         self.budget = budget
         self.created = [0] * roots
-        self.rows: list[list[int] | None] = []
-        self.parent: list[int] = []
-        self.dobj: list[int] = []
-        self.robj: list[int] = []
+        # a tuple, so that no write can reach the sink's row
+        self.sink = (0,) * self.ngens
+        self.rows: list = [self.sink]
+        self.parent: list[int] = [0]
+        self.dobj: list[int] = [-1]
+        self.robj: list[int] = [-1]
 
     def new_node(self, d: int, r: int) -> int:
         if self.created[d] >= self.budget:
             raise _BudgetExceeded
         self.created[d] += 1
         idx = len(self.rows)
-        self.rows.append([_UNDEF] * self.ngens)
+        self.rows.append([0] * self.ngens)
         self.parent.append(idx)
         self.dobj.append(d)
         self.robj.append(r)
@@ -157,94 +161,99 @@ class _Engine:
     def merge(self, a: int, b: int):
         """Union classes, keeping the smaller index; union rows, queueing
         secondary coincidences until stable."""
+        rows, parent, find = self.rows, self.parent, self.find
         queue = [(a, b)]
         while queue:
             a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
             if self.dobj[a] != self.dobj[b] or self.robj[a] != self.robj[b]:
                 raise InternalInconsistency("attempt to merge nodes of different types")
-            self.parent[b] = a
-            row_b = self.rows[b]
-            self.rows[b] = None
-            row_a = self.rows[a]
+            parent[b] = a
+            row_b = rows[b]
+            rows[b] = self.sink
+            row_a = rows[a]
             for x, t in enumerate(row_b):
-                if t != _UNDEF:
+                if t:
                     s = row_a[x]
-                    if s == _UNDEF:
+                    if not s:
                         row_a[x] = t
                     elif s != t:
                         queue.append((s, t))
 
-    def fill(self, u, a: int, i: int, v, b: int, j: int):
-        """Make the relation ``u = v`` hold, given where its sides stop:
-        ``u[:i]`` leads to the class ``a`` and ``v[:j]`` to ``b``, each at
-        an undefined entry or at the end of its side.  Deduce the final
-        transition when only it is missing, merge completed endpoints, and
-        otherwise fill the first missing slot with a fresh node.  A fresh
-        node has an empty row, so the traces stop at it again."""
-        rows, dr = self.rows, self.dr
+    def walk(self, a: int, i: int, w) -> tuple[int, int]:
+        """Follow ``w`` from the live node ``a`` at letter ``i`` as far as
+        it is defined: the class reached and the letters read.  A merged
+        target met on the way is written back as its class."""
+        rows, parent = self.rows, self.parent
+        for i in range(i, len(w)):
+            row = rows[a]
+            t = row[w[i]]
+            if not t:
+                return a, i
+            if parent[t] != t:
+                t = row[w[i]] = self.find(t)
+            a = t
+        return a, len(w)
+
+    def fix(self, idx: int, u, v, a: int, b: int, pa: int, pb: int) -> bool:
+        """Make ``u = v`` hold at the live node ``idx``, from what a
+        kernel read as the ends ``a``, ``b`` of its sides and ``pa``,
+        ``pb`` of their one-letter-shorter prefixes (see the module
+        docstring).  Returns whether ``idx`` was merged into an earlier
+        node."""
+        rows, parent = self.rows, self.parent
+        lu, lv = len(u), len(v)
+        # each side as far as it is defined: u[:i] reaches a, v[:j] reaches b
+        if a and parent[a] == a:
+            i = lu
+        elif pa and parent[pa] == pa:
+            a, i = pa, lu - 1
+            t = rows[pa][u[i]]
+            if t:
+                a, i = t if parent[t] == t else self.walk(pa, i, u)[0], lu
+        else:
+            a, i = self.walk(idx, 0, u)
+        if b and parent[b] == b:
+            j = lv
+        elif pb and parent[pb] == pb:
+            b, j = pb, lv - 1
+            t = rows[pb][v[j]]
+            if t:
+                b, j = t if parent[t] == t else self.walk(pb, j, v)[0], lv
+        else:
+            b, j = self.walk(idx, 0, v)
         while True:
-            if i == len(u) and j == len(v):
-                if a != b:
+            if i == lu:
+                if j == lv:
+                    if a == b:
+                        return False
                     self.merge(a, b)
-                return
-            if i == len(u) and j == len(v) - 1:
-                rows[b][v[j]] = a
-                return
-            if j == len(v) and i == len(u) - 1:
+                    return parent[idx] != idx
+                if j == lv - 1:
+                    rows[b][v[j]] = a
+                    return False
+            elif j == lv and i == lu - 1:
                 rows[a][u[i]] = b
-                return
-            node, gen = (a, u[i]) if i < len(u) else (b, v[j])
-            fresh = rows[node][gen] = self.new_node(self.dobj[node], dr[gen][1])
-            # the one new entry extends whichever traces stopped at it
-            if i < len(u) and a == node and u[i] == gen:
+                return False
+            node, gen = (a, u[i]) if i < lu else (b, v[j])
+            fresh = rows[node][gen] = self.new_node(self.dobj[node], self.dr[gen][1])
+            # the one new entry extends whichever sides stopped at it
+            if i < lu and a == node and u[i] == gen:
                 a, i = fresh, i + 1
-            if j < len(v) and b == node and v[j] == gen:
+            if j < lv and b == node and v[j] == gen:
                 b, j = fresh, j + 1
 
-    def follow(self, ends, steps, k: int) -> tuple[int, int]:
-        """The class that the longest defined prefix of prefix ``k``
-        reaches, and that prefix's index.  An end that is undefined (a
-        fill may since have defined it) or merged is followed again from
-        its longest prefix whose end is live, and what that reaches is
-        kept in ``ends``."""
-        rows, parent = self.rows, self.parent
-        chain = []
-        a = ends[k]
-        while a == _UNDEF or parent[a] != a:
-            chain.append(k)
-            k = steps[k - 1][0]
-            a = ends[k]
-        for c in reversed(chain):
-            row = rows[a]
-            x = steps[c - 1][1]
-            t = row[x]
-            if t == _UNDEF:
-                break
-            if parent[t] != t:
-                t = row[x] = self.find(t)
-            a = ends[c] = t
-            k = c
-        return a, k
-
     def run(self, rels_by_src: dict):
-        """One root per source object, then nodes in creation order: trace
-        every relation whose source is the node's target, then fill the
-        node's remaining row entries with fresh nodes.
-
-        The distinct prefixes of a source's relation sides are followed
-        once per node, each one letter past a shorter prefix, into
-        ``ends``.  A relation holds when both its ends are one class.  A
-        fill can define entries and merge classes, which leaves later
-        ``ends`` stale but never wrong: a defined end stays defined up to
-        ``find``.  So a relation whose ends do not already meet is
-        followed again from its longest live prefixes, and only one that
-        still does not hold goes to ``fill``."""
-        rows, parent, follow = self.rows, self.parent, self.follow
+        """One root per source object, then nodes in creation order: run
+        the kernels of the relations whose source is the node's target,
+        then fill the node's remaining row entries with fresh nodes.  A
+        kernel returns true when a fix merged the node into an earlier,
+        fully processed one."""
+        rows, parent, robj = self.rows, self.parent, self.robj
         for m in range(len(self.created)):
             self.new_node(m, m)
         nobj = 1 + max([len(self.created) - 1, *rels_by_src]
@@ -253,77 +262,89 @@ class _Engine:
         leaving = [[] for _ in range(nobj)]
         for gen, (d, r) in enumerate(self.dr):
             leaving[d].append((gen, r))
-        traces = [None] * nobj
+        kernels = [[] for _ in range(nobj)]
         for src, rels in rels_by_src.items():
-            traces[src] = _prefixes(rels)
-        idx = 0
+            for k in range(0, len(rels), _KERNEL_RELATIONS):
+                kernels[src].append(_kernel(rels[k:k + _KERNEL_RELATIONS], rows, self.fix))
+        idx = 1
         while idx < len(rows):
-            if parent[idx] != idx:
-                idx += 1
-                continue
-            trace = traces[self.robj[idx]]
-            if trace is not None:
-                steps, groups, length, sides = trace
-                ends = [idx] + [_UNDEF] * len(steps)
-                for par, lo, hi, letters in groups:
-                    a = ends[par]
-                    if a != _UNDEF:
-                        if parent[a] != a:
-                            a = follow(ends, steps, par)[0]
-                        if hi - lo == 1:
-                            ends[lo] = rows[a][letters]
-                        else:
-                            # merged targets stay as read; ``follow`` and
-                            # the relation check look past them
-                            ends[lo:hi] = letters(rows[a])
-                for iu, iv, u, v in sides:
-                    a, b = ends[iu], ends[iv]
-                    if a == b and a != _UNDEF:
-                        continue
-                    ku, kv = iu, iv
-                    if a == _UNDEF or parent[a] != a:
-                        a, ku = follow(ends, steps, iu)
-                    if b == _UNDEF or parent[b] != b:
-                        b, kv = follow(ends, steps, iv)
-                    if a == b and ku == iu and kv == iv:
-                        continue
-                    self.fill(u, a, length[ku], v, b, length[kv])
-                    if parent[idx] != idx:
-                        # the class was folded into an earlier, fully processed node
-                        break
             if parent[idx] == idx:
-                row = rows[idx]
-                for gen, r in leaving[self.robj[idx]]:
-                    if row[gen] == _UNDEF:
-                        row[gen] = self.new_node(self.dobj[idx], r)
+                for kernel in kernels[robj[idx]]:
+                    if kernel(idx):
+                        break
+                else:
+                    row = rows[idx]
+                    for gen, r in leaving[robj[idx]]:
+                        if not row[gen]:
+                            row[gen] = self.new_node(self.dobj[idx], r)
             idx += 1
 
     def compressed(self):
-        """Alive classes renumbered consecutively, with their rows."""
-        alive = [i for i in range(len(self.rows)) if self.parent[i] == i]
-        renumber = {node: k for k, node in enumerate(alive)}
-        table = [
-            [renumber[self.find(t)] if t != _UNDEF else _UNDEF
-             for t in self.rows[node]]
-            for node in alive
-        ]
-        return renumber, table
+        """The alive nodes in creation order, each node's class number
+        (``-1`` for the sink), and the alive rows in class numbers.  A
+        merged node's parent is an earlier node, so one pass in creation
+        order numbers every node."""
+        parent, alive, canon = self.parent, [], [-1]
+        for i in range(1, len(parent)):
+            if parent[i] == i:
+                canon.append(len(alive))
+                alive.append(i)
+            else:
+                canon.append(canon[parent[i]])
+        return alive, canon, [list(map(canon.__getitem__, self.rows[i])) for i in alive]
+
+
+# Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
+# n=5's 410 relations peaks at about 7.6 MB, one of 64 at about 1.2 MB.
+_KERNEL_RELATIONS = 64
+
+
+def _kernel(rels, rows, fix):
+    """The kernel of the relations ``rels``: a function of a live node
+    ``e0`` that follows their sides' distinct prefixes (``_prefixes``)
+    into local variables ``e<k>``, then passes each relation whose sides
+    do not end at one defined node to ``fix``, and returns true as soon
+    as ``fix`` does.  The source holds only ints and local names: the
+    itemgetters and words come in as arguments of a factory."""
+    index, groups = _prefixes(rels)
+    names, values, local = ["rows", "fix"], [rows, fix], {}
+
+    def name(value, prefix):
+        if value not in local:
+            local[value] = f"{prefix}{len(local)}"
+            names.append(local[value])
+            values.append(value)
+        return local[value]
+
+    body = []
+    for par, lo, letters in groups:
+        if len(letters) == 1:
+            body.append(f"e{lo} = rows[e{par}][{letters[0]}]")
+        else:
+            ends = ", ".join(f"e{lo + k}" for k in range(len(letters)))
+            body.append(f"{ends} = {name(itemgetter(*letters), 'g')}(rows[e{par}])")
+    for u, v in rels:
+        eu, ev = f"e{index[u]}", f"e{index[v]}"
+        # an empty side ends at the live node itself and needs no prefix
+        pu, pv = (f"e{index[w[:-1]]}" if w else "0" for w in (u, v))
+        body.append(f"if ({eu} != {ev} or not {eu}) and fix(e0, {name(u, 'w')}, "
+                    f"{name(v, 'w')}, {eu}, {ev}, {pu}, {pv}): return True")
+    source = (f"def make({', '.join(names)}):\n def kernel(e0):\n  "
+              + "\n  ".join(body) + "\n return kernel\n")
+    namespace = {}
+    exec(source, namespace)
+    # popped, so that no dead kernel waits in a function <-> globals cycle
+    # for a full collection
+    return namespace.pop("make")(*values)
 
 
 def _prefixes(rels):
     """The distinct prefixes of the relation sides ``rels``, numbered
     breadth-first from the empty prefix 0, so that the one-letter
     extensions of each prefix have consecutive numbers.  Returns
-
-    - ``steps``: per prefix ``k >= 1`` at ``k - 1``, the number of the
-      prefix one letter shorter and the last letter;
-    - ``groups``: per prefix with extensions, in order, its number, the
-      range ``lo:hi`` of its extensions' numbers, and their letters: the
-      letter itself for one extension, else an ``itemgetter`` of them;
-    - ``length``: each prefix's length;
-    - ``sides``: per relation ``(u, v)``, the numbers of ``u`` and ``v``
-      and the two words.
-    """
+    ``index``, each prefix's number, and ``groups``: per prefix with
+    extensions, in order, its number, its first extension's number and
+    the extensions' letters."""
     extensions: dict[tuple, list] = {(): []}
     for rel in rels:
         for side in rel:
@@ -332,20 +353,15 @@ def _prefixes(rels):
                     extensions[side[:k + 1]] = []
                     extensions[side[:k]].append(side[k])
     index = {(): 0}
-    steps, groups, order = [], [], [()]
+    groups, order = [], [()]
     for pre in order:           # grows while it is read
         letters = extensions[pre]
-        if not letters:
-            continue
-        lo = len(steps) + 1
-        for x in letters:
-            index[pre + (x,)] = len(steps) + 1
-            steps.append((index[pre], x))
-            order.append(pre + (x,))
-        groups.append((index[pre], lo, len(steps) + 1,
-                       itemgetter(*letters) if len(letters) > 1 else letters[0]))
-    return (steps, groups, [len(pre) for pre in order],
-            [(index[u], index[v], u, v) for u, v in rels])
+        if letters:
+            groups.append((index[pre], len(order), letters))
+            for x in letters:
+                index[pre + (x,)] = len(order)
+                order.append(pre + (x,))
+    return index, groups
 
 
 def node_budget(flavor: str, budget: int | None) -> int:
@@ -374,6 +390,8 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
+    if headroom < 0:
+        raise ValueError(f"headroom must be at least 0, got {headroom}")
     category = p.flavor == "category"
     budget = node_budget(p.flavor, budget)
 
@@ -408,24 +426,25 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         eng.run(rels_by_src)
     except _BudgetExceeded:
         return CongruenceTable(p.flavor, "budget-exceeded",
-                               nodes_created=len(eng.rows), bound=bound)
+                               nodes_created=len(eng.rows) - 1, bound=bound)
 
-    renumber, table = eng.compressed()      # keyed by the alive nodes, in order
-    done = CongruenceTable(p.flavor, "complete", nodes_created=len(eng.rows),
+    alive, canon, table = eng.compressed()
+    # root m is node m + 1, after the sink
+    done = CongruenceTable(p.flavor, "complete", nodes_created=len(eng.rows) - 1,
                            bound=bound, transitions=table, gen_index=gen_index,
-                           roots={m: renumber[eng.find(m)] for m in range(roots)})
+                           roots={m: canon[m + 1] for m in range(roots)})
     if category:
         # nodes above the cap belong to paths through wider objects; only
         # hom-sets within the cap are reported
         done.hom_sizes = {}
-        for i in renumber:
+        for i in alive:
             if eng.robj[i] <= p.cap:
                 key = (eng.dobj[i], eng.robj[i])
                 done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
     elif p.flavor == "semigroup":
-        # the empty word's node 0 must stay its own class (class 0) and
+        # the empty word's node must stay its own class (class 0) and
         # no transition may lead into it
-        if eng.find(0) != 0 or any(0 in row for row in table):
+        if eng.find(1) != 1 or any(0 in row for row in table):
             raise InternalInconsistency("empty-word class was touched in a semigroup run")
         done.size = len(table) - 1
         done.empty_class_untouched = True

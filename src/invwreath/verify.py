@@ -379,6 +379,8 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     monoid = base.require_evaluation()
     if cap < 1:
         raise ValueError("object cap must be at least 1")
+    if headroom < 0:
+        raise ValueError(f"headroom must be at least 0, got {headroom}")
     report = VerificationReport("omega-mi", base.name or "custom", cap)
     if _over_budget("omega-mi", base, cap, budget, report):
         return report

@@ -5,12 +5,16 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invwreath import wreath
 from invwreath.base import InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.pperm import count_partial_bijections
 from invwreath.presentations import build
+from invwreath.verify import target_size
+from invwreath.words import edge_dr
 from invwreath.words import parse_monoid_word as w
 
 TRIV = builtin("trivial")
@@ -85,6 +89,9 @@ def test_engine_counts_are_pinned():
          "f4b8c83674531a7cb790b760ce73aacce7a9eda32fe166410577e653540eb07d"),
         ("omega-mi", TRIV, 3, 90, 218,
          "75f0d5eb9429934ecc2bbc2e16ca853b9791bdbb34a167dc589f5fd8b98e844c"),
+        # 138 relations from one source: more than one trace kernel
+        ("r-sing-in", TRIV, 4, 185, 859,
+         "a1b7edfd868d23a45f6fa9f82d1e3be02821b1369fc7243294e46305275a90e3"),
     )
     for kind, base, n, classes, nodes, digest in cells:
         if kind == "omega-mi":
@@ -101,6 +108,64 @@ def test_engine_counts_are_pinned():
                                   ("r-sing-tuples", builtin("s3"), 4, 5000)):
         table = enumerate_congruence(build(kind, base, n=n), budget=budget)
         assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
+
+
+def _class_at(table, c, word):
+    for sym in word:
+        c = table.transitions[c][table.gen_index[sym]]
+        if c < 0:
+            return None
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tables_with_relations_dropped_keep_the_invariants(data):
+    # what any correct enumeration gives on a complete table: from every
+    # class both sides of every relation end in one class, every class is
+    # reachable from a root, an entry is defined exactly where its
+    # generator leaves the class's target object, and dropping relations
+    # never gives fewer classes than the structure presented by all of them
+    from unittest import mock
+
+    import invwreath.congruence as congruence_mod
+
+    kind, base, n = data.draw(st.sampled_from((
+        ("r-in", TRIV, 3), ("r-sing-tuples", C2, 3), ("r-m-sing-in", C2, 3), ("omega-mi", C2, 2))))
+    p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
+    drop = set(data.draw(st.lists(st.integers(0, len(p.relations) - 1), max_size=4)))
+    weak = dataclasses.replace(
+        p, relations=tuple(r for k, r in enumerate(p.relations) if k not in drop))
+    # the category run builds its presentation itself
+    with mock.patch.object(congruence_mod, "build", lambda kind, base, cap: weak):
+        table = enumerate_congruence(weak, budget=2000)
+    if table.status != "complete":
+        assert table.status == "budget-exceeded"
+        return
+    if kind == "omega-mi":
+        dr = [edge_dr(sym) for sym in weak.alphabet]
+        sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in weak.relations]
+        size = sum(table.hom_sizes.values())
+    else:
+        dr = [(0, 0)] * len(weak.alphabet)
+        sides = [(0, lhs, rhs) for lhs, rhs in weak.relations]
+        size = table.size
+    # each class's target object, breadth-first from the roots
+    target = {c: m for m, c in table.roots.items()}
+    queue = list(target)
+    for c in queue:
+        for g, t in enumerate(table.transitions[c]):
+            assert (t >= 0) == (dr[g][0] == target[c])
+            if t >= 0 and t not in target:
+                target[t] = dr[g][1]
+                queue.append(t)
+    assert len(target) == len(table.transitions)
+    for c, obj in target.items():
+        for src, lhs, rhs in sides:
+            if src == obj:
+                end = _class_at(table, c, lhs)
+                assert end is not None and end == _class_at(table, c, rhs)
+    assert size >= target_size(p)
 
 
 def test_ill_typed_relation_side_is_an_inconsistency(monkeypatch):

@@ -242,6 +242,14 @@ def test_verify_category_widens_on_overshoot(monkeypatch):
     assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
 
 
+def test_negative_headroom_is_rejected():
+    # it would enumerate below the cap and report its hom-sets as complete
+    with pytest.raises(ValueError, match="headroom"):
+        enumerate_congruence(build("omega-mi", C2, cap=2), headroom=-1)
+    with pytest.raises(ValueError, match="headroom"):
+        verify_category(2, C2, headroom=-1)
+
+
 def test_verify_tensor_small():
     report = verify_tensor(C2, levels=2, samples=50)
     assert report.verdict == "pass"
