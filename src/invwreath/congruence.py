@@ -10,6 +10,15 @@ missing transitions along the way) and then has its remaining row entries
 filled with fresh nodes.  On completion the alive-node count is the
 cardinality of the presented structure.
 
+HLT is sensitive to the order of the relations, so the engine fixes its
+own.  Each relation is written with its longer side first (of two equal
+lengths, the one with the smaller letter ids), a relation listed twice,
+either way round, is traced once, and each source object's relations are
+traced short first: by the longer side's length, then the total length,
+then the letter ids.  Short relations such as ``e_j x = x`` then identify
+paths before the long ones define them, and the table does not depend on
+how a presentation lists its relations.
+
 Relation traces run as kernels: plain functions generated once per run,
 one per source object and per run of at most 64 relations.  A kernel
 follows the distinct prefixes of its relations' sides once per node into
@@ -102,9 +111,13 @@ class CongruenceTable:
     def trace(self, start_object: int, word) -> int:
         """Class reached from the identity at ``start_object`` by reading
         ``word`` (a sequence of alphabet symbols).  Raises ``ValueError``
-        when ``word`` is not a path from there: a transition is missing or
-        a symbol is outside the alphabet."""
-        cur = self.roots[start_object]
+        when ``start_object`` has no root, or when ``word`` is not a path
+        from there: a transition is missing or a symbol is outside the
+        alphabet."""
+        try:
+            cur = self.roots[start_object]
+        except KeyError:
+            raise ValueError(f"no root at object {start_object}") from None
         try:
             for sym in word:
                 cur = self.transitions[cur][self.gen_index[sym]]
@@ -364,6 +377,13 @@ def _prefixes(rels):
     return index, groups
 
 
+def _trace_order(rels):
+    """The relations ``rels`` as a run traces them: each once, oriented
+    and sorted as the module docstring says."""
+    oriented = {(u, v) if (-len(u), u) <= (-len(v), v) else (v, u) for u, v in rels}
+    return sorted(oriented, key=lambda rel: (len(rel[0]), len(rel[0]) + len(rel[1]), rel))
+
+
 def node_budget(flavor: str, budget: int | None) -> int:
     """The per-root node budget of a run: ``budget``, or the flavor's
     default for ``None``."""
@@ -420,6 +440,7 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
                         f"a relation side from object {src} is not a well-typed path")
                 obj = dr[g][1]
         rels_by_src.setdefault(src, []).append(pair)
+    rels_by_src = {src: _trace_order(rels) for src, rels in rels_by_src.items()}
 
     eng = _Engine(dr, budget, roots)
     try:

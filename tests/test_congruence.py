@@ -74,24 +74,30 @@ def test_nonpositive_budget_is_rejected():
                 enumerate_congruence(p, budget=budget)
 
 
+def _digest(table):
+    return table.nodes_created, hashlib.sha256(json.dumps(table.transitions).encode()).hexdigest()
+
+
 def test_engine_counts_are_pinned():
     # status, class count, nodes defined at the default budget and a digest
     # of the compressed table: a change of enumeration strategy shows here,
     # and must be deliberate
     cells = (
-        ("r-m-sing-in", C2, 3, 91, 538,
-         "266363f4514741b5788dcb8bd310bf30e222e86cf67d8fde4091756390adeb9f"),
-        ("r-sing-tuples", builtin("s3"), 3, 127, 2324,
-         "387d7b70b970e4d9e87795897572ef48827783f0316605fb8d7a45a4154576aa"),
-        ("r-in", TRIV, 4, 209, 436,
-         "129d5d5b3f8ac38542c80656580e11defba226a2dccb87dde158da7980189453"),
-        ("omega-mi", C2, 3, 264, 731,
-         "f4b8c83674531a7cb790b760ce73aacce7a9eda32fe166410577e653540eb07d"),
-        ("omega-mi", TRIV, 3, 90, 218,
-         "75f0d5eb9429934ecc2bbc2e16ca853b9791bdbb34a167dc589f5fd8b98e844c"),
+        ("r-m-sing-in", C2, 3, 91, 291,
+         "5848d3cac45136d6e179b3a4a77d993a30b7782f686f5c6527c8f6940697fe52"),
+        ("r-sing-tuples", builtin("s3"), 3, 127, 148,
+         "373b0fe0b5a3152f734ea4b9f678489ff8e97ab4f4500ef3766ce32e832e27a3"),
+        ("r-sing-tuples", builtin("s3"), 4, 1105, 1744,
+         "bb28c47b9cf93fc2f5b3873aaf3944b933003929d86551ed9925533bb5087d10"),
+        ("r-in", TRIV, 4, 209, 451,
+         "7856cd382a055704737542c54a69c94443d19e8abc92294bd6426424695637b4"),
+        ("omega-mi", C2, 3, 264, 757,
+         "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"),
+        ("omega-mi", TRIV, 3, 90, 196,
+         "d45f016aa4e72d6a1243678403f6ba328aa3be585d84c1b410b9b7e543d0eedf"),
         # 138 relations from one source: more than one trace kernel
-        ("r-sing-in", TRIV, 4, 185, 859,
-         "a1b7edfd868d23a45f6fa9f82d1e3be02821b1369fc7243294e46305275a90e3"),
+        ("r-sing-in", TRIV, 4, 185, 628,
+         "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b"),
     )
     for kind, base, n, classes, nodes, digest in cells:
         if kind == "omega-mi":
@@ -100,14 +106,34 @@ def test_engine_counts_are_pinned():
         else:
             table = enumerate_congruence(build(kind, base, n=n))
             size = table.size
-        assert (table.status, size, table.nodes_created) == ("complete", classes, nodes), kind
-        transitions = json.dumps(table.transitions).encode()
-        assert hashlib.sha256(transitions).hexdigest() == digest, kind
+        assert (table.status, size) == ("complete", classes), kind
+        assert _digest(table) == (nodes, digest), kind
     # these runs still outgrow their budget, and stop at it
     for kind, base, n, budget in (("r-in", TRIV, 5, 1000),
-                                  ("r-sing-tuples", builtin("s3"), 4, 5000)):
+                                  ("r-sing-tuples", builtin("s3"), 4, 1000)):
         table = enumerate_congruence(build(kind, base, n=n), budget=budget)
         assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
+
+
+def test_table_does_not_depend_on_the_listing_of_relations():
+    # the engine traces each relation once, in an order and orientation of
+    # its own: a shuffled list with every other relation turned round and
+    # one relation repeated the other way round gives the same table, node
+    # for node
+    import random
+    from unittest import mock
+
+    import invwreath.congruence as congruence_mod
+
+    for p in (build("r-m-sing-in", C2, n=3), build("omega-mi", C2, cap=3)):
+        want = _digest(enumerate_congruence(p))
+        rels = [(v, u) if k % 2 else (u, v) for k, (u, v) in enumerate(p.relations)]
+        random.Random(11).shuffle(rels)
+        u, v = rels[0]
+        listed = dataclasses.replace(p, relations=tuple(rels) + ((v, u),))
+        # the category run builds its presentation itself
+        with mock.patch.object(congruence_mod, "build", lambda kind, base, cap: listed):
+            assert _digest(enumerate_congruence(listed)) == want, p.kind
 
 
 def _class_at(table, c, word):
@@ -247,6 +273,10 @@ def test_trace_rejects_words_off_the_table():
     omega = enumerate_congruence(build("omega-mi", C2, cap=2))
     with pytest.raises(ValueError, match="not a path"):
         omega.trace(0, (rho(0),))
+    with pytest.raises(ValueError, match="no root at object 5"):
+        omega.trace(5, ())
+    with pytest.raises(ValueError, match="no root at object 1"):
+        table.trace(1, ())
 
 
 def test_category_table_traces_paths():
