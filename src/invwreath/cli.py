@@ -86,18 +86,21 @@ def _flavor(kind: str) -> str:
     return KIND_FLAVOR[kind]
 
 
+def _level(kind: str, n, cap) -> dict:
+    """The level keyword ``build`` takes for ``kind``: ``n`` for a flat
+    kind, ``cap`` for the category kind, none for a tensor kind."""
+    flavor = _flavor(kind)
+    if flavor == "tensor":
+        return {}
+    key, value = ("cap", cap) if flavor == "category" else ("n", n)
+    if value is None:
+        raise UsageError(f"kind {kind} needs --{key}")
+    return {key: value}
+
+
 def _build_from_args(args):
-    flavor = _flavor(args.kind)
-    base = _load_monoid(args.monoid)
-    if flavor in ("monoid", "semigroup"):
-        if args.n is None:
-            raise UsageError(f"kind {args.kind} needs --n")
-        return build(args.kind, base, n=args.n)
-    if flavor == "category":
-        if args.cap is None:
-            raise UsageError(f"kind {args.kind} needs --cap")
-        return build(args.kind, base, cap=args.cap)
-    return build(args.kind, base)
+    level = _level(args.kind, args.n, args.cap)
+    return build(args.kind, _load_monoid(args.monoid), **level)
 
 
 def _cmd_emit(args) -> int:
@@ -123,13 +126,12 @@ def _run_verify_cell(kind, base, n, cap, budget, default_budget):
             raise UsageError(f"kind {kind} is a tensor kind and runs no enumeration; "
                              "a node budget does not apply")
         return verify_mod.verify_tensor(base, kind=kind)
+    level = _level(kind, n, cap)
     if budget is None:
         budget = default_budget
     if flavor == "category":
-        return verify_mod.verify_category(cap if cap is not None else 3, base, budget)
-    if n is None:
-        raise UsageError(f"kind {kind} needs --n")
-    return verify_mod.verify_presentation(kind, base, n, budget)
+        return verify_mod.verify_category(level["cap"], base, budget)
+    return verify_mod.verify_presentation(kind, base, level["n"], budget)
 
 
 def _cmd_verify(args) -> int:
@@ -295,8 +297,9 @@ def _cmd_matrix(args) -> int:
     else:
         for entry in results:
             label = f"[{entry['cell']}] {entry.get('kind', '?')} {entry.get('monoid', '?')}"
-            if entry.get("n") is not None:
-                label += f" n={entry['n']}"
+            for key in ("n", "cap"):
+                if entry.get(key) is not None:
+                    label += f" {key}={entry[key]}"
             print(f"{label}: {entry['verdict']}" +
                   (f" ({entry['error']})" if "error" in entry else ""))
     return worst

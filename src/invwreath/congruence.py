@@ -45,8 +45,9 @@ For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-For category presentations the run enumerates the presentation built at
-``cap + headroom``, with a root only at each object up to the cap, and
+For category presentations the run enumerates the presentation it is
+given at headroom 0, and at a headroom ``h`` the kind's own presentation
+built at ``cap + h``, with a root only at each object up to the cap, and
 reports the hom-sets within the cap.  Soundness maps each such hom-set of
 the presented category into the target, and generation on the cap-level
 alphabet, whose paths are paths of the wider build too, makes that map
@@ -113,7 +114,9 @@ class CongruenceTable:
         ``word`` (a sequence of alphabet symbols).  Raises ``ValueError``
         when ``start_object`` has no root, or when ``word`` is not a path
         from there: a transition is missing or a symbol is outside the
-        alphabet."""
+        alphabet, and when the table is not complete."""
+        if self.status != "complete":
+            raise ValueError(f"cannot trace on a {self.status} table")
         try:
             cur = self.roots[start_object]
         except KeyError:
@@ -399,11 +402,12 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     """Enumerate the structure presented by ``p``.
 
     Monoid and semigroup flavors return a total class count; the category
-    flavor returns per-hom-set counts for objects up to the cap, from the
-    presentation built at ``cap + headroom`` (see the module docstring for
-    why headroom 0 can certify a count).  Every relation side must be a
-    well-typed path from its source, or the run raises
-    ``InternalInconsistency``.  ``budget`` bounds the nodes per source
+    flavor returns per-hom-set counts for objects up to the cap, from ``p``
+    itself at headroom 0 and above it from the kind's presentation built at
+    ``cap + headroom``, so there ``p`` must be the kind's own presentation
+    (see the module docstring for why headroom 0 can certify a count).
+    Every relation side must be a well-typed path from its source, or the
+    run raises ``InternalInconsistency``.  ``budget`` bounds the nodes per source
     object; ``None`` picks the flavor's default.  Tensor flavors have no
     completeness enumeration.
     """
@@ -416,8 +420,11 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     budget = node_budget(p.flavor, budget)
 
     if category:
-        bound = p.cap + headroom
-        run = build(p.kind, p.base, cap=bound)
+        bound, run = p.cap + headroom, p
+        if headroom:
+            if p != build(p.kind, p.base, cap=p.cap):
+                raise ValueError("only the kind's own presentation has a wider build")
+            run = build(p.kind, p.base, cap=bound)
         dr = [edge_dr(sym) for sym in run.alphabet]
         roots = p.cap + 1
         sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in run.relations]

@@ -6,7 +6,8 @@ Soundness gives a well-defined map out of the presented structure;
 generation makes it onto; equality of the finite sizes makes it a
 bijection.  The three stages are reported separately and the verdict is
 their conjunction, with budget exhaustion reported as inconclusive rather
-than failure.
+than failure.  The category kind runs the same argument hom-set by
+hom-set, so every enumerable kind goes through one pipeline.
 
 A cell first checks the closed-form target against the node budget,
 from the kind, base and level alone, so an oversized cell stops before
@@ -18,11 +19,14 @@ generator image.  Only when the table is incomplete does generation close
 the generator images under composition instead.  Either way the witness
 words are the same breadth-first words.  Generation composes plain forms
 (``wreath.compose_keys``) and validates none of its products; the
-docstring of ``check_generation`` says why that is sound.
+docstring of ``check_generation`` says why that is sound.  Last the sizes
+are compared.
 
-The category kind counts hom-set by hom-set, enumerating the presentation
-built at ``cap + headroom``, and a count equal to the target certifies the
-hom-set.  Soundness maps each counted hom-set into the target, and
+The category kind differs in three places only: its target is a count per
+hom-set; its report carries the headroom the counts were taken at; and a
+count above the target does not fail.  The enumeration at headroom 0 is of
+the built presentation itself, and at a headroom ``h`` of the one built at
+``cap + h``.  Soundness maps each counted hom-set into the target, and
 generation on the cap-level alphabet makes that map onto, so each count
 at any headroom is at least the target's.  So a run starts at headroom 0,
 where the table is smallest, and a count above the target re-enumerates
@@ -41,17 +45,7 @@ from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
 from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, Presentation, build, check_level
-from .words import (
-    Path,
-    e_,
-    eval_path,
-    eval_term,
-    hat_path,
-    leveled_word,
-    path_text,
-    term_text,
-    x_mn_decompose,
-)
+from .words import Path, eval_path, eval_term, hat_path, path_text, term_text, x_mn_decompose
 from .wreath import WreathElement
 
 __all__ = [
@@ -149,44 +143,36 @@ _TARGET_VARIANT = {
 }
 
 
-def _target_base(kind: str, base: BasePresentation) -> BasePresentation:
-    """Plain-map kinds target unlabelled partial bijections, over the
-    trivial base."""
-    return builtin("trivial") if kind in ("r-in", "r-in-popova", "r-sing-in") else base
-
-
-def _target(p: Presentation):
+def _target(kind: str, base: BasePresentation, level: int):
     """Base presentation, ``wreath`` variant and hom-sets ``(m, n)`` of the
-    structure the kind presents: every pair of levels up to the cap for
-    the category kind, the one pair ``(n, n)`` for a flat kind."""
-    if p.kind not in _TARGET_VARIANT:
-        raise ValueError(f"no enumerable target for kind {p.kind!r}")
-    objects = range(p.cap + 1) if p.flavor == "category" else (p.n,)
-    homs = [(m, n) for m in objects for n in objects]
-    return _target_base(p.kind, p.base), _TARGET_VARIANT[p.kind], homs
+    structure ``kind`` presents at ``level``: every pair of objects up to
+    the cap for the category kind, the one pair ``(n, n)`` for a flat kind.
+    Plain-map kinds target unlabelled partial bijections, over the trivial
+    base."""
+    if kind not in _TARGET_VARIANT:
+        raise ValueError(f"no enumerable target for kind {kind!r}")
+    objects = range(level + 1) if KIND_FLAVOR[kind] == "category" else (level,)
+    base = builtin("trivial") if kind in ("r-in", "r-in-popova", "r-sing-in") else base
+    return base, _TARGET_VARIANT[kind], [(m, n) for m in objects for n in objects]
+
+
+def _target_of(p: Presentation):
+    return _target(p.kind, p.base, p.n if p.cap is None else p.cap)
 
 
 def enumerate_target(p: Presentation) -> set:
     """Brute-force element set of the structure the kind presents."""
-    base, variant, homs = _target(p)
+    base, variant, homs = _target_of(p)
     monoid = base.require_evaluation()
     return {elem for m, n in homs
             for elem in wreath.enumerate_wreath(monoid, m, n, variant, cap=max(m, n))}
 
 
-def _root_sizes(p: Presentation) -> dict:
-    """Closed-form size of the target's part under each start object."""
-    base, variant, homs = _target(p)
-    monoid = base.require_evaluation()
-    sizes: dict[int, int] = {}
-    for m, n in homs:
-        sizes[m] = sizes.get(m, 0) + wreath.count_wreath(monoid, m, n, variant)
-    return sizes
-
-
 def target_size(p: Presentation) -> int:
     """Closed-form size of the same set."""
-    return sum(_root_sizes(p).values())
+    base, variant, homs = _target_of(p)
+    monoid = base.require_evaluation()
+    return sum(wreath.count_wreath(monoid, m, n, variant) for m, n in homs)
 
 
 # the need is summed exactly up to here, so a report names it
@@ -205,16 +191,14 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
     domain, and its size is summed rank by rank, stopping once the sum
     passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
     terms, not a sum of big integers."""
-    if kind not in _TARGET_VARIANT:
-        raise ValueError(f"no enumerable target for kind {kind!r}")
+    base, variant, homs = _target(kind, base, level)
     flavor = KIND_FLAVOR[kind]
     budget = node_budget(flavor, budget)
-    monoid = _target_base(kind, base).require_evaluation()
-    cods = range(level + 1) if flavor == "category" else (level,)
+    monoid = base.require_evaluation()
     limit = max(budget, _EXACT_NEED)
     need = 1 if flavor == "semigroup" else 0
     for term in chain.from_iterable(
-            wreath.rank_counts(monoid, level, n, _TARGET_VARIANT[kind]) for n in cods):
+            wreath.rank_counts(monoid, m, n, variant) for m, n in homs if m == level):
         need += term
         if need > limit:
             break
@@ -251,7 +235,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     total must match the closed form, or the run raises
     ``InternalInconsistency``.  The missing example is the smallest
     element not reached, by ``sort_key``, the earlier hom-set on a tie."""
-    tgt_base, variant, homs = _target(p)
+    tgt_base, variant, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
     mul = partial(wreath.compose_keys, adjoin_zero(tgt_monoid).table)
     gens = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
@@ -332,136 +316,83 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
 
 def verify_presentation(kind: str, base: BasePresentation, n: int,
                         budget: int | None = None) -> VerificationReport:
-    """Run soundness, generation and congruence enumeration for one flat
-    (monoid or semigroup) kind and compare sizes."""
+    """Verify one flat (monoid or semigroup) kind at level ``n``: the
+    enumerated class count must equal the target's size."""
     check_level(kind, n)
-    base.require_evaluation()
-    report = VerificationReport(kind, base.name or "custom", n)
-    if _over_budget(kind, base, n, budget, report):
-        return report
-    p = build(kind, base, n=n)
-    report.soundness = check_soundness(p)
-    if not report.soundness.ok:
-        return report
-    table = enumerate_congruence(p, budget)
-    gen = check_generation(p, table)
-    report.generation = (gen.covered, gen.target)
-    report.target_size = tgt = gen.target
-    if not gen.ok:
-        report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
-        return report
-    if table.status != "complete":
-        report.verdict = "inconclusive"
-        report.notes["enumeration"] = f"budget exhausted after {table.nodes_created} nodes"
-        return report
-    report.enumerated_size = table.size
-    if table.size < tgt:
-        raise InternalInconsistency(
-            f"enumerated {table.size} classes below the sound target {tgt}")
-    report.verdict = "pass" if table.size == tgt else "fail"
-    return report
+    return _verify_cell(kind, base, n, budget)
 
 
 def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
                     headroom: int = 0, max_headroom: int = 4,
                     seed: int = 0) -> VerificationReport:
-    """Structural checks plus typed enumeration of the category kind, one
-    hom-set count per pair of objects up to the cap.
-
-    The enumeration runs on the presentation built at ``cap + headroom``.
-    Soundness maps each counted hom-set into the target, and generation on
-    the cap-level alphabet makes that map onto, so each count at any
-    headroom is at least the target's.  So counts equal to the target are
-    a proof at any headroom, 0 included.  A count above it
-    re-enumerates from scratch one headroom wider, up to ``max_headroom``,
-    and then the cell is inconclusive; a count below it is an
-    ``InternalInconsistency``."""
-    monoid = base.require_evaluation()
+    """Verify the category kind up to object ``cap``, one hom-set count per
+    pair of objects.  The enumeration starts at ``headroom`` and widens on
+    a count above the target up to ``max_headroom`` (see the module
+    docstring).  ``seed`` is ignored."""
     if cap < 1:
         raise ValueError("object cap must be at least 1")
     if headroom < 0:
         raise ValueError(f"headroom must be at least 0, got {headroom}")
-    report = VerificationReport("omega-mi", base.name or "custom", cap)
-    if _over_budget("omega-mi", base, cap, budget, report):
+    return _verify_cell("omega-mi", base, cap, budget, headroom, max_headroom)
+
+
+def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | None,
+                 headroom: int = 0, max_headroom: int = 0) -> VerificationReport:
+    """The one pipeline: the budget check, then build, soundness,
+    enumeration, generation and the size comparison.  A flat count is one
+    number and a count above the target fails; a category count is one per
+    hom-set, and a count above the target re-enumerates one headroom wider,
+    up to ``max_headroom``, and then the cell is inconclusive.  A count
+    below the target is an ``InternalInconsistency``."""
+    base.require_evaluation()
+    category = KIND_FLAVOR[kind] == "category"
+    report = VerificationReport(kind, base.name or "custom", level)
+    if _over_budget(kind, base, level, budget, report):
         return report
-    p = build("omega-mi", base, cap=cap)
+    p = build(kind, base, **{"cap" if category else "n": level})
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
-
-    m0 = adjoin_zero(monoid)
-    # inclusion-then-projection is the identity, semantically, and the
-    # presentation carries both sandwich relations
-    rel_set = {(lhs.src, tuple(lhs.edges), tuple(rhs.edges)) for lhs, rhs in p.relations}
-    for k in range(cap):
-        composite = wreath.compose(m0, words.sym_image(words.lam(k), base),
-                                   words.sym_image(words.rho(k), base))
-        if composite != wreath.identity_element(monoid, k):
-            report.soundness = StageReport(False, f"inclusion/projection broken at {k}")
-            return report
-        if (k, (words.lam(k), words.rho(k)), ()) not in rel_set:
-            report.soundness = StageReport(False, f"missing sandwich relation at {k}")
-            return report
-        if (k + 1, (words.rho(k), words.lam(k)), (e_(k + 1, k + 1),)) not in rel_set:
-            report.soundness = StageReport(False, f"missing reverse sandwich at {k}")
-            return report
-    report.notes["sandwich_checks"] = 3 * cap
-
-    # squeezing a random endo word between top-slot omissions restricts to
-    # the level below; check the canonical witness round-trips
-    rng = random.Random(seed)
-    samples = 0
-    for level in range(1, min(cap, 2) + 1):
-        syms = list(build("r-min", base, n=level).alphabet)
-        for _ in range(10):
-            word = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
-            if not _sandwich_witness_ok(leveled_word(word, level), level - 1, base):
-                report.soundness = StageReport(False, "sandwich witness failed")
-                return report
-            samples += 1
-    report.notes["sandwich_witnesses"] = samples
-
     table = enumerate_congruence(p, budget, headroom=headroom)
     gen = check_generation(p, table)
     report.generation = (gen.covered, gen.target)
+    if category:
+        tgt_base, variant, homs = _target(kind, base, level)
+        monoid = tgt_base.require_evaluation()
+        tgt = {(m, n): wreath.count_wreath(monoid, m, n, variant) for m, n in homs}
+    else:
+        tgt = gen.target
+    report.target_size = tgt
     if not gen.ok:
+        report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
         return report
-
-    _, _, homs = _target(p)
-    expected = {(m, n): wreath.hom_count(monoid, m, n) for m, n in homs}
-    report.target_size = expected
-    h = headroom
     while True:
         if table.status != "complete":
             report.verdict = "inconclusive"
-            report.notes["enumeration"] = f"budget exhausted at headroom {h}"
+            report.notes["enumeration"] = (f"budget exhausted at headroom {headroom}"
+                                           if category else
+                                           f"budget exhausted after {table.nodes_created} nodes")
             return report
-        got = {key: table.hom_sizes.get(key, 0) for key in expected}
+        if category:
+            got = {key: table.hom_sizes.get(key, 0) for key in tgt}
+            below = any(got[key] < tgt[key] for key in tgt)
+            report.notes["headroom"] = headroom
+        else:
+            got, below = table.size, table.size < tgt
         report.enumerated_size = got
-        report.notes["headroom"] = h
-        if any(got[key] < expected[key] for key in expected):
-            raise InternalInconsistency("hom-set count below the sound target")
-        if got == expected:
+        if below:
+            raise InternalInconsistency(f"enumerated {got} classes below the sound target {tgt}")
+        if got == tgt:
             report.verdict = "pass"
             return report
-        if h >= max_headroom:
+        if not category:
+            return report           # the verdict stays "fail"
+        if headroom >= max_headroom:
             report.verdict = "inconclusive"
-            report.notes["enumeration"] = f"counts above target at maximal headroom {h}"
+            report.notes["enumeration"] = f"counts above target at maximal headroom {headroom}"
             return report
-        h += 1
-        table = enumerate_congruence(p, budget, headroom=h)
-
-
-def _sandwich_witness_ok(u, k: int, base: BasePresentation) -> bool:
-    """For an endo word ``u`` at level ``k+1``, squeeze it between
-    omissions of the top slot, factor the restriction at level ``k``
-    canonically, push the factorization one level up, and compare."""
-    e_top = (e_(k + 1, k + 1),)
-    squeezed = eval_path(Path(k + 1, e_top + u + e_top), base)
-    inner = wreath.from_key((squeezed.pmap.images[:k], squeezed.tup.entries[:k], k))
-    v = words.canonical_word(inner, "r-min", base)
-    back = eval_path(Path(k + 1, e_top + leveled_word(v, k + 1) + e_top), base)
-    return back == squeezed
+        headroom += 1
+        table = enumerate_congruence(p, budget, headroom=headroom)
 
 
 def verify_tensor(base: BasePresentation, levels: int = 3, samples: int = 200,

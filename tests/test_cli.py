@@ -246,6 +246,27 @@ def test_matrix_cell_errors_do_not_kill_siblings(tmp_path, capsys):
     assert obj["cells"][1]["verdict"] == "pass"
 
 
+def test_a_level_is_required_by_every_subcommand(tmp_path, capsys):
+    # a missing level is a usage error, never a default level
+    for command in ("emit", "verify"):
+        code, _, err = run(capsys, command, "--kind", "omega-mi", "--monoid", "c2")
+        assert (code, err.strip()) == (1, "error: kind omega-mi needs --cap"), command
+        code, _, err = run(capsys, command, "--kind", "r-min", "--monoid", "c2")
+        assert (code, err.strip()) == (1, "error: kind r-min needs --n"), command
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps({"cells": [
+        {"kind": "omega-mi", "monoid": "c2"}, {"kind": "omega-mi", "monoid": "c2", "cap": 2},
+    ]}))
+    code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    assert [c["verdict"] for c in obj["cells"]] == ["error", "pass"]
+    assert obj["cells"][0]["error"] == "kind omega-mi needs --cap"
+    code, out, _ = run(capsys, "matrix", str(path))
+    assert out.splitlines() == ["[0] omega-mi c2: error (kind omega-mi needs --cap)",
+                                "[1] omega-mi c2 cap=2: pass"]
+
+
 def test_matrix_malformed_configs(tmp_path, capsys):
     path = tmp_path / "cells.json"
     # a missing key or a cell that is no object is recorded; the others run

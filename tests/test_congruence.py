@@ -121,9 +121,6 @@ def test_table_does_not_depend_on_the_listing_of_relations():
     # one relation repeated the other way round gives the same table, node
     # for node
     import random
-    from unittest import mock
-
-    import invwreath.congruence as congruence_mod
 
     for p in (build("r-m-sing-in", C2, n=3), build("omega-mi", C2, cap=3)):
         want = _digest(enumerate_congruence(p))
@@ -131,9 +128,7 @@ def test_table_does_not_depend_on_the_listing_of_relations():
         random.Random(11).shuffle(rels)
         u, v = rels[0]
         listed = dataclasses.replace(p, relations=tuple(rels) + ((v, u),))
-        # the category run builds its presentation itself
-        with mock.patch.object(congruence_mod, "build", lambda kind, base, cap: listed):
-            assert _digest(enumerate_congruence(listed)) == want, p.kind
+        assert _digest(enumerate_congruence(listed)) == want, p.kind
 
 
 def _class_at(table, c, word):
@@ -152,19 +147,13 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
     # reachable from a root, an entry is defined exactly where its
     # generator leaves the class's target object, and dropping relations
     # never gives fewer classes than the structure presented by all of them
-    from unittest import mock
-
-    import invwreath.congruence as congruence_mod
-
     kind, base, n = data.draw(st.sampled_from((
         ("r-in", TRIV, 3), ("r-sing-tuples", C2, 3), ("r-m-sing-in", C2, 3), ("omega-mi", C2, 2))))
     p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
     drop = set(data.draw(st.lists(st.integers(0, len(p.relations) - 1), max_size=4)))
     weak = dataclasses.replace(
         p, relations=tuple(r for k, r in enumerate(p.relations) if k not in drop))
-    # the category run builds its presentation itself
-    with mock.patch.object(congruence_mod, "build", lambda kind, base, cap: weak):
-        table = enumerate_congruence(weak, budget=2000)
+    table = enumerate_congruence(weak, budget=2000)
     if table.status != "complete":
         assert table.status == "budget-exceeded"
         return
@@ -194,31 +183,39 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
     assert size >= target_size(p)
 
 
-def test_ill_typed_relation_side_is_an_inconsistency(monkeypatch):
+def test_ill_typed_relation_side_is_an_inconsistency():
     # a category relation side whose edges do not compose would let the
     # engine define transitions between the wrong objects
     import types
 
-    import invwreath.congruence as congruence_mod
-
     p = build("omega-mi", C2, cap=1)
-    real_build = congruence_mod.build
-
-    def tampered(kind, base, cap):
-        run = real_build(kind, base, cap=cap)
-        lhs, rhs = run.relations[0]
-        bad = types.SimpleNamespace(src=lhs.src + 1, edges=lhs.edges)
-        return dataclasses.replace(run, relations=run.relations + ((bad, rhs),))
-
-    monkeypatch.setattr(congruence_mod, "build", tampered)
+    lhs, rhs = p.relations[0]
+    bad = types.SimpleNamespace(src=lhs.src + 1, edges=lhs.edges)
     with pytest.raises(InternalInconsistency):
-        enumerate_congruence(p)
+        enumerate_congruence(dataclasses.replace(p, relations=p.relations + ((bad, rhs),)))
+
+
+def test_category_run_enumerates_the_presentation_it_is_given():
+    # half the relations of omega-mi/c2 at cap 2 no longer present the 35
+    # labelled partial bijections between objects up to 2: the run outgrows
+    # the budget that the full presentation completes in with 72 nodes
+    p = build("omega-mi", C2, cap=2)
+    assert enumerate_congruence(p, budget=5000).nodes_created == 72
+    half = dataclasses.replace(p, relations=p.relations[::2])
+    assert enumerate_congruence(half, budget=5000).status == "budget-exceeded"
+    # only the kind's own presentation has a wider build
+    assert enumerate_congruence(p, headroom=1).status == "complete"
+    with pytest.raises(ValueError, match="wider build"):
+        enumerate_congruence(half, headroom=1)
 
 
 def test_budget_exhaustion_is_inconclusive_not_wrong():
     table = enumerate_congruence(build("r-in", TRIV, n=3), budget=10)
     assert table.status == "budget-exceeded"
     assert table.size is None
+    # an incomplete table has no classes to trace to
+    with pytest.raises(ValueError, match="budget-exceeded"):
+        table.trace(0, ())
 
 
 def test_unsound_extra_relation_collapses():

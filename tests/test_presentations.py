@@ -16,8 +16,11 @@ from invwreath.pperm import omit, swap_adjacent
 from invwreath.words import (
     TUBAR,
     Path,
+    e_,
+    lam,
     leveled_word,
     parse_monoid_word as w,
+    rho,
     s_,
     sym_image,
     term_d,
@@ -161,6 +164,17 @@ def test_category_kind_is_leveled_r_min():
                  and all(s.kind not in ("lam", "rho") for s in lhs.edges + rhs.edges)]
         assert loops == [(Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k)))
                          for u, v in q.relations]
+
+
+def test_category_kind_carries_both_sandwich_relations():
+    # lam_k rho_k = 1 at object k, and rho_k lam_k = e_{k+1} at object k+1
+    for name in ("trivial", "c2", "s3"):
+        for cap in range(1, 5):
+            relations = set(build("omega-mi", builtin(name), cap=cap).relations)
+            for k in range(cap):
+                assert (Path(k, (lam(k), rho(k))), Path(k, ())) in relations, (name, cap, k)
+                assert (Path(k + 1, (rho(k), lam(k))), Path(k + 1, (e_(k + 1, k + 1),))) \
+                    in relations, (name, cap, k)
 
 
 def test_tensor_relations_typed():

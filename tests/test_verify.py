@@ -77,7 +77,7 @@ def test_generation_witnesses():
         assert _same_generation(check_generation(omega, table), check_generation(omega))
 
 
-def test_generation_failure_reported():
+def test_generation_failure_reported(monkeypatch):
     p = build("r-min", C2, n=2)
     # drop the slot letters: the labelled elements become unreachable
     letters = tuple(s for s in p.alphabet if s.kind != "x")
@@ -100,6 +100,23 @@ def test_generation_failure_reported():
     walked, closed = check_generation(crippled, table), check_generation(crippled)
     assert not walked.ok
     assert walked.covered == closed.covered and walked.missing_example == closed.missing_example
+    # a cell reports its target and the first missing element, the
+    # category kind hom-set by hom-set
+    def without_slot_letters(kind, base, **level):
+        p = build(kind, base, **level)
+        return dataclasses.replace(
+            p, alphabet=tuple(s for s in p.alphabet if s.kind != "x"),
+            relations=tuple((lhs, rhs) for lhs, rhs in p.relations
+                            if all(s.kind != "x" for s in lhs.edges + rhs.edges)))
+
+    monkeypatch.setattr("invwreath.verify.build", without_slot_letters)
+    report = verify_category(2, C2)
+    assert report.verdict == "fail" and report.generation[1] == 35 > report.generation[0]
+    assert report.target_size == {(m, n): hom_count(C2.monoid, m, n)
+                                  for m in range(3) for n in range(3)}
+    assert report.notes["generation"].startswith("missing ")
+    assert report.enumerated_size is None
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
 def test_repeated_target_element_is_an_inconsistency(monkeypatch):

@@ -462,6 +462,33 @@ def test_canonical_paths_and_terms():
                 assert eval_term(term, C2) == elem
 
 
+def test_squeezed_words_round_trip_one_level_down():
+    # squeezing an endo word at level k+1 between omissions of the top slot
+    # restricts it to level k; the restriction's canonical word, pushed one
+    # level up and squeezed the same way, gives the squeezed element back.
+    # Every word of length at most 3 at levels 1 and 2
+    import itertools
+
+    from invwreath.presentations import build
+
+    checked = 0
+    for name in ("trivial", "c2", "c3", "sl2", "s3"):
+        base = builtin(name)
+        for level in (1, 2):
+            top = (e_(level, level),)
+            syms = build("r-min", base, n=level).alphabet
+            for length in range(4):
+                for word in itertools.product(syms, repeat=length):
+                    squeezed = eval_path(Path(level, top + leveled_word(word, level) + top), base)
+                    inner = wreath.from_key((squeezed.pmap.images[:level - 1],
+                                             squeezed.tup.entries[:level - 1], level - 1))
+                    v = canonical_word(inner, "r-min", base)
+                    assert eval_path(Path(level, top + leveled_word(v, level) + top),
+                                     base) == squeezed, (name, word)
+                    checked += 1
+    assert checked == 997
+
+
 def test_witness_words_are_shortest_first():
     words = word_for_pperm(2)
     assert words[identity(2)] == ()
