@@ -144,20 +144,23 @@ _TARGET_VARIANT = {
 
 
 def _target(kind: str, base: BasePresentation, level: int):
-    """Base presentation, ``wreath`` variant and hom-sets ``(m, n)`` of the
-    structure ``kind`` presents at ``level``: every pair of objects up to
-    the cap for the category kind, the one pair ``(n, n)`` for a flat kind.
-    Plain-map kinds target unlabelled partial bijections, over the trivial
-    base."""
+    """Base presentation, ``wreath`` variant and objects of the structure
+    ``kind`` presents at ``level``: every object up to the cap for the
+    category kind, the one object ``n`` for a flat kind.  Its hom-sets are
+    the pairs of these objects.  Plain-map kinds target unlabelled partial
+    bijections, over the trivial base."""
     if kind not in _TARGET_VARIANT:
         raise ValueError(f"no enumerable target for kind {kind!r}")
     objects = range(level + 1) if KIND_FLAVOR[kind] == "category" else (level,)
     base = builtin("trivial") if kind in ("r-in", "r-in-popova", "r-sing-in") else base
-    return base, _TARGET_VARIANT[kind], [(m, n) for m in objects for n in objects]
+    return base, _TARGET_VARIANT[kind], objects
 
 
 def _target_of(p: Presentation):
-    return _target(p.kind, p.base, p.n if p.cap is None else p.cap)
+    """``_target`` of a built presentation, with its hom-sets ``(m, n)``
+    listed in place of its objects."""
+    base, variant, objects = _target(p.kind, p.base, p.n if p.cap is None else p.cap)
+    return base, variant, [(m, n) for m in objects for n in objects]
 
 
 def enumerate_target(p: Presentation) -> set:
@@ -168,11 +171,16 @@ def enumerate_target(p: Presentation) -> set:
             for elem in wreath.enumerate_wreath(monoid, m, n, variant, cap=max(m, n))}
 
 
-def target_size(p: Presentation) -> int:
-    """Closed-form size of the same set."""
+def _hom_targets(p: Presentation) -> dict:
+    """Closed-form size of the target's part in each hom-set."""
     base, variant, homs = _target_of(p)
     monoid = base.require_evaluation()
-    return sum(wreath.count_wreath(monoid, m, n, variant) for m, n in homs)
+    return {(m, n): wreath.count_wreath(monoid, m, n, variant) for m, n in homs}
+
+
+def target_size(p: Presentation) -> int:
+    """Closed-form size of the same set."""
+    return sum(_hom_targets(p).values())
 
 
 # the need is summed exactly up to here, so a report names it
@@ -191,14 +199,14 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
     domain, and its size is summed rank by rank, stopping once the sum
     passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
     terms, not a sum of big integers."""
-    base, variant, homs = _target(kind, base, level)
+    base, variant, objects = _target(kind, base, level)
     flavor = KIND_FLAVOR[kind]
     budget = node_budget(flavor, budget)
     monoid = base.require_evaluation()
     limit = max(budget, _EXACT_NEED)
     need = 1 if flavor == "semigroup" else 0
     for term in chain.from_iterable(
-            wreath.rank_counts(monoid, m, n, variant) for m, n in homs if m == level):
+            wreath.rank_counts(monoid, level, n, variant) for n in objects):
         need += term
         if need > limit:
             break
@@ -356,13 +364,7 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     table = enumerate_congruence(p, budget, headroom=headroom)
     gen = check_generation(p, table)
     report.generation = (gen.covered, gen.target)
-    if category:
-        tgt_base, variant, homs = _target(kind, base, level)
-        monoid = tgt_base.require_evaluation()
-        tgt = {(m, n): wreath.count_wreath(monoid, m, n, variant) for m, n in homs}
-    else:
-        tgt = gen.target
-    report.target_size = tgt
+    report.target_size = tgt = _hom_targets(p) if category else gen.target
     if not gen.ok:
         report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
         return report

@@ -192,7 +192,8 @@ def test_huge_levels_stop_at_the_budget_check():
     start = time.perf_counter()
     reports = [verify_presentation("r-in", TRIV, 5000),
                verify_presentation("r-sing-tuples", builtin("s3"), 100000),
-               verify_category(3000, C2)]
+               verify_category(3000, C2),
+               verify_category(10 ** 6, C2)]
     assert time.perf_counter() - start < 5
     for report in reports:
         assert report.verdict == "inconclusive" and report.soundness is None
