@@ -15,11 +15,9 @@ import sys
 from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
-from .congruence import UnsupportedFlavorError
 from .pperm import enumerate_partial_bijections
-from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, build, emit_json, emit_text
+from .presentations import FLAVOR_SYNTAX, KIND, build, emit_json, emit_text
 from .words import (
-    ParseError,
     hat_path,
     normal_form_singular_tuple,
     normal_form_wreath_word,
@@ -80,19 +78,20 @@ def _budget(budget=None) -> int | None:
     return _positive_budget(budget)
 
 
-def _flavor(kind: str) -> str:
-    if kind not in KIND_FLAVOR:
+def _kind(kind: str):
+    """The kind table's row for ``kind``."""
+    if kind not in KIND:
         raise UsageError(f"unknown kind {kind!r}")
-    return KIND_FLAVOR[kind]
+    return KIND[kind]
 
 
 def _level(kind: str, n, cap) -> dict:
-    """The level keyword ``build`` takes for ``kind``: ``n`` for a flat
-    kind, ``cap`` for the category kind, none for a tensor kind."""
-    flavor = _flavor(kind)
-    if flavor == "tensor":
+    """The level ``build`` takes for ``kind``, by its keyword: ``n``,
+    ``cap`` or, for a tensor kind, none."""
+    key = _kind(kind).level
+    if key is None:
         return {}
-    key, value = ("cap", cap) if flavor == "category" else ("n", n)
+    value = n if key == "n" else cap
     if value is None:
         raise UsageError(f"kind {kind} needs --{key}")
     return {key: value}
@@ -120,16 +119,15 @@ def _report_exit(report) -> int:
 def _run_verify_cell(kind, base, n, cap, budget, default_budget):
     """``budget`` is the cell's own node budget, ``default_budget`` the
     run-wide one.  Tensor kinds enumerate nothing, so they take neither."""
-    flavor = _flavor(kind)
-    if flavor == "tensor":
+    level = _level(kind, n, cap)
+    if not level:
         if budget is not None:
             raise UsageError(f"kind {kind} is a tensor kind and runs no enumeration; "
                              "a node budget does not apply")
         return verify_mod.verify_tensor(base, kind=kind)
-    level = _level(kind, n, cap)
     if budget is None:
         budget = default_budget
-    if flavor == "category":
+    if "cap" in level:
         return verify_mod.verify_category(level["cap"], base, budget)
     return verify_mod.verify_presentation(kind, base, level["n"], budget)
 
@@ -149,7 +147,8 @@ def _cmd_verify(args) -> int:
 def _print_report(report):
     head = f"{report.kind} monoid={report.monoid}"
     if report.n is not None:
-        head += f" n={report.n}"
+        # the report's ``n`` is the level, by the kind's own keyword
+        head += f" {KIND[report.kind].level}={report.n}"
     print(f"{head}: {report.verdict}")
     if report.soundness is not None:
         print(f"  soundness: {'pass' if report.soundness.ok else report.soundness.detail}")
@@ -163,13 +162,13 @@ def _print_report(report):
 
 def _evaluator(args):
     """Parse-then-evaluate for the flavor of ``args.kind``."""
-    flavor = _flavor(args.kind)
+    row = _kind(args.kind)
     base = _load_monoid(args.monoid)
-    syntax = FLAVOR_SYNTAX[flavor]
+    syntax = FLAVOR_SYNTAX[row.flavor]
 
     def evaluate(text):
         obj = syntax.parse(text)
-        if flavor in ("monoid", "semigroup") and args.n is None:
+        if row.level == "n" and args.n is None:
             raise UsageError("evaluation of a flat word needs --n")
         return syntax.eval(obj, base, args.n)
     return evaluate
@@ -286,8 +285,7 @@ def _cmd_matrix(args) -> int:
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
             worst = max(worst, _report_exit(report))
-        except (UsageError, ValueError, KeyError, UnsupportedFlavorError,
-                InternalInconsistency) as exc:
+        except (ValueError, KeyError, InternalInconsistency) as exc:
             entry["verdict"] = "error"
             entry["error"] = str(exc)
             worst = max(worst, EXIT_FAIL)
@@ -385,9 +383,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

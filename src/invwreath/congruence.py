@@ -45,15 +45,10 @@ For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-For category presentations the run enumerates the presentation it is
-given at headroom 0, and at a headroom ``h`` the kind's own presentation
-built at ``cap + h``, with a root only at each object up to the cap, and
-reports the hom-sets within the cap.  Soundness maps each such hom-set of
-the presented category into the target, and generation on the cap-level
-alphabet, whose paths are paths of the wider build too, makes that map
-onto.  So each count is at least the target's, never below it, and a
-count equal to the brute-force target, even at headroom 0, is a proof;
-callers widen the headroom only where a count is above the target.
+A category run has a root at each object up to a cap, by default the
+presentation's own, and reports the hom-sets within it.  Paths through
+wider objects still identify paths within the cap; ``verify`` says why a
+count taken from a wider build certifies the narrower one.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .base import InternalInconsistency
-from .presentations import Presentation, build
+from .presentations import Presentation
 from .words import edge_dr
 
 __all__ = [
@@ -98,13 +93,10 @@ class CongruenceTable:
     use the single key 0).  ``gen_index`` maps alphabet symbols to ``g``.
     """
 
-    flavor: str
     status: str                       # "complete" | "budget-exceeded"
     size: int | None = None           # monoid/semigroup class count
     hom_sizes: dict | None = None     # category: (src, tgt) -> class count
     nodes_created: int = 0
-    empty_class_untouched: bool | None = None
-    bound: int | None = None
     transitions: list | None = None
     roots: dict | None = None
     gen_index: dict | None = None
@@ -398,42 +390,40 @@ def node_budget(flavor: str, budget: int | None) -> int:
 
 
 def enumerate_congruence(p: Presentation, budget: int | None = None,
-                         headroom: int = 0) -> CongruenceTable:
+                         cap: int | None = None) -> CongruenceTable:
     """Enumerate the structure presented by ``p``.
 
-    Monoid and semigroup flavors return a total class count; the category
-    flavor returns per-hom-set counts for objects up to the cap, from ``p``
-    itself at headroom 0 and above it from the kind's presentation built at
-    ``cap + headroom``, so there ``p`` must be the kind's own presentation
-    (see the module docstring for why headroom 0 can certify a count).
-    Every relation side must be a well-typed path from its source, or the
-    run raises ``InternalInconsistency``.  ``budget`` bounds the nodes per source
+    Monoid and semigroup flavors return a total class count and take no
+    ``cap``.  The category flavor returns per-hom-set counts for the
+    objects up to ``cap``, which defaults to ``p.cap`` and must lie in
+    ``0..p.cap``; roots stand only at those objects.  Every relation side
+    must be a well-typed path from its source, or the run raises
+    ``InternalInconsistency``.  ``budget`` bounds the nodes per source
     object; ``None`` picks the flavor's default.  Tensor flavors have no
     completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
-    if headroom < 0:
-        raise ValueError(f"headroom must be at least 0, got {headroom}")
     category = p.flavor == "category"
+    if cap is None:
+        cap = p.cap
+    elif not category:
+        raise ValueError(f"a {p.flavor} presentation takes no cap")
+    elif not 0 <= cap <= p.cap:
+        raise ValueError(f"cap must lie in 0..{p.cap}, got {cap}")
     budget = node_budget(p.flavor, budget)
 
     if category:
-        bound, run = p.cap + headroom, p
-        if headroom:
-            if p != build(p.kind, p.base, cap=p.cap):
-                raise ValueError("only the kind's own presentation has a wider build")
-            run = build(p.kind, p.base, cap=bound)
-        dr = [edge_dr(sym) for sym in run.alphabet]
-        roots = p.cap + 1
-        sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in run.relations]
+        dr = [edge_dr(sym) for sym in p.alphabet]
+        roots = cap + 1
+        sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in p.relations]
     else:
         # one object: every generator is an endomorphism of 0
-        run, bound, roots = p, None, 1
         dr = [(0, 0)] * len(p.alphabet)
+        roots = 1
         sides = [(0, lhs, rhs) for lhs, rhs in p.relations]
-    gen_index = {sym: k for k, sym in enumerate(run.alphabet)}
+    gen_index = {sym: k for k, sym in enumerate(p.alphabet)}
     rels_by_src: dict[int, list] = {}
     for src, lhs, rhs in sides:
         pair = tuple(tuple(gen_index[s] for s in side) for side in (lhs, rhs))
@@ -453,20 +443,19 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     try:
         eng.run(rels_by_src)
     except _BudgetExceeded:
-        return CongruenceTable(p.flavor, "budget-exceeded",
-                               nodes_created=len(eng.rows) - 1, bound=bound)
+        return CongruenceTable("budget-exceeded", nodes_created=len(eng.rows) - 1)
 
     alive, canon, table = eng.compressed()
     # root m is node m + 1, after the sink
-    done = CongruenceTable(p.flavor, "complete", nodes_created=len(eng.rows) - 1,
-                           bound=bound, transitions=table, gen_index=gen_index,
+    done = CongruenceTable("complete", nodes_created=len(eng.rows) - 1,
+                           transitions=table, gen_index=gen_index,
                            roots={m: canon[m + 1] for m in range(roots)})
     if category:
         # nodes above the cap belong to paths through wider objects; only
         # hom-sets within the cap are reported
         done.hom_sizes = {}
         for i in alive:
-            if eng.robj[i] <= p.cap:
+            if eng.robj[i] <= cap:
                 key = (eng.dobj[i], eng.robj[i])
                 done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
     elif p.flavor == "semigroup":
@@ -475,7 +464,6 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         if eng.find(1) != 1 or any(0 in row for row in table):
             raise InternalInconsistency("empty-word class was touched in a semigroup run")
         done.size = len(table) - 1
-        done.empty_class_untouched = True
     else:
         done.size = len(table)
     return done

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .base import BasePresentation
 from .words import (
@@ -67,6 +67,7 @@ from .words import (
 )
 
 __all__ = [
+    "KIND",
     "KINDS",
     "KIND_FLAVOR",
     "FlavorSyntax",
@@ -77,22 +78,6 @@ __all__ = [
     "emit_text",
     "emit_json",
 ]
-
-KIND_FLAVOR = {
-    "r-in": "monoid",
-    "r-in-popova": "monoid",
-    "r-min": "monoid",
-    "r-min-small": "monoid",
-    "omega-mi": "category",
-    "xi-i": "tensor",
-    "xi-mi": "tensor",
-    "r-sing-in": "semigroup",
-    "r-sing-tuples": "semigroup",
-    "r-m-sing-in": "semigroup",
-}
-
-KINDS = tuple(KIND_FLAVOR)
-
 
 @dataclass(frozen=True)
 class FlavorSyntax:
@@ -148,27 +133,25 @@ def build(kind: str, base: BasePresentation, n: int | None = None,
     """Instantiate a presentation kind at level ``n`` (monoid/semigroup
     kinds) or up to object ``cap`` (the category kind)."""
     check_level(kind, n, cap)
-    flavor = KIND_FLAVOR[kind]
-    alphabet, relations = _BUILDERS[kind](base, n, cap)
-    return Presentation(kind, flavor, base, n if flavor in ("monoid", "semigroup") else None,
-                        cap if kind == "omega-mi" else None,
+    row = KIND[kind]
+    alphabet, relations = row.builder(base, n, cap)
+    return Presentation(kind, row.flavor, base, n if row.level == "n" else None,
+                        cap if row.level == "cap" else None,
                         tuple(alphabet), tuple(relations))
 
 
 def check_level(kind: str, n: int | None = None, cap: int | None = None):
     """Raise ``ValueError`` unless ``build`` takes this kind and level."""
-    if kind not in KIND_FLAVOR:
+    if kind not in KIND:
         raise ValueError(f"unknown presentation kind {kind!r}")
-    flavor = KIND_FLAVOR[kind]
-    if flavor in ("monoid", "semigroup"):
+    row = KIND[kind]
+    if row.level == "n":
         if n is None:
             raise ValueError(f"kind {kind} needs a level n")
-        floor = {"r-in": 0, "r-in-popova": 1, "r-min": 0, "r-min-small": 1}.get(kind, 2)
-        if n < floor:
-            raise ValueError(f"kind {kind} needs n >= {floor}")
-    elif kind == "omega-mi":
-        if cap is None or cap < 0:
-            raise ValueError("the category kind needs an object cap >= 0")
+        if n < row.least:
+            raise ValueError(f"kind {kind} needs n >= {row.least}")
+    elif row.level == "cap" and (cap is None or cap < row.least):
+        raise ValueError(f"the category kind needs an object cap >= {row.least}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +478,40 @@ def _r_m_sing_in(base, n, cap):
     return alphabet, rels
 
 
-_BUILDERS = {
-    "r-in": _r_in,
-    "r-in-popova": _r_in_popova,
-    "r-min": _r_min,
-    "r-min-small": _r_min_small,
-    "omega-mi": _omega_mi,
-    "xi-i": _xi_i,
-    "xi-mi": _xi_mi,
-    "r-sing-in": _r_sing_in,
-    "r-sing-tuples": _r_sing_tuples,
-    "r-m-sing-in": _r_m_sing_in,
+class Kind(NamedTuple):
+    """What the program knows of one presentation kind: its flavor, its
+    builder ``(base, n, cap) -> (alphabet, relations)``, its least level,
+    the ``wreath`` variant of the structure it presents (``None`` for a
+    tensor kind, which has no enumerable target) and whether that target
+    is over the trivial base, because the kind presents plain maps."""
+
+    flavor: str
+    builder: Callable
+    least: int | None
+    variant: str | None
+    plain: bool = False
+
+    @property
+    def level(self) -> str | None:
+        """The keyword ``build`` takes the level by: ``n``, ``cap`` or none."""
+        return {"monoid": "n", "semigroup": "n", "category": "cap"}.get(self.flavor)
+
+
+KIND = {
+    "r-in": Kind("monoid", _r_in, 0, "full", plain=True),
+    "r-in-popova": Kind("monoid", _r_in_popova, 1, "full", plain=True),
+    "r-min": Kind("monoid", _r_min, 0, "full"),
+    "r-min-small": Kind("monoid", _r_min_small, 1, "full"),
+    "omega-mi": Kind("category", _omega_mi, 0, "full"),
+    "xi-i": Kind("tensor", _xi_i, None, None, plain=True),
+    "xi-mi": Kind("tensor", _xi_mi, None, None),
+    "r-sing-in": Kind("semigroup", _r_sing_in, 2, "singular-monoid", plain=True),
+    "r-sing-tuples": Kind("semigroup", _r_sing_tuples, 2, "singular-tuples"),
+    "r-m-sing-in": Kind("semigroup", _r_m_sing_in, 2, "singular-monoid"),
 }
+
+KIND_FLAVOR = {name: row.flavor for name, row in KIND.items()}
+KINDS = tuple(KIND)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,15 @@ are compared.
 
 The category kind differs in three places only: its target is a count per
 hom-set; its report carries the headroom the counts were taken at; and a
-count above the target does not fail.  The enumeration at headroom 0 is of
-the built presentation itself, and at a headroom ``h`` of the one built at
-``cap + h``.  Soundness maps each counted hom-set into the target, and
-generation on the cap-level alphabet makes that map onto, so each count
-at any headroom is at least the target's.  So a run starts at headroom 0,
-where the table is smallest, and a count above the target re-enumerates
-one step wider, up to a maximal headroom.
+count above the target does not fail.  At a headroom ``h`` the cell builds
+the presentation at ``cap + h`` and enumerates it with roots only up to the
+cap, counting the hom-sets within the cap.  Soundness maps each counted
+hom-set of the wider presented category into the target, and generation
+on the cap-level alphabet, whose paths are paths of the wider build too,
+makes that map onto.  So each count at any headroom is at least the
+target's, and one equal to it, even at headroom 0, is a proof.  A run
+starts at headroom 0, where the table is smallest, and a count above the
+target re-enumerates one step wider, up to a maximal headroom.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from operator import truth
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
-from .presentations import FLAVOR_SYNTAX, KIND_FLAVOR, Presentation, build, check_level
+from .presentations import FLAVOR_SYNTAX, KIND, Presentation, build, check_level
 from .words import Path, eval_path, eval_term, hat_path, path_text, term_text, x_mn_decompose
 from .wreath import WreathElement
 
@@ -134,26 +136,17 @@ def check_soundness(p: Presentation) -> StageReport:
     return StageReport(True, f"{len(p.relations)} relations sound")
 
 
-_TARGET_VARIANT = {
-    "r-in": "full", "r-in-popova": "full", "r-min": "full", "r-min-small": "full",
-    "omega-mi": "full",
-    "r-sing-in": "singular-monoid",
-    "r-sing-tuples": "singular-tuples",
-    "r-m-sing-in": "singular-monoid",
-}
-
-
 def _target(kind: str, base: BasePresentation, level: int):
     """Base presentation, ``wreath`` variant and objects of the structure
     ``kind`` presents at ``level``: every object up to the cap for the
     category kind, the one object ``n`` for a flat kind.  Its hom-sets are
     the pairs of these objects.  Plain-map kinds target unlabelled partial
     bijections, over the trivial base."""
-    if kind not in _TARGET_VARIANT:
+    row = KIND.get(kind)
+    if row is None or row.variant is None:
         raise ValueError(f"no enumerable target for kind {kind!r}")
-    objects = range(level + 1) if KIND_FLAVOR[kind] == "category" else (level,)
-    base = builtin("trivial") if kind in ("r-in", "r-in-popova", "r-sing-in") else base
-    return base, _TARGET_VARIANT[kind], objects
+    objects = range(level + 1) if row.level == "cap" else (level,)
+    return builtin("trivial") if row.plain else base, row.variant, objects
 
 
 def _target_of(p: Presentation):
@@ -200,7 +193,7 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
     passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
     terms, not a sum of big integers."""
     base, variant, objects = _target(kind, base, level)
-    flavor = KIND_FLAVOR[kind]
+    flavor = KIND[kind].flavor
     budget = node_budget(flavor, budget)
     monoid = base.require_evaluation()
     limit = max(budget, _EXACT_NEED)
@@ -353,15 +346,17 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     up to ``max_headroom``, and then the cell is inconclusive.  A count
     below the target is an ``InternalInconsistency``."""
     base.require_evaluation()
-    category = KIND_FLAVOR[kind] == "category"
+    row = KIND[kind]
+    category = row.flavor == "category"
     report = VerificationReport(kind, base.name or "custom", level)
     if _over_budget(kind, base, level, budget, report):
         return report
-    p = build(kind, base, **{"cap" if category else "n": level})
+    p = build(kind, base, **{row.level: level})
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
-    table = enumerate_congruence(p, budget, headroom=headroom)
+    wide = build(kind, base, cap=level + headroom) if headroom else p
+    table = enumerate_congruence(wide, budget, cap=level if category else None)
     gen = check_generation(p, table)
     report.generation = (gen.covered, gen.target)
     report.target_size = tgt = _hom_targets(p) if category else gen.target
@@ -394,7 +389,7 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
             report.notes["enumeration"] = f"counts above target at maximal headroom {headroom}"
             return report
         headroom += 1
-        table = enumerate_congruence(p, budget, headroom=headroom)
+        table = enumerate_congruence(build(kind, base, cap=level + headroom), budget, cap=level)
 
 
 def verify_tensor(base: BasePresentation, levels: int = 3, samples: int = 200,
@@ -412,7 +407,7 @@ def verify_tensor(base: BasePresentation, levels: int = 3, samples: int = 200,
     if not report.soundness.ok:
         return report
 
-    if kind == "xi-i":
+    if KIND[kind].plain:
         base = builtin("trivial")
     omega = build("omega-mi", base, cap=levels)
     rng = random.Random(seed)

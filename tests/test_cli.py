@@ -47,6 +47,19 @@ def test_verify_pass_exit_zero(capsys):
     assert "pass" in out and "34" in out
 
 
+def test_verify_text_names_the_level_by_its_keyword(capsys):
+    # the category kind's level is its cap; the JSON report keeps "n"
+    code, out, _ = run(capsys, "verify", "--kind", "omega-mi", "--monoid", "c2", "--cap", "3")
+    assert code == 0 and out.splitlines()[0] == "omega-mi monoid=c2 cap=3: pass"
+    code, out, _ = run(capsys, "verify", "--kind", "omega-mi", "--monoid", "c2", "--cap", "3",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["n"] == 3
+    code, out, _ = run(capsys, "verify", "--kind", "r-in", "--monoid", "trivial", "--n", "3")
+    assert out.splitlines()[0] == "r-in monoid=trivial n=3: pass"
+    code, out, _ = run(capsys, "verify", "--kind", "xi-i", "--monoid", "c2")
+    assert out.splitlines()[0] == "xi-i monoid=c2: pass"
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--format", "json")

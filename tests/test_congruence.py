@@ -45,7 +45,6 @@ def test_singular_counts():
     for n in (2, 3, 4):
         got = enumerate_congruence(build("r-sing-in", TRIV, n=n))
         assert got.size == count_partial_bijections(n, n) - math.factorial(n)
-        assert got.empty_class_untouched
     assert enumerate_congruence(build("r-sing-tuples", C2, n=2)).size == 5
     assert enumerate_congruence(build("r-sing-tuples", C2, n=3)).size == 19
     assert enumerate_congruence(build("r-m-sing-in", C2, n=2)).size == 9
@@ -53,9 +52,18 @@ def test_singular_counts():
         wreath.count_wreath(C2.monoid, 3, 3, "singular-monoid")
 
 
+def test_semigroup_run_keeps_the_empty_word_apart():
+    # a relation that equates a letter with the empty word reaches into the
+    # empty word's class, which a semigroup run must never do
+    p = build("r-sing-in", TRIV, n=2)
+    bad = dataclasses.replace(p, relations=p.relations + ((w("f1,2"), w("1")),))
+    with pytest.raises(InternalInconsistency, match="empty-word class was touched"):
+        enumerate_congruence(bad)
+
+
 def test_category_counts():
-    p = build("omega-mi", C2, cap=2)
-    table = enumerate_congruence(p, headroom=2)
+    # the build two objects wider, rooted at cap 2
+    table = enumerate_congruence(build("omega-mi", C2, cap=4), cap=2)
     assert table.status == "complete"
     for m in range(3):
         for n in range(3):
@@ -113,6 +121,18 @@ def test_engine_counts_are_pinned():
                                   ("r-sing-tuples", builtin("s3"), 4, 1000)):
         table = enumerate_congruence(build(kind, base, n=n), budget=budget)
         assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
+
+
+def test_widened_tables_are_pinned():
+    # a widened category cell hands the engine the build at cap + headroom,
+    # rooted at the cap: nodes defined and a digest of the compressed table
+    for base, cap, wide, nodes, digest in (
+            (C2, 2, 4, 469, "53be93dd4d368e8c813b2cfb0c5cd12e192029fc22018727d68c062ef046b291"),
+            (C2, 3, 4, 2149, "5a2382410598415e4291b592068c77596f0d5104df8288feea9c25307061feed"),
+            (TRIV, 3, 5, 752, "38de5cb5d7cfd7060826d11ca22ceeae83b54ad4b9149c1ee713254169335f4e")):
+        table = enumerate_congruence(build("omega-mi", base, cap=wide), cap=cap)
+        assert table.status == "complete", (cap, wide)
+        assert _digest(table) == (nodes, digest), (cap, wide)
 
 
 def test_table_does_not_depend_on_the_listing_of_relations():
@@ -203,10 +223,12 @@ def test_category_run_enumerates_the_presentation_it_is_given():
     assert enumerate_congruence(p, budget=5000).nodes_created == 72
     half = dataclasses.replace(p, relations=p.relations[::2])
     assert enumerate_congruence(half, budget=5000).status == "budget-exceeded"
-    # only the kind's own presentation has a wider build
-    assert enumerate_congruence(p, headroom=1).status == "complete"
-    with pytest.raises(ValueError, match="wider build"):
-        enumerate_congruence(half, headroom=1)
+    # roots stop at a cap within the presentation's own; a flat
+    # presentation has no objects to cap
+    with pytest.raises(ValueError, match="cap must lie in 0..2"):
+        enumerate_congruence(p, cap=3)
+    with pytest.raises(ValueError, match="takes no cap"):
+        enumerate_congruence(build("r-in", TRIV, n=2), cap=2)
 
 
 def test_budget_exhaustion_is_inconclusive_not_wrong():

@@ -71,8 +71,8 @@ def test_generation_witnesses():
         table = enumerate_congruence(p)
         assert table.status == "complete"
         assert _same_generation(check_generation(p, table), check_generation(p))
-    for headroom in (0, 2):
-        table = enumerate_congruence(omega, headroom=headroom)
+    for wide in (2, 4):
+        table = enumerate_congruence(build("omega-mi", C2, cap=wide), cap=2)
         assert table.status == "complete"
         assert _same_generation(check_generation(omega, table), check_generation(omega))
 
@@ -245,9 +245,9 @@ def test_verify_category_certifies_at_headroom_zero():
 
 def test_verify_category_widens_on_overshoot(monkeypatch):
     # one class too many at headroom 0 must be retried one step wider
-    def inflated(p, budget=None, headroom=0):
-        table = enumerate_congruence(p, budget, headroom=headroom)
-        if headroom == 0:
+    def inflated(p, budget=None, cap=None):
+        table = enumerate_congruence(p, budget, cap)
+        if cap == p.cap:
             table.hom_sizes[(1, 1)] += 1
         return table
 
@@ -261,9 +261,10 @@ def test_verify_category_widens_on_overshoot(monkeypatch):
 
 
 def test_negative_headroom_is_rejected():
-    # it would enumerate below the cap and report its hom-sets as complete
-    with pytest.raises(ValueError, match="headroom"):
-        enumerate_congruence(build("omega-mi", C2, cap=2), headroom=-1)
+    # it would enumerate below the cap and report its hom-sets as complete;
+    # the engine, which takes the cap to root at, rejects a negative one
+    with pytest.raises(ValueError, match="cap must lie in 0..2"):
+        enumerate_congruence(build("omega-mi", C2, cap=2), cap=-1)
     with pytest.raises(ValueError, match="headroom"):
         verify_category(2, C2, headroom=-1)
 
