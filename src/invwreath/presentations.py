@@ -26,11 +26,12 @@ symmetric index pair is instantiated once per unordered choice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .base import BasePresentation
 from .words import (
+    ParseError,
     Path,
     Sym,
     TIdent,
@@ -101,9 +102,19 @@ _FLAT = FlavorSyntax(
     word_text,
     lambda word: [token(s) for s in word])
 
+
+def _parse_semigroup_word(text: str):
+    """A flat word of at least one letter: no semigroup kind presents an
+    identity, and none of its relations has an empty side."""
+    word = parse_monoid_word(text)
+    if not word:
+        raise ParseError(f"{text!r} is the empty word, which is no element of a semigroup")
+    return word
+
+
 FLAVOR_SYNTAX = {
     "monoid": _FLAT,
-    "semigroup": _FLAT,
+    "semigroup": replace(_FLAT, parse=_parse_semigroup_word),
     "category": FlavorSyntax(
         parse_path,
         lambda path, base, n: eval_path(path, base),

@@ -25,8 +25,9 @@ are compared.
 The category kind differs in three places only: its target is a count per
 hom-set; its report carries the headroom the counts were taken at; and a
 count above the target does not fail.  At a headroom ``h`` the cell builds
-the presentation at ``cap + h`` and enumerates it with roots only up to the
-cap, counting the hom-sets within the cap.  Soundness maps each counted
+the presentation at ``cap + h``, checks its soundness too, and enumerates it
+with roots only up to the cap, counting the hom-sets within the cap; a
+wider build that is unsound fails the cell.  Soundness maps each counted
 hom-set of the wider presented category into the target, and generation
 on the cap-level alphabet, whose paths are paths of the wider build too,
 makes that map onto.  So each count at any headroom is at least the
@@ -343,7 +344,8 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     enumeration, generation and the size comparison.  A flat count is one
     number and a count above the target fails; a category count is one per
     hom-set, and a count above the target re-enumerates one headroom wider,
-    up to ``max_headroom``, and then the cell is inconclusive.  A count
+    up to ``max_headroom``, and then the cell is inconclusive.  Each wider
+    build is checked for soundness before it is counted from.  A count
     below the target is an ``InternalInconsistency``."""
     base.require_evaluation()
     row = KIND[kind]
@@ -355,15 +357,26 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
-    wide = build(kind, base, cap=level + headroom) if headroom else p
-    table = enumerate_congruence(wide, budget, cap=level if category else None)
-    gen = check_generation(p, table)
-    report.generation = (gen.covered, gen.target)
-    report.target_size = tgt = _hom_targets(p) if category else gen.target
-    if not gen.ok:
-        report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
-        return report
+    gen = None
     while True:
+        wide = p
+        if headroom:
+            # the counts come from the wider build, so it must be sound too
+            wide = build(kind, base, cap=level + headroom)
+            sound = check_soundness(wide)
+            if not sound.ok:
+                report.soundness = StageReport(
+                    False, f"at headroom {headroom}, cap {level + headroom}: {sound.detail}")
+                report.notes["headroom"] = headroom
+                return report
+        table = enumerate_congruence(wide, budget, cap=level if category else None)
+        if gen is None:
+            gen = check_generation(p, table)
+            report.generation = (gen.covered, gen.target)
+            report.target_size = tgt = _hom_targets(p) if category else gen.target
+            if not gen.ok:
+                report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
+                return report
         if table.status != "complete":
             report.verdict = "inconclusive"
             report.notes["enumeration"] = (f"budget exhausted at headroom {headroom}"
@@ -389,7 +402,6 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
             report.notes["enumeration"] = f"counts above target at maximal headroom {headroom}"
             return report
         headroom += 1
-        table = enumerate_congruence(build(kind, base, cap=level + headroom), budget, cap=level)
 
 
 def verify_tensor(base: BasePresentation, levels: int = 3, samples: int = 200,

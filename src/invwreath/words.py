@@ -180,7 +180,14 @@ _TOKEN_PATTERNS = (
 _IDENT_RE = re.compile(r"i(\d+)$")
 
 
+@lru_cache(maxsize=4096)
 def _parse_token(tok: str) -> Sym:
+    """The symbol ``tok`` spells.  Each distinct token string is parsed
+    once and its symbol shared by every later call: the result depends on
+    the string alone, and a ``Sym`` is frozen, so no caller can change what
+    another holds.  A malformed token is not remembered (``lru_cache``
+    keeps no exceptions), so it raises the same ``ParseError`` each time.
+    The bound keeps a stream of distinct tokens from growing memory."""
     for pattern, build in _TOKEN_PATTERNS:
         m = pattern.match(tok)
         if m:

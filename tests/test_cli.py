@@ -164,6 +164,23 @@ def test_word_problem(capsys):
     assert code == 2 and out.strip() == "not equal"
 
 
+def test_semigroup_kinds_reject_the_empty_word(capsys):
+    # no semigroup kind presents an identity; a monoid kind still reads 1
+    for argv in (["word-problem", "--lhs", "1", "--rhs", "1"],
+                 ["word-problem", "--lhs", "f1,2", "--rhs", "1"],
+                 ["eval", "--word", "1"], ["eval", "--word", ""]):
+        for kind in ("r-sing-in", "r-m-sing-in", "r-sing-tuples"):
+            code, out, err = run(capsys, *argv, "--kind", kind, "--n", "3")
+            assert (code, out) == (1, ""), (argv, kind)
+            assert "is the empty word, which is no element of a semigroup" in err
+    code, out, _ = run(capsys, "word-problem", "--kind", "r-sing-in", "--n", "3",
+                       "--lhs", "f1,2 1", "--rhs", "1 f1,2")
+    assert code == 0 and out.strip() == "equal"
+    code, out, _ = run(capsys, "word-problem", "--kind", "r-min", "--n", "3",
+                       "--lhs", "1", "--rhs", "s1 s1")
+    assert code == 0 and out.strip() == "equal"
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, "eval", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--word", "s1 g@1", "--format", "json")

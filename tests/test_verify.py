@@ -21,6 +21,7 @@ from invwreath.verify import (
     verify_tensor,
 )
 from invwreath.words import parse_monoid_word as w
+from invwreath.words import parse_path
 from invwreath.wreath import hom_count
 
 C2 = builtin("c2")
@@ -258,6 +259,35 @@ def test_verify_category_widens_on_overshoot(monkeypatch):
     assert report.verdict == "inconclusive" and report.notes["headroom"] == 0
     assert report.notes["enumeration"] == "counts above target at maximal headroom 0"
     assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
+
+
+def test_an_unsound_wider_build_does_not_pass(monkeypatch):
+    # the counts at a headroom come from the build at cap + headroom, so
+    # its relations above the cap are checked too: at a starting headroom
+    # and at a widening step
+    bad = (parse_path("s1:3"), parse_path("i3"))
+
+    def unsound(kind, base, **level):
+        p = build(kind, base, **level)
+        if level.get("cap") == 3:
+            p = dataclasses.replace(p, relations=p.relations + (bad,))
+        return p
+
+    def inflated(p, budget=None, cap=None):
+        table = enumerate_congruence(p, budget, cap)
+        if cap == p.cap:
+            table.hom_sizes[(1, 1)] += 1
+        return table
+
+    monkeypatch.setattr("invwreath.verify.build", unsound)
+    index = len(build("omega-mi", C2, cap=3).relations)
+    for headroom in (1, 0):
+        if headroom == 0:
+            monkeypatch.setattr("invwreath.verify.enumerate_congruence", inflated)
+        report = verify_category(2, C2, headroom=headroom)
+        assert report.verdict == "fail" and report.notes["headroom"] == 1, headroom
+        assert report.soundness.detail.startswith(
+            f"at headroom 1, cap 3: relation {index}: s1:3 evaluates to "), headroom
 
 
 def test_negative_headroom_is_rejected():

@@ -7,8 +7,10 @@ import pytest
 from invwreath import wreath
 from invwreath.base import builtin
 from invwreath.pperm import PartialBijection, identity, omit
+from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.words import (
     ParseError,
+    _parse_token,
     Path,
     TIdent,
     bx,
@@ -208,6 +210,39 @@ def test_parse_errors():
     for bad in (lambda: s_(2, 2), lambda: e_(3, 2), lambda: x_("g", 0, 3)):
         with pytest.raises(ValueError):
             bad()
+
+
+def test_each_token_parses_once_to_an_equal_symbol():
+    # a side of one letter, per flavor
+    one = {"monoid": lambda sym: (sym,), "semigroup": lambda sym: (sym,),
+           "category": lambda sym: Path(edge_dr(sym)[0], (sym,)), "tensor": tedge}
+    _parse_token.cache_clear()
+    for kind, row in KIND.items():
+        p = build(kind, C2, **{"n": {"n": 3}, "cap": {"cap": 2}}.get(row.level, {}))
+        syntax = FLAVOR_SYNTAX[p.flavor]
+        for sym in p.alphabet:
+            side = one[p.flavor](sym)
+            first = _parse_token(token(sym))
+            assert first == sym, (p.kind, sym)
+            assert syntax.parse(syntax.text(side)) == side, (p.kind, sym)
+            assert _parse_token(token(sym)) is first, (p.kind, sym)
+            assert syntax.parse(syntax.text(side)) == side, (p.kind, sym)
+    info = _parse_token.cache_info()
+    assert info.hits > 0 and info.maxsize is not None
+
+
+def test_parse_errors_are_raised_again():
+    # a failed parse is not remembered: the same message every time
+    expected = {
+        "s0": "bad token 's0': swap index 0 must be positive",
+        "??": "unrecognized token '??'",
+        "lam2": "token 1: 'lam2' is not a monoid-word symbol",
+    }
+    for text, message in expected.items():
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_monoid_word(f"s1 {text} e1")
+            assert str(err.value) == message
 
 
 def test_edge_typing():
