@@ -29,7 +29,9 @@ from .words import (
     reassemble_singular,
     reassemble_wreath,
     reverse_word,
+    term_edges,
     term_text,
+    token,
     word_text,
 )
 
@@ -46,6 +48,8 @@ class UsageError(ValueError):
 
 
 def _load_monoid(spec: str) -> BasePresentation:
+    if not isinstance(spec, str):
+        raise UsageError(f"monoid must be a builtin name or a JSON path, got {spec!r}")
     if spec in BUILTIN_NAMES:
         return builtin(spec)
     if os.path.exists(spec):
@@ -58,8 +62,13 @@ def _load_monoid(spec: str) -> BasePresentation:
         f"unknown monoid {spec!r}: expected one of {', '.join(BUILTIN_NAMES)} or a JSON path")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, as JSON's ``true`` is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_budget(budget):
-    if budget is not None and (not isinstance(budget, int) or budget <= 0):
+    if budget is not None and (not _is_int(budget) or budget <= 0):
         raise UsageError(f"node budget must be a positive integer, got {budget!r}")
     return budget
 
@@ -80,7 +89,7 @@ def _budget(budget=None) -> int | None:
 
 def _kind(kind: str):
     """The kind table's row for ``kind``."""
-    if kind not in KIND:
+    if not isinstance(kind, str) or kind not in KIND:
         raise UsageError(f"unknown kind {kind!r}")
     return KIND[kind]
 
@@ -94,6 +103,8 @@ def _level(kind: str, n, cap) -> dict:
     value = n if key == "n" else cap
     if value is None:
         raise UsageError(f"kind {kind} needs --{key}")
+    if not _is_int(value):
+        raise UsageError(f"--{key} must be an integer, got {value!r}")
     return {key: value}
 
 
@@ -160,18 +171,33 @@ def _print_report(report):
         print(f"  {key}: {val}")
 
 
-def _evaluator(args):
-    """Parse-then-evaluate for the flavor of ``args.kind``."""
+def _reader(args):
+    """The base of ``args`` and a parser of ``args.kind``'s text that reads
+    only the kind's own generators.  The kind is built at ``--n`` once, so
+    its level is checked too.  A path of the category kind is read as it
+    is, since no cap is given."""
     row = _kind(args.kind)
     base = _load_monoid(args.monoid)
-    syntax = FLAVOR_SYNTAX[row.flavor]
+    parse = FLAVOR_SYNTAX[row.flavor].parse
+    if row.flavor == "category":
+        return base, parse
+    letters = frozenset(build(args.kind, base, **_level(args.kind, args.n, None)).alphabet)
 
-    def evaluate(text):
-        obj = syntax.parse(text)
-        if row.level == "n" and args.n is None:
-            raise UsageError("evaluation of a flat word needs --n")
-        return syntax.eval(obj, base, args.n)
-    return evaluate
+    def read(text):
+        obj = parse(text)
+        for sym in (obj if row.level else term_edges(obj)):
+            if sym not in letters:
+                raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}"
+                                 + (f" at n={args.n}" if row.level else ""))
+        return obj
+    return base, read
+
+
+def _evaluator(args):
+    """Read-then-evaluate for the flavor of ``args.kind``."""
+    base, read = _reader(args)
+    evaluate = FLAVOR_SYNTAX[KIND[args.kind].flavor].eval
+    return lambda text: evaluate(read(text), base, args.n)
 
 
 def _cmd_eval(args) -> int:
@@ -195,10 +221,11 @@ def _cmd_word_problem(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    base = _load_monoid(args.monoid)
-    if args.n is None:
-        raise UsageError("normal-form needs --n")
-    word = parse_monoid_word(args.word)
+    # the paper's two normal forms differ in shape, so each has its branch
+    if args.kind not in ("r-min", "r-sing-tuples"):
+        raise UsageError("normal-form supports kinds r-min and r-sing-tuples")
+    base, read = _reader(args)
+    word = read(args.word)
     if args.kind == "r-min":
         parts, tail = normal_form_wreath_word(word, base, args.n)
         result = {
@@ -206,7 +233,7 @@ def _cmd_normal_form(args) -> int:
             "map_word": word_text(tail),
             "word": word_text(reassemble_wreath(parts, tail)),
         }
-    elif args.kind == "r-sing-tuples":
+    else:
         q, sigma, slot_words = normal_form_singular_tuple(word, base, args.n)
         result = {
             "q": q,
@@ -214,8 +241,6 @@ def _cmd_normal_form(args) -> int:
             "slots": [" ".join(w) if w else "1" for w in slot_words],
             "word": word_text(reassemble_singular(q, args.n, slot_words)),
         }
-    else:
-        raise UsageError("normal-form supports kinds r-min and r-sing-tuples")
     if args.format == "json":
         print(json.dumps(result))
     else:
@@ -285,7 +310,7 @@ def _cmd_matrix(args) -> int:
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
             worst = max(worst, _report_exit(report))
-        except (ValueError, KeyError, InternalInconsistency) as exc:
+        except (ValueError, KeyError, OSError, InternalInconsistency) as exc:
             entry["verdict"] = "error"
             entry["error"] = str(exc)
             worst = max(worst, EXIT_FAIL)

@@ -17,10 +17,12 @@ graph of the presented structure, so generation walks it breadth-first
 from the roots: each class's image is its parent's image times one
 generator image.  Only when the table is incomplete does generation close
 the generator images under composition instead.  Either way the witness
-words are the same breadth-first words.  Generation composes plain forms
-(``wreath.compose_keys``) and validates none of its products; the
-docstring of ``check_generation`` says why that is sound.  Last the sizes
-are compared.
+words are the same breadth-first words, and ``canonical_word`` reads its
+words from that closure too, with the kind built at the element's own
+level, so the program has one source of witness words.  Generation
+composes plain forms (``wreath.compose_keys``) and validates none of its
+products; the docstring of ``check_generation`` says why that is sound.
+Last the sizes are compared.
 
 The category kind differs in three places only: its target is a count per
 hom-set; its report carries the headroom the counts were taken at; and a
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from operator import truth
 
@@ -57,6 +59,7 @@ __all__ = [
     "VerificationReport",
     "check_soundness",
     "check_generation",
+    "canonical_word",
     "enumerate_target",
     "target_size",
     "verify_presentation",
@@ -214,6 +217,22 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
     return True
 
 
+def _generators(p: Presentation):
+    """What generation closes, on plain forms over the target's base: the
+    seeds, which are the generator images for a semigroup kind and the
+    identity at each object otherwise, each with its word; the generator
+    images with their letters, in alphabet order; and the product."""
+    tgt_base, _, homs = _target_of(p)
+    tgt_monoid = tgt_base.require_evaluation()
+    mul = partial(wreath.compose_keys, adjoin_zero(tgt_monoid).table)
+    gens = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
+    if p.flavor == "semigroup":
+        seeds = [(g, (sym,)) for sym, g in gens]
+    else:
+        seeds = [(wreath.identity_key(tgt_monoid, m), ()) for m, n in homs if m == n]
+    return seeds, gens, mul
+
+
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
     """Reach the structure's elements from the generator images, keeping
     one witness word per element, and compare with the brute-force target.
@@ -239,13 +258,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     element not reached, by ``sort_key``, the earlier hom-set on a tie."""
     tgt_base, variant, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
-    mul = partial(wreath.compose_keys, adjoin_zero(tgt_monoid).table)
-    gens = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
-    if p.flavor == "semigroup":
-        seeds = [(g, (sym,)) for sym, g in gens]
-    else:
-        # the identity at each object
-        seeds = [(wreath.identity_key(tgt_monoid, m), ()) for m, n in homs if m == n]
+    seeds, gens, mul = _generators(p)
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
             # the empty word's class is no element: start one letter in
@@ -314,6 +327,37 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
     return witness
+
+
+@lru_cache(maxsize=16)
+def _witnesses(kind: str, base: BasePresentation, level: int) -> dict:
+    """The witness words of ``kind`` built at ``level``, by the closure
+    that generation falls back to, keyed by plain form."""
+    return closure(*_generators(build(kind, base, **{KIND[kind].level: level})))
+
+
+def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
+    """The word, path or term over ``kind``'s alphabet that generation
+    keeps for ``elem``: its breadth-first witness in the kind built at the
+    element's own level, which is the domain for a flat kind and the larger
+    end for the category kind, whose witness edges make a path from the
+    domain.  A plain kind presents unlabelled maps, so it reads ``elem``
+    over the trivial base, as its target does.  A tensor kind's term is
+    the realization of the category kind's path.  An element the kind does
+    not present raises ``ValueError``.  The witnesses of the last few
+    builds are kept."""
+    row = KIND.get(kind)
+    if row is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    if row.plain:
+        base = builtin("trivial")
+    if row.flavor == "tensor":
+        return hat_path(canonical_word(elem, "omega-mi", base))
+    level = max(elem.dom_size, elem.cod_size) if row.level == "cap" else elem.dom_size
+    word = _witnesses(kind, base, level).get(elem.key)
+    if word is None:
+        raise ValueError(f"kind {kind} presents no element {elem.to_json()}")
+    return Path(elem.dom_size, word) if row.flavor == "category" else word
 
 
 def verify_presentation(kind: str, base: BasePresentation, n: int,

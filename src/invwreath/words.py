@@ -1,6 +1,6 @@
 """Generator symbols, free words, typed paths and tensor terms, together
 with evaluation onto the wreath structures, the translation maps between
-alphabets, prefix/suffix separation, and canonical/normal forms.
+alphabets, prefix/suffix separation, and normal forms.
 
 Text syntax (whitespace separated, round-trips with the printers):
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import pperm, wreath
-from .base import BasePresentation, MTuple, adjoin_zero, closure, ones_on, pinned, unit_at
+from .base import BasePresentation, MTuple, adjoin_zero, closure, pinned, unit_at
 from .pperm import PartialBijection
 from .wreath import WreathElement
 
@@ -34,14 +34,13 @@ __all__ = [
     "Path", "path_text", "parse_path", "edge_dr",
     "TIdent", "TEdge", "TComp", "TTens",
     "term_d", "term_r", "tcompose", "ttensor", "pad_term",
-    "term_text", "parse_term",
+    "term_text", "term_edges", "parse_term",
     "sym_image", "eval_word", "eval_path", "eval_term",
     "psi1_word", "psi2_word", "hat_edge", "hat_path", "plus_word", "reverse_word",
     "separate",
     "min_separation_rules", "sing_separation_rules",
-    "word_for_monoid_element", "word_for_pperm", "word_for_singular_pperm",
+    "word_for_monoid_element", "word_for_pperm",
     "leveled_word", "lift_word_i", "lift_word_ij",
-    "canonical_word",
     "normal_form_wreath_word", "reassemble_wreath",
     "normal_form_singular_tuple", "reassemble_singular", "sorting_relabel", "relabel_tuple",
     "x_mn_decompose",
@@ -430,6 +429,19 @@ def term_text(t) -> str:
     return "".join(out)
 
 
+def term_edges(t):
+    """The edge symbols of a term, left to right."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, TEdge):
+            out.append(t.sym)
+        elif isinstance(t, _Binary):
+            stack += (t.right, t.left)
+    return out
+
+
 def parse_term(text: str):
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
@@ -787,7 +799,7 @@ def sing_separation_rules(base: BasePresentation, n: int):
 
 
 # ---------------------------------------------------------------------------
-# canonical witness words
+# witness words and lifts
 
 @lru_cache(maxsize=None)
 def word_for_monoid_element(base: BasePresentation):
@@ -799,25 +811,12 @@ def word_for_monoid_element(base: BasePresentation):
 
 
 @lru_cache(maxsize=None)
-def word_for_pperm(n: int, popova: bool = False):
+def word_for_pperm(n: int):
     """Witness words over the swap/omit alphabet for every partial
     bijection at level ``n``, by breadth-first closure from the identity."""
     gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
-    if not popova:
-        gens.extend((e_(i), pperm.omit(i, n)) for i in range(1, n + 1))
-    elif n >= 1:
-        gens.append((pe(), pperm.omit(1, n)))
+    gens.extend((e_(i), pperm.omit(i, n)) for i in range(1, n + 1))
     return closure([(pperm.identity(n), ())], gens, PartialBijection.compose)
-
-
-@lru_cache(maxsize=None)
-def word_for_singular_pperm(n: int):
-    """Witness words over the transfer alphabet for every strictly partial
-    bijection at level ``n`` (no empty word: closure starts from the
-    generators themselves)."""
-    gens = [(f_(i, j), pperm.transfer(i, j, n))
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return closure([(g, (sym,)) for sym, g in gens], gens, PartialBijection.compose)
 
 
 def lift_word_i(letters, i: int):
@@ -850,14 +849,8 @@ def leveled_word(word, level: int):
     return tuple(out)
 
 
-def _plain_map(elem, monoid) -> PartialBijection:
-    """The map of an unlabelled element; a bare map passes through."""
-    if not isinstance(elem, WreathElement):
-        return elem
-    if elem.tup != ones_on(monoid, elem.pmap.dom, elem.pmap.m):
-        raise ValueError("element carries nontrivial labels")
-    return elem.pmap
-
+# ---------------------------------------------------------------------------
+# normal forms
 
 def _wreath_factor_words(elem: WreathElement, base: BasePresentation):
     """Slot words and map word of the canonical factorization
@@ -871,77 +864,6 @@ def _wreath_factor_words(elem: WreathElement, base: BasePresentation):
         parts.append(mwords[v - 1] if v else ())
     return parts, word_for_pperm(n)[elem.pmap]
 
-
-def canonical_word(elem, kind: str, base: BasePresentation, n: int | None = None):
-    """A word/path/term over the chosen alphabet evaluating to ``elem``."""
-    monoid = base.require_evaluation()
-    if kind in ("r-in", "r-in-popova"):
-        alpha = _plain_map(elem, monoid)
-        return word_for_pperm(alpha.m, popova=(kind == "r-in-popova"))[alpha]
-    if kind == "r-min":
-        return reassemble_wreath(*_wreath_factor_words(elem, base))
-    if kind == "r-min-small":
-        return psi1_word(canonical_word(elem, "r-min", base))
-    if kind == "r-sing-in":
-        alpha = _plain_map(elem, monoid)
-        if alpha.is_total_bijection():
-            raise ValueError("units have no word over the transfer alphabet")
-        return word_for_singular_pperm(alpha.m)[alpha]
-    if kind == "r-sing-tuples":
-        a = elem.tup if isinstance(elem, WreathElement) else elem
-        if isinstance(elem, WreathElement) and \
-                elem.pmap != pperm.partial_identity(a.support, len(a)):
-            raise ValueError("element is not an embedded tuple")
-        return _singular_tuple_word(a, base)
-    if kind == "r-m-sing-in":
-        if elem.pmap.is_total_bijection():
-            raise ValueError("units have no word over the singular alphabet")
-        slot = _singular_tuple_word(elem.tup, base)
-        return slot + word_for_singular_pperm(elem.pmap.m)[elem.pmap]
-    if kind == "omega-mi":
-        return _category_path(elem, base)
-    if kind in ("xi-i", "xi-mi"):
-        return hat_path(_category_path(elem, base))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _singular_tuple_word(a: MTuple, base: BasePresentation):
-    n = len(a)
-    support = set(a.support)
-    missing = [k for k in range(1, n + 1) if k not in support]
-    if not missing:
-        raise ValueError("tuple has full support; not in the singular part")
-    pin = missing[-1]
-    mwords = word_for_monoid_element(base)
-    out = [e_(k) for k in missing]
-    for i in sorted(support):
-        out.extend(lift_word_ij(mwords[a.entries[i - 1] - 1], i, pin))
-    return tuple(out)
-
-
-def _category_path(elem: WreathElement, base: BasePresentation) -> Path:
-    """Factor a labelled partial bijection ``m -> n`` through the larger
-    level: inclusions up then an endo word, or an endo word then
-    projections down."""
-    m, n = elem.dom_size, elem.cod_size
-    monoid = base.require_evaluation()
-    if m <= n:
-        padded = WreathElement(
-            MTuple(elem.tup.entries + (0,) * (n - m)),
-            PartialBijection(n, n, elem.pmap.images + (0,) * (n - m)))
-        word = reassemble_wreath(*_wreath_factor_words(padded, base))
-        edges = tuple(lam(k) for k in range(m, n)) + leveled_word(word, n)
-        return Path(m, edges)
-    inner = WreathElement(
-        elem.tup,
-        PartialBijection(m, m, elem.pmap.images))
-    word = reassemble_wreath(*_wreath_factor_words(inner, base))
-    edges = leveled_word(word, m) + tuple(rho(k) for k in range(m - 1, n - 1, -1))
-    return Path(m, edges)
-
-
-# ---------------------------------------------------------------------------
-# normal forms
 
 def normal_form_wreath_word(word, base: BasePresentation, n: int):
     """Slot-sorted shape: per-slot base words followed by a map word, with

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import tempfile
 
 import jsonschema
 from hypothesis import given, settings
@@ -166,10 +167,12 @@ def test_word_problem(capsys):
 
 def test_semigroup_kinds_reject_the_empty_word(capsys):
     # no semigroup kind presents an identity; a monoid kind still reads 1
-    for argv in (["word-problem", "--lhs", "1", "--rhs", "1"],
-                 ["word-problem", "--lhs", "f1,2", "--rhs", "1"],
-                 ["eval", "--word", "1"], ["eval", "--word", ""]):
-        for kind in ("r-sing-in", "r-m-sing-in", "r-sing-tuples"):
+    # a letter of each kind, so that the word problem reaches the empty side
+    letters = {"r-sing-in": "f1,2", "r-m-sing-in": "f1,2", "r-sing-tuples": "e1"}
+    for kind, letter in letters.items():
+        for argv in (["word-problem", "--lhs", "1", "--rhs", "1"],
+                     ["word-problem", "--lhs", letter, "--rhs", "1"],
+                     ["eval", "--word", "1"], ["eval", "--word", ""]):
             code, out, err = run(capsys, *argv, "--kind", kind, "--n", "3")
             assert (code, out) == (1, ""), (argv, kind)
             assert "is the empty word, which is no element of a semigroup" in err
@@ -179,6 +182,30 @@ def test_semigroup_kinds_reject_the_empty_word(capsys):
     code, out, _ = run(capsys, "word-problem", "--kind", "r-min", "--n", "3",
                        "--lhs", "1", "--rhs", "s1 s1")
     assert code == 0 and out.strip() == "equal"
+
+
+def test_words_read_only_the_kinds_generators(capsys):
+    # a letter outside the kind's alphabet at --n is a usage error naming it
+    for argv, tok in [
+        (["word-problem", "--kind", "r-sing-in", "--n", "3", "--lhs", "s1", "--rhs", "s1"], "s1"),
+        (["eval", "--kind", "r-in", "--monoid", "c2", "--n", "2", "--word", "g@1"], "g@1"),
+        (["eval", "--kind", "xi-i", "--monoid", "c2", "--word", "g"], "g"),
+        (["eval", "--kind", "r-min", "--monoid", "c2", "--n", "2", "--word", "s1 s2"], "s2"),
+        (["eval", "--kind", "xi-mi", "--monoid", "c2", "--word", "(o X (p h i1))"], "h"),
+        (["normal-form", "--kind", "r-sing-tuples", "--monoid", "c2", "--n", "2",
+          "--word", "e1 f1,2"], "f1,2"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"{tok!r} is not a generator of kind" in err, argv
+    # and so is a level below the kind's least
+    code, out, err = run(capsys, "eval", "--kind", "r-sing-tuples", "--n", "1", "--word", "e1")
+    assert (code, out) == (1, "") and "needs n >= 2" in err
+    # the kind's own letters still evaluate; a path carries its own levels
+    for argv in (["eval", "--kind", "xi-mi", "--monoid", "c2", "--word", "(o X (p g i1))"],
+                 ["eval", "--kind", "r-sing-in", "--n", "3", "--word", "f1,2 f2,3"],
+                 ["eval", "--kind", "omega-mi", "--monoid", "c2", "--word", "lam2 g@3:3"]):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_eval_json(capsys):
@@ -317,6 +344,74 @@ def test_matrix_malformed_configs(tmp_path, capsys):
         path.write_text(json.dumps(config))
         code, out, err = run(capsys, "matrix", str(path))
         assert code == 1 and out == "" and "'cells' list" in err
+
+
+# each cell's fields of the wrong JSON type, and one good cell
+_MALFORMED_CELLS = [
+    {"kind": "r-min", "monoid": "c2", "n": "3"},
+    {"kind": "r-min", "monoid": "c2", "n": 3.0},
+    {"kind": ["r-min"], "monoid": "c2", "n": 3},
+    {"kind": "r-min", "monoid": 0, "n": 2},
+    {"kind": "r-min", "monoid": 1, "n": 2},
+    {"kind": "r-min", "monoid": "c2", "n": True},
+    {"kind": "r-min", "monoid": "c2", "n": 2, "budget": True},
+    {"kind": "omega-mi", "monoid": "c2", "cap": [2]},
+    {"kind": "r-min", "monoid": "c2", "n": 2},
+]
+
+
+def test_matrix_cells_of_the_wrong_type_are_errors(tmp_path, capsys):
+    # a number is no monoid name: no file descriptor is read or closed
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps({"cells": _MALFORMED_CELLS}))
+    code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    assert [c["verdict"] for c in obj["cells"]] == ["error"] * 8 + ["pass"]
+    errors = [c["error"] for c in obj["cells"][:8]]
+    assert errors == ["--n must be an integer, got '3'", "--n must be an integer, got 3.0",
+                      "unknown kind ['r-min']",
+                      "monoid must be a builtin name or a JSON path, got 0",
+                      "monoid must be a builtin name or a JSON path, got 1",
+                      "--n must be an integer, got True",
+                      "node budget must be a positive integer, got True",
+                      "--cap must be an integer, got [2]"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+_ABSENT = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("r-in", "r-sing-in", "omega-mi", "xi-i", _ABSENT)) | _JSON,
+       monoid=st.sampled_from(("trivial", "c2", _ABSENT)) | _JSON,
+       n=st.sampled_from((_ABSENT,)) | _JSON, cap=st.sampled_from((_ABSENT,)) | _JSON,
+       budget=st.sampled_from((_ABSENT,)) | _JSON)
+def test_random_cells_never_raise(kind, monoid, n, cap, budget):
+    # whatever the JSON values of a cell, it gets a verdict and its
+    # neighbour still runs
+    cell = {key: value for key, value in (("kind", kind), ("monoid", monoid), ("n", n),
+                                          ("cap", cap), ("budget", budget))
+            if value is not _ABSENT}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cells.json"
+        path.write_text(json.dumps({"cells": [cell, {"kind": "r-in", "monoid": "trivial",
+                                                     "n": 2}]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["matrix", str(path), "--format", "json"])
+    assert code in (0, 2, 3)
+    obj = json.loads(out.getvalue())
+    jsonschema.validate(obj, MATRIX_SCHEMA)
+    first, second = obj["cells"]
+    assert (first["verdict"] == "error") == ("error" in first)
+    assert second["verdict"] == "pass"
 
 
 def test_matrix_empty(tmp_path, capsys):

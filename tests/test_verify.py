@@ -9,9 +9,10 @@ import pytest
 
 from invwreath.base import InternalInconsistency, NoEvaluationError, builtin
 from invwreath.congruence import enumerate_congruence
-from invwreath.presentations import build
+from invwreath.presentations import KIND, build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
+    canonical_word,
     check_generation,
     check_soundness,
     enumerate_target,
@@ -76,6 +77,23 @@ def test_generation_witnesses():
         table = enumerate_congruence(build("omega-mi", C2, cap=wide), cap=2)
         assert table.status == "complete"
         assert _same_generation(check_generation(omega, table), check_generation(omega))
+
+
+def test_canonical_words_are_the_generation_witnesses():
+    # one witness source: each target element's canonical word is the word
+    # generation keeps for it, the category kind's as the edges of a path
+    for kind, row in KIND.items():
+        if row.variant is None:
+            continue
+        for base in (TRIV, C2):
+            p = build(kind, base, **{row.level: 2 if row.level == "cap" else 3})
+            witness = check_generation(p).witness
+            for elem in enumerate_target(p):
+                word = canonical_word(elem, kind, base)
+                if row.flavor == "category":
+                    assert word.src == elem.dom_size
+                    word = word.edges
+                assert word == witness[elem.key], (kind, base.name, elem)
 
 
 def test_generation_failure_reported(monkeypatch):

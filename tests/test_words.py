@@ -8,13 +8,13 @@ from invwreath import wreath
 from invwreath.base import builtin
 from invwreath.pperm import PartialBijection, identity, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
+from invwreath.verify import canonical_word
 from invwreath.words import (
     ParseError,
     _parse_token,
     Path,
     TIdent,
     bx,
-    canonical_word,
     e_,
     edge_dr,
     eval_path,
@@ -467,8 +467,16 @@ def test_canonical_word_basics():
     assert canonical_word(wreath.identity_element(C2.monoid, 2), "r-min", C2) == ()
     e2 = wreath.embed_map(C2.monoid, omit(2, 2))
     assert canonical_word(e2, "r-in", C2) == (e_(2),)
-    with pytest.raises(ValueError):
-        canonical_word(wreath.identity_element(C2.monoid, 2), "r-sing-in", C2)
+    label = wreath.from_key(((1,), (2,), 1))          # c2's generator at level 1
+    assert canonical_word(label, "r-min", C2) == (x_("g", 1),)
+    assert canonical_word(label, "xi-mi", C2) == tedge(bx("g"))
+    # an element the kind does not present, or no kind at all
+    for elem, kind in [(wreath.identity_element(C2.monoid, 2), "r-sing-in"),
+                       (label, "r-in"), (label, "xi-i"), (label, "nope"),
+                       (wreath.from_key(((1,), (1,), 2)), "r-min"),   # not an endo-element
+                       (wreath.identity_element(C2.monoid, 0), "r-in-popova")]:
+        with pytest.raises(ValueError):
+            canonical_word(elem, kind, C2)
 
 
 def test_canonical_word_covers_everything():
