@@ -55,9 +55,14 @@ def _load_monoid(spec: str) -> BasePresentation:
     if os.path.exists(spec):
         with open(spec) as fh:
             obj = json.load(fh)
+        presentation = obj.get("presentation", obj) if isinstance(obj, dict) else None
+        if not isinstance(presentation, dict):
+            raise UsageError(f"{spec}: a monoid file is a JSON object holding a presentation object")
         name = obj.get("name", os.path.splitext(os.path.basename(spec))[0])
-        return BasePresentation.from_json(
-            obj.get("presentation", obj), name=name)
+        try:
+            return BasePresentation.from_json(presentation, name=name)
+        except (KeyError, TypeError) as exc:
+            raise UsageError(f"{spec}: malformed presentation ({type(exc).__name__}: {exc})") from None
     raise UsageError(
         f"unknown monoid {spec!r}: expected one of {', '.join(BUILTIN_NAMES)} or a JSON path")
 

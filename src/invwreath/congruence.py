@@ -40,6 +40,12 @@ objects, generators go between objects, and each source object is the
 root of its own part of the table with its own node budget.  A monoid or
 semigroup run uses the single object 0: every generator goes ``0 -> 0``
 and there is one root, so the per-root budget is the whole budget.
+Each generator has a column within its source object, in alphabet order,
+and a row holds exactly the columns of its node's target object, from
+the engine to the returned table; relations are sorted and oriented on
+alphabet ids, then rewritten to columns, and the sink's row is as wide
+as the widest.  At ``omega-mi``/c2 cap 6, 18 of the 69 letters leave the
+widest object.
 
 For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
@@ -85,12 +91,14 @@ class _BudgetExceeded(Exception):
 class CongruenceTable:
     """Outcome of one enumeration run.
 
-    On completion the compressed right Cayley graph is attached:
-    ``transitions[c][g]`` is the class reached from class ``c`` by
-    generator ``g`` (``-1`` where ``g`` does not leave the class's target
-    object, category flavor only), and
+    On completion the compressed right Cayley graph is attached: class
+    ``c`` ends at object ``objects[c]``, and ``transitions[c][k]`` is the
+    class it reaches by the generator in column ``k`` of that object, every
+    entry defined.  ``columns[m]`` maps the symbols of the generators
+    leaving object ``m``, in alphabet order, to their columns 0, 1, ....
+    ``gen_index`` maps alphabet symbols to their ids in alphabet order, and
     ``roots`` maps each start object to its identity class (flat flavors
-    use the single key 0).  ``gen_index`` maps alphabet symbols to ``g``.
+    have the one object 0, which every generator leaves).
     """
 
     status: str                       # "complete" | "budget-exceeded"
@@ -100,6 +108,8 @@ class CongruenceTable:
     transitions: list | None = None
     roots: dict | None = None
     gen_index: dict | None = None
+    columns: list | None = None
+    objects: list | None = None
 
     def trace(self, start_object: int, word) -> int:
         """Class reached from the identity at ``start_object`` by reading
@@ -113,34 +123,35 @@ class CongruenceTable:
             cur = self.roots[start_object]
         except KeyError:
             raise ValueError(f"no root at object {start_object}") from None
+        columns, objects, rows = self.columns, self.objects, self.transitions
         try:
             for sym in word:
-                cur = self.transitions[cur][self.gen_index[sym]]
-                if cur < 0:
-                    raise ValueError("the word is not a path from the start object")
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not in the alphabet") from None
+                cur = rows[cur][columns[objects[cur]][sym]]
+        except KeyError:
+            if sym not in self.gen_index:
+                raise ValueError(f"{sym!r} is not in the alphabet") from None
+            raise ValueError("the word is not a path from the start object") from None
         return cur
 
 
 class _Engine:
-    """Table plus union-find over integer generator ids.
+    """Table plus union-find over local generator columns.
 
-    Every node carries its ``(source, target)`` objects and every generator
-    goes between two objects; ``dr[g]`` names them.  Relation sides are
-    well-typed paths, so a trace only defines a transition where the
-    node's target is the generator's source.  Each source object roots its
-    own part of the table, with at most ``budget`` nodes.  Node 0 is the
-    sink (see the module docstring), in no part and no budget.
+    Every node carries its ``(source, target)`` objects, and its row has
+    one column per generator leaving its target: ``targets[m][k]`` is
+    where the generator in column ``k`` of object ``m`` goes.  Relation
+    sides are well-typed paths, so a trace reads and defines only columns
+    of the row it stands on.  Each source object roots its own part of
+    the table, with at most ``budget`` nodes.  Node 0 is the sink (see the
+    module docstring), in no part and no budget.
     """
 
-    def __init__(self, dr, budget: int, roots: int):
-        self.dr = dr
-        self.ngens = len(dr)
+    def __init__(self, targets, budget: int, roots: int):
+        self.targets = targets
         self.budget = budget
         self.created = [0] * roots
         # a tuple, so that no write can reach the sink's row
-        self.sink = (0,) * self.ngens
+        self.sink = (0,) * max(map(len, targets))
         self.rows: list = [self.sink]
         self.parent: list[int] = [0]
         self.dobj: list[int] = [-1]
@@ -151,7 +162,7 @@ class _Engine:
             raise _BudgetExceeded
         self.created[d] += 1
         idx = len(self.rows)
-        self.rows.append([0] * self.ngens)
+        self.rows.append([0] * len(self.targets[r]))
         self.parent.append(idx)
         self.dobj.append(d)
         self.robj.append(r)
@@ -248,7 +259,7 @@ class _Engine:
                 rows[a][u[i]] = b
                 return False
             node, gen = (a, u[i]) if i < lu else (b, v[j])
-            fresh = rows[node][gen] = self.new_node(self.dobj[node], self.dr[gen][1])
+            fresh = rows[node][gen] = self.new_node(self.dobj[node], self.targets[self.robj[node]][gen])
             # the one new entry extends whichever sides stopped at it
             if i < lu and a == node and u[i] == gen:
                 a, i = fresh, i + 1
@@ -261,16 +272,10 @@ class _Engine:
         then fill the node's remaining row entries with fresh nodes.  A
         kernel returns true when a fix merged the node into an earlier,
         fully processed one."""
-        rows, parent, robj = self.rows, self.parent, self.robj
+        rows, parent, robj, targets = self.rows, self.parent, self.robj, self.targets
         for m in range(len(self.created)):
             self.new_node(m, m)
-        nobj = 1 + max([len(self.created) - 1, *rels_by_src]
-                       + [max(d, r) for d, r in self.dr])
-        # the generators leaving each object, with their targets
-        leaving = [[] for _ in range(nobj)]
-        for gen, (d, r) in enumerate(self.dr):
-            leaving[d].append((gen, r))
-        kernels = [[] for _ in range(nobj)]
+        kernels = [[] for _ in targets]
         for src, rels in rels_by_src.items():
             for k in range(0, len(rels), _KERNEL_RELATIONS):
                 kernels[src].append(_kernel(rels[k:k + _KERNEL_RELATIONS], rows, self.fix))
@@ -282,16 +287,16 @@ class _Engine:
                         break
                 else:
                     row = rows[idx]
-                    for gen, r in leaving[robj[idx]]:
-                        if not row[gen]:
-                            row[gen] = self.new_node(self.dobj[idx], r)
+                    for col, r in enumerate(targets[robj[idx]]):
+                        if not row[col]:
+                            row[col] = self.new_node(self.dobj[idx], r)
             idx += 1
 
     def compressed(self):
         """The alive nodes in creation order, each node's class number
-        (``-1`` for the sink), and the alive rows in class numbers.  A
-        merged node's parent is an earlier node, so one pass in creation
-        order numbers every node."""
+        (``-1`` for the sink), and the alive rows, rewritten in place in
+        class numbers.  A merged node's parent is an earlier node, so one
+        pass in creation order numbers every node."""
         parent, alive, canon = self.parent, [], [-1]
         for i in range(1, len(parent)):
             if parent[i] == i:
@@ -299,7 +304,10 @@ class _Engine:
                 alive.append(i)
             else:
                 canon.append(canon[parent[i]])
-        return alive, canon, [list(map(canon.__getitem__, self.rows[i])) for i in alive]
+        table = [self.rows[i] for i in alive]
+        for row in table:
+            row[:] = map(canon.__getitem__, row)
+        return alive, canon, table
 
 
 # Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
@@ -437,9 +445,20 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
                         f"a relation side from object {src} is not a well-typed path")
                 obj = dr[g][1]
         rels_by_src.setdefault(src, []).append(pair)
-    rels_by_src = {src: _trace_order(rels) for src, rels in rels_by_src.items()}
+    # each generator's column within its source object, in alphabet
+    # order; the relations are ordered on generator ids, then rewritten
+    nobj = 1 + max([roots - 1, *rels_by_src] + [max(d, r) for d, r in dr])
+    columns = [{} for _ in range(nobj)]
+    targets = [[] for _ in range(nobj)]
+    for sym, (d, r) in zip(p.alphabet, dr):
+        columns[d][sym] = len(targets[d])
+        targets[d].append(r)
+    local = [columns[d][sym] for sym, (d, _) in zip(p.alphabet, dr)]
+    rels_by_src = {src: [tuple(tuple(map(local.__getitem__, side)) for side in rel)
+                         for rel in _trace_order(rels)]
+                   for src, rels in rels_by_src.items()}
 
-    eng = _Engine(dr, budget, roots)
+    eng = _Engine(targets, budget, roots)
     try:
         eng.run(rels_by_src)
     except _BudgetExceeded:
@@ -448,7 +467,8 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
     alive, canon, table = eng.compressed()
     # root m is node m + 1, after the sink
     done = CongruenceTable("complete", nodes_created=len(eng.rows) - 1,
-                           transitions=table, gen_index=gen_index,
+                           transitions=table, gen_index=gen_index, columns=columns,
+                           objects=[eng.robj[i] for i in alive],
                            roots={m: canon[m + 1] for m in range(roots)})
     if category:
         # nodes above the cap belong to paths through wider objects; only

@@ -262,8 +262,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
             # the empty word's class is no element: start one letter in
-            empty = table.transitions[table.roots[0]]
-            starts = [empty[table.gen_index[sym]] for sym in p.alphabet]
+            starts = [table.trace(0, (sym,)) for sym in p.alphabet]
         else:
             starts = list(table.roots.values())     # one per object, in order
         witness = _walk(table, starts, seeds, gens, mul)
@@ -304,9 +303,11 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
     class reached.  A class whose image is new takes its parent's word plus
     one letter; a class whose image is already known adds no witness, and
     neither do its children's images, which its first holder has added.
-    Only the letters of ``gens`` are followed, so a category table is
-    walked within the cap."""
-    cols = [table.gen_index[letter] for letter, _ in gens]
+    Only the letters of ``gens`` that leave a class's object are followed,
+    so a category table is walked within the cap."""
+    # per object, the columns of the letters of ``gens`` that leave it
+    leaving = [[(cols[letter], letter, g) for letter, g in gens if letter in cols]
+               for cols in table.columns]
     image = [None] * len(table.transitions)     # per class
     queue = []
     witness = {}
@@ -318,9 +319,9 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
     for c in queue:         # grows while it is read
         a = image[c]
         row = table.transitions[c]
-        for col, (letter, g) in zip(cols, gens):
+        for col, letter, g in leaving[table.objects[c]]:
             t = row[col]
-            if t < 0 or image[t] is not None:
+            if image[t] is not None:
                 continue
             b = image[t] = mul(a, g)
             queue.append(t)

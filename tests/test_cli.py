@@ -275,6 +275,26 @@ def test_custom_monoid_file(tmp_path, capsys):
     assert code == 0 and "pass" in out
 
 
+def test_monoid_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    # a file whose JSON, or whose presentation, is not an object: a message
+    # naming the file, never a traceback; in a matrix only its cell fails
+    cells = []
+    for stem, spec in (("list", [1]), ("scalar", {"presentation": 5}),
+                       ("partial", {"presentation": {"alphabet": ["g"]}})):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "verify", "--kind", "r-in", "--monoid", str(path), "--n", "2")
+        assert code == 1 and err.startswith(f"error: {path}: "), stem
+        cells.append({"kind": "r-in", "monoid": str(path), "n": 2})
+    config = tmp_path / "cells.json"
+    config.write_text(json.dumps({"cells": cells + [{"kind": "r-in", "monoid": "trivial", "n": 2}]}))
+    code, out, _ = run(capsys, "matrix", str(config), "--format", "json")
+    assert code == 2
+    verdicts = [(c["verdict"], c.get("error", "")) for c in json.loads(out)["cells"]]
+    assert [v for v, _ in verdicts] == ["error"] * 3 + ["pass"]
+    assert all(str(tmp_path) in error for _, error in verdicts[:3])
+
+
 def test_matrix(tmp_path, capsys):
     config = {"cells": [
         {"kind": "r-in", "monoid": "trivial", "n": 2},
