@@ -19,21 +19,23 @@ then the letter ids.  Short relations such as ``e_j x = x`` then identify
 paths before the long ones define them, and the table does not depend on
 how a presentation lists its relations.
 
-Relation traces run as kernels: plain functions generated once per run,
-one per source object and per run of at most 64 relations.  A kernel
-follows the distinct prefixes of its relations' sides once per node into
-local variables, each one letter past a shorter prefix, and a relation
-holds when its two sides end at one defined node.  Node 0 is a sink whose
-row is all 0, and 0 means "undefined"; a merged node's row becomes the
-sink's, so the walk needs no branch and reads 0 past an undefined or
-merged node.  A relation that seems not to hold goes to ``fix``.  A live
-end is current, since a class changes only by a merge, which kills it;
-a side without one resumes from its live one-letter-shorter prefix end,
-or else from the node.  Where the sides stop, ``fix`` deduces a missing
-last transition, merges the two ends, or defines the first missing entry
-and carries on from the fresh node.  Reading changes no state except to
-write a merged target's class back into its row, so the nodes defined and
-the merges made are those of filling every trace.
+Relation traces run as kernels: plain functions, one per source object
+and per chunk of at most 64 relations.  Each chunk is compiled once per
+process into a factory, and each run binds it to its own table.  A
+kernel follows the distinct prefixes of its relations' sides once per
+node into local variables, each one letter past a shorter prefix, and a
+relation holds when its two sides end at one defined node.  Node 0 is a
+sink whose row is all 0, and 0 means "undefined"; a merged node's row
+becomes the sink's, so the walk needs no branch and reads 0 past an
+undefined or merged node.  A relation that seems not to hold goes to
+``fix``.  A live end is current, since a class changes only by a merge,
+which kills it; a side without one resumes from its live
+one-letter-shorter prefix end, or else from the node.  Where the sides
+stop, ``fix`` deduces a missing last transition, merges the two ends, or
+defines the first missing entry and carries on from the fresh node.
+Reading changes no state except to write a merged target's class back
+into its row, so the nodes defined and the merges made are those of
+filling every trace.
 
 One typed engine serves every flavor.  Nodes carry source and target
 objects, generators go between objects, and each source object is the
@@ -60,6 +62,7 @@ count taken from a wider build certifies the narrower one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .base import InternalInconsistency
@@ -312,18 +315,36 @@ class _Engine:
 
 # Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
 # n=5's 410 relations peaks at about 7.6 MB, one of 64 at about 1.2 MB.
+# Smaller kernels also run faster: with chunks of 512 relations the three
+# ``singular-semigroup`` benchmark cells took 1.3-1.6 times as long to
+# enumerate, even with every kernel already compiled.
 _KERNEL_RELATIONS = 64
 
 
 def _kernel(rels, rows, fix):
-    """The kernel of the relations ``rels``: a function of a live node
-    ``e0`` that follows their sides' distinct prefixes (``_prefixes``)
-    into local variables ``e<k>``, then passes each relation whose sides
-    do not end at one defined node to ``fix``, and returns true as soon
-    as ``fix`` does.  The source holds only ints and local names: the
-    itemgetters and words come in as arguments of a factory."""
+    """The kernel of the relations ``rels`` (a tuple) for one run: the
+    compiled factory of ``_factory``, bound to the run's ``rows`` and
+    ``fix``."""
+    make, values = _factory(rels)
+    return make(rows, fix, *values)
+
+
+# A factory of 64 relations retains about 30 kB, so 128 of them cap the
+# cache at about 4 MB.
+@lru_cache(maxsize=128)
+def _factory(rels):
+    """The compiled kernel factory of the relations ``rels`` and the
+    arguments it takes after ``rows`` and ``fix``.  Its kernel is a
+    function of a live node ``e0`` that follows the sides' distinct
+    prefixes (``_prefixes``) into local variables ``e<k>``, then passes
+    each relation whose sides do not end at one defined node to ``fix``,
+    and returns true as soon as ``fix`` does.  The source holds only ints
+    and local names: the itemgetters and words come in as arguments of
+    the factory.  Nothing here belongs to a run, so the factory is
+    compiled once per process for each chunk of relations, and a cached
+    one keeps no finished run's table alive."""
     index, groups = _prefixes(rels)
-    names, values, local = ["rows", "fix"], [rows, fix], {}
+    names, values, local = ["rows", "fix"], [], {}
 
     def name(value, prefix):
         if value not in local:
@@ -349,9 +370,9 @@ def _kernel(rels, rows, fix):
               + "\n  ".join(body) + "\n return kernel\n")
     namespace = {}
     exec(source, namespace)
-    # popped, so that no dead kernel waits in a function <-> globals cycle
-    # for a full collection
-    return namespace.pop("make")(*values)
+    # popped, so that a factory dropped from the cache does not wait in a
+    # function <-> globals cycle for a full collection
+    return namespace.pop("make"), tuple(values)
 
 
 def _prefixes(rels):
@@ -454,8 +475,8 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
         columns[d][sym] = len(targets[d])
         targets[d].append(r)
     local = [columns[d][sym] for sym, (d, _) in zip(p.alphabet, dr)]
-    rels_by_src = {src: [tuple(tuple(map(local.__getitem__, side)) for side in rel)
-                         for rel in _trace_order(rels)]
+    rels_by_src = {src: tuple(tuple(tuple(map(local.__getitem__, side)) for side in rel)
+                              for rel in _trace_order(rels))
                    for src, rels in rels_by_src.items()}
 
     eng = _Engine(targets, budget, roots)

@@ -1,19 +1,26 @@
 """Coset-style enumeration against brute-force cardinalities."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invwreath import wreath
+import invwreath
+from invwreath import congruence, wreath
 from invwreath.base import InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.pperm import count_partial_bijections
 from invwreath.presentations import build
-from invwreath.verify import target_size
+from invwreath.verify import target_size, verify_category, verify_presentation
 from invwreath.words import edge_dr
 from invwreath.words import parse_monoid_word as w
 
@@ -128,7 +135,7 @@ def test_engine_counts_are_pinned():
         assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
 
 
-def test_widened_tables_are_pinned():
+def _check_widened_pins():
     # a widened category cell hands the engine the build at cap + headroom,
     # rooted at the cap: nodes defined and a digest of the compressed table
     for base, cap, wide, nodes, digest in (
@@ -138,6 +145,78 @@ def test_widened_tables_are_pinned():
         table = enumerate_congruence(build("omega-mi", base, cap=wide), cap=cap)
         assert table.status == "complete", (cap, wide)
         assert _digest(table) == (nodes, digest), (cap, wide)
+
+
+def test_widened_tables_are_pinned():
+    _check_widened_pins()
+
+
+def test_a_cached_kernel_changes_nothing(monkeypatch):
+    # each chunk of relations compiles its kernel factory once per process,
+    # and each run binds it to its own table: a cold run, a warm one and a
+    # warm one after another presentation's run give one table, node for
+    # node.  The run between, omega-mi/c2 at cap 4, shares 3 of its 6
+    # chunks with cap 3 and none with r-sing-in
+    between = build("omega-mi", C2, cap=4)
+    for p, chunks, pinned in (
+            (build("r-sing-in", TRIV, n=4), 3,
+             (628, "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b")),
+            (build("omega-mi", C2, cap=3), 4,
+             (757, "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"))):
+        congruence._factory.cache_clear()
+        assert _digest(enumerate_congruence(p)) == pinned
+        assert congruence._factory.cache_info()[:2] == (0, chunks)
+        assert _digest(enumerate_congruence(p)) == pinned
+        assert congruence._factory.cache_info()[:2] == (chunks, chunks)
+        enumerate_congruence(between)
+        assert _digest(enumerate_congruence(p)) == pinned
+
+    # the cache holds nothing of a run: with the collector off, each run's
+    # engine is freed as soon as the run returns, complete or not
+    engines = []
+
+    class Spy(congruence._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(congruence, "_Engine", Spy)
+    gc.disable()
+    try:
+        assert enumerate_congruence(p).status == "complete"
+        assert enumerate_congruence(p, budget=100).status == "budget-exceeded"
+    finally:
+        gc.enable()
+    assert len(engines) == 2 and all(ref() is None for ref in engines)
+
+    info = congruence._factory.cache_info()
+    assert info.maxsize == 128 and info.currsize <= info.maxsize
+
+
+def test_kernel_reuse_across_presentations_is_sound():
+    # cells whose presentations share relation chunks (r-sing-in's do not
+    # depend on the base), run one after another in this process, report
+    # what each reports in a fresh process
+    cells = [("r-sing-in", b, "--n", 4) for b in ("trivial", "c2", "s3")]
+    cells += [("omega-mi", "c2", "--cap", cap) for cap in (2, 3, 4)]
+    env = {k: v for k, v in os.environ.items() if k != "INVWREATH_BUDGET"}
+    env["PYTHONPATH"] = str(Path(invwreath.__file__).parents[1])
+    cold = [json.loads(subprocess.run(
+        [sys.executable, "-m", "invwreath", "verify", "--kind", kind, "--monoid", base,
+         option, str(level), "--format", "json"],
+        env=env, capture_output=True, text=True, check=True, timeout=60).stdout)
+        for kind, base, option, level in cells]
+    congruence._factory.cache_clear()
+    warm = [(verify_category(level, builtin(base)) if kind == "omega-mi"
+             else verify_presentation(kind, builtin(base), level)).to_json()
+            for kind, base, _, level in cells]
+    assert warm == cold
+    assert all(report["verdict"] == "pass" for report in warm)
+    hits = congruence._factory.cache_info().hits
+    assert hits > 0
+    # the widened tables of omega-mi/c2 reuse the cap-4 build's kernels
+    _check_widened_pins()
+    assert congruence._factory.cache_info().hits > hits
 
 
 def test_table_does_not_depend_on_the_listing_of_relations():
