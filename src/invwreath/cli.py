@@ -16,7 +16,7 @@ from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
 from .pperm import enumerate_partial_bijections
-from .presentations import FLAVOR_SYNTAX, KIND, build, emit_json, emit_text
+from .presentations import FLAVOR_SYNTAX, KIND, build, check_level, emit_json, emit_text
 from .words import (
     hat_path,
     normal_form_singular_tuple,
@@ -178,22 +178,25 @@ def _print_report(report):
 
 def _reader(args):
     """The base of ``args`` and a parser of ``args.kind``'s text that reads
-    only the kind's own generators.  The kind is built at ``--n`` once, so
-    its level is checked too.  A path of the category kind is read as it
-    is, since no cap is given."""
+    only the kind's own generators at its level, which is checked; no
+    relation is built.  A path of the category kind is read as it is when
+    no cap is given."""
     row = _kind(args.kind)
     base = _load_monoid(args.monoid)
     parse = FLAVOR_SYNTAX[row.flavor].parse
-    if row.flavor == "category":
+    cap = getattr(args, "cap", None)
+    if row.level == "cap" and cap is None:
         return base, parse
-    letters = frozenset(build(args.kind, base, **_level(args.kind, args.n, None)).alphabet)
+    level = _level(args.kind, args.n, cap)
+    check_level(args.kind, **level)
+    letters = frozenset(row.alphabet(base, args.n, cap))
+    at = "".join(f" at {key}={value}" for key, value in level.items())
 
     def read(text):
         obj = parse(text)
-        for sym in (obj if row.level else term_edges(obj)):
+        for sym in obj if row.level == "n" else obj.edges if row.level else term_edges(obj):
             if sym not in letters:
-                raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}"
-                                 + (f" at n={args.n}" if row.level else ""))
+                raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}{at}")
         return obj
     return base, read
 

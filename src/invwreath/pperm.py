@@ -10,7 +10,6 @@ used as generators throughout the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,7 +29,6 @@ __all__ = [
     "lift1",
     "enumerate_partial_bijections",
     "image_rows",
-    "count_partial_bijections",
     "DEFAULT_ENUM_CAP",
 ]
 
@@ -204,14 +202,6 @@ def lift1() -> PartialBijection:
     return PartialBijection(0, 1, ())
 
 
-def count_partial_bijections(m: int, n: int) -> int:
-    """Closed-form count: sum over rank k of C(m,k) C(n,k) k!."""
-    return sum(
-        math.comb(m, k) * math.comb(n, k) * math.factorial(k)
-        for k in range(min(m, n) + 1)
-    )
-
-
 def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[PartialBijection]:
     """All partial bijections ``{1..m} -> {1..n}``, in lexicographic order of
     the image row with "undefined" sorting first.
@@ -224,6 +214,8 @@ def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) ->
 def image_rows(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """The image rows of ``enumerate_partial_bijections``, in its order,
     as plain tuples."""
+    if m < 0 or n < 0:
+        raise ValueError(f"negative chain size: m={m}, n={n}")
     row: list[int] = []
     used: set[int] = set()
 

@@ -1,5 +1,6 @@
-"""Builders for the generator-and-relation presentations of the wreath
-structures, parameterized by the base presentation and a level or object cap.
+"""The generator-and-relation presentations of the wreath structures, each
+an alphabet and, apart from it, a stream of relations, parameterized by the
+base presentation and a level or object cap.
 
 Kinds and flavors:
 
@@ -70,7 +71,6 @@ from .words import (
 __all__ = [
     "KIND",
     "KINDS",
-    "KIND_FLAVOR",
     "FlavorSyntax",
     "FLAVOR_SYNTAX",
     "Presentation",
@@ -145,10 +145,9 @@ def build(kind: str, base: BasePresentation, n: int | None = None,
     kinds) or up to object ``cap`` (the category kind)."""
     check_level(kind, n, cap)
     row = KIND[kind]
-    alphabet, relations = row.builder(base, n, cap)
     return Presentation(kind, row.flavor, base, n if row.level == "n" else None,
                         cap if row.level == "cap" else None,
-                        tuple(alphabet), tuple(relations))
+                        tuple(row.alphabet(base, n, cap)), tuple(row.relations(base, n, cap)))
 
 
 def check_level(kind: str, n: int | None = None, cap: int | None = None):
@@ -169,133 +168,138 @@ def check_level(kind: str, n: int | None = None, cap: int | None = None):
 # level-free monoid kinds
 
 def _r_in_core(n):
-    rels = []
     for i in range(1, n):                                     # swaps are involutions
-        rels.append(((s_(i), s_(i)), ()))
+        yield ((s_(i), s_(i)), ())
     for i in range(1, n):                                     # distant swaps commute
         for j in range(i + 2, n):
-            rels.append(((s_(i), s_(j)), (s_(j), s_(i))))
+            yield ((s_(i), s_(j)), (s_(j), s_(i)))
     for i in range(1, n - 1):                                 # braid
-        rels.append(((s_(i), s_(i + 1), s_(i)), (s_(i + 1), s_(i), s_(i + 1))))
-    return rels
+        yield ((s_(i), s_(i + 1), s_(i)), (s_(i + 1), s_(i), s_(i + 1)))
 
 
 def _omissions(n):
-    rels = []
     for i in range(1, n + 1):                                 # omissions are idempotent
-        rels.append(((e_(i), e_(i)), (e_(i),)))
+        yield ((e_(i), e_(i)), (e_(i),))
     for i in range(1, n + 1):                                 # omissions commute
         for j in range(i + 1, n + 1):
-            rels.append(((e_(i), e_(j)), (e_(j), e_(i))))
-    return rels
+            yield ((e_(i), e_(j)), (e_(j), e_(i)))
+
+
+def _r_in_alphabet(base, n, cap):
+    return [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
 
 
 def _r_in(base, n, cap):
-    alphabet = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
-    rels = _r_in_core(n) + _omissions(n)
+    yield from _r_in_core(n)
+    yield from _omissions(n)
     for i in range(1, n):                                     # swap past an untouched omission
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                rels.append(((s_(i), e_(j)), (e_(j), s_(i))))
+                yield ((s_(i), e_(j)), (e_(j), s_(i)))
     for i in range(1, n):                                     # swap carries the omitted slot
-        rels.append(((s_(i), e_(i)), (e_(i + 1), s_(i))))
+        yield ((s_(i), e_(i)), (e_(i + 1), s_(i)))
     for i in range(1, n):                                     # swap dies under both omissions
-        rels.append(((e_(i), e_(i + 1), s_(i)), (e_(i), e_(i + 1))))
-    return alphabet, rels
+        yield ((e_(i), e_(i + 1), s_(i)), (e_(i), e_(i + 1)))
 
 
-def _popova_core(n):
-    rels = _r_in_core(n)
-    rels.append(((pe(), pe()), (pe(),)))
-    if n >= 2:
-        w = (pe(), s_(1), pe(), s_(1))
-        rels.append((w, (pe(), s_(1), pe())))
-        rels.append(((pe(), s_(1), pe()), (s_(1), pe(), s_(1), pe())))
-    for i in range(2, n):
-        rels.append(((pe(), s_(i)), (s_(i), pe())))
-    return rels
+def _r_in_popova_alphabet(base, n, cap):
+    return [s_(i) for i in range(1, n)] + [pe()]
 
 
 def _r_in_popova(base, n, cap):
-    alphabet = [s_(i) for i in range(1, n)] + [pe()]
-    return alphabet, _popova_core(n)
+    yield from _r_in_core(n)
+    yield ((pe(), pe()), (pe(),))
+    if n >= 2:
+        yield ((pe(), s_(1), pe(), s_(1)), (pe(), s_(1), pe()))
+        yield ((pe(), s_(1), pe()), (s_(1), pe(), s_(1), pe()))
+    for i in range(2, n):
+        yield ((pe(), s_(i)), (s_(i), pe()))
+
+
+def _r_min_alphabet(base, n, cap):
+    return _r_in_alphabet(base, n, cap) + [x_(x, i) for i in range(1, n + 1) for x in base.alphabet]
 
 
 def _r_min(base, n, cap):
     letters = base.alphabet
-    alphabet, rels = _r_in(base, n, cap)
-    alphabet += [x_(x, i) for i in range(1, n + 1) for x in letters]
+    yield from _r_in(base, n, cap)
     for (u, v) in base.relations:                             # base relations per slot
         for i in range(1, n + 1):
-            rels.append((lift_word_i(u, i), lift_word_i(v, i)))
+            yield (lift_word_i(u, i), lift_word_i(v, i))
     for i in range(1, n + 1):                                 # distinct slots commute
         for j in range(i + 1, n + 1):
             for x in letters:
                 for y in letters:
-                    rels.append(((x_(x, i), x_(y, j)), (x_(y, j), x_(x, i))))
+                    yield ((x_(x, i), x_(y, j)), (x_(y, j), x_(x, i)))
     for i in range(1, n):                                     # swap past an untouched slot
         for j in range(1, n + 1):
             if j not in (i, i + 1):
                 for x in letters:
-                    rels.append(((s_(i), x_(x, j)), (x_(x, j), s_(i))))
+                    yield ((s_(i), x_(x, j)), (x_(x, j), s_(i)))
     for i in range(1, n):                                     # swap moves the slot up
         for x in letters:
-            rels.append(((s_(i), x_(x, i)), (x_(x, i + 1), s_(i))))
+            yield ((s_(i), x_(x, i)), (x_(x, i + 1), s_(i)))
     for i in range(1, n + 1):                                 # omission past other slots
         for j in range(1, n + 1):
             if j != i:
                 for x in letters:
-                    rels.append(((e_(i), x_(x, j)), (x_(x, j), e_(i))))
+                    yield ((e_(i), x_(x, j)), (x_(x, j), e_(i)))
     for i in range(1, n + 1):                                 # omission absorbs its own slot
         for x in letters:
-            rels.append(((e_(i), x_(x, i)), (e_(i),)))
-            rels.append(((e_(i),), (x_(x, i), e_(i))))
-    return alphabet, rels
+            yield ((e_(i), x_(x, i)), (e_(i),))
+            yield ((e_(i),), (x_(x, i), e_(i)))
+
+
+def _r_min_small_alphabet(base, n, cap):
+    return _r_in_popova_alphabet(base, n, cap) + [bx(x) for x in base.alphabet]
 
 
 def _r_min_small(base, n, cap):
     letters = base.alphabet
-    alphabet = [s_(i) for i in range(1, n)] + [pe()] + [bx(x) for x in letters]
-    rels = _popova_core(n)
+    yield from _r_in_popova(base, n, cap)
     for (u, v) in base.relations:                             # base relations verbatim
-        rels.append((tuple(bx(x) for x in u), tuple(bx(x) for x in v)))
+        yield (tuple(bx(x) for x in u), tuple(bx(x) for x in v))
     for i in range(2, n):                                     # high swaps miss slot 1
         for x in letters:
-            rels.append(((s_(i), bx(x)), (bx(x), s_(i))))
+            yield ((s_(i), bx(x)), (bx(x), s_(i)))
     if n >= 2:
         for x in letters:                                     # slot 1 and conjugated slot 2
             for y in letters:
-                rels.append(((bx(x), s_(1), bx(y), s_(1)),
-                             (s_(1), bx(y), s_(1), bx(x))))
+                yield ((bx(x), s_(1), bx(y), s_(1)),
+                       (s_(1), bx(y), s_(1), bx(x)))
         for x in letters:
-            rels.append(((pe(), s_(1), bx(x), s_(1)),
-                         (s_(1), bx(x), s_(1), pe())))
+            yield ((pe(), s_(1), bx(x), s_(1)),
+                   (s_(1), bx(x), s_(1), pe()))
     for x in letters:                                         # omission absorbs slot 1
-        rels.append(((pe(), bx(x)), (bx(x), pe())))
-        rels.append(((bx(x), pe()), (pe(),)))
-    return alphabet, rels
+        yield ((pe(), bx(x)), (bx(x), pe()))
+        yield ((bx(x), pe()), (pe(),))
 
 
 # ---------------------------------------------------------------------------
 # category kind
 
+def _levels(base, cap):
+    """The generators of r-min at each level ``0..cap``, tagged with it."""
+    return [leveled_word(_r_min_alphabet(base, k, None), k) for k in range(cap + 1)]
+
+
+def _omega_mi_alphabet(base, n, cap):
+    return ([g for level in _levels(base, cap) for g in level]
+            + [g for k in range(cap) for g in (lam(k), rho(k))])
+
+
 def _omega_mi(base, n, cap):
-    alphabet, rels, levels = [], [], []
     for k in range(cap + 1):                                  # r-min at every level
-        gens, loops = _r_min(base, k, None)
-        levels.append(leveled_word(gens, k))
-        alphabet.extend(levels[k])
-        for (u, v) in loops:
-            rels.append((Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k))))
+        for (u, v) in _r_min(base, k, None):
+            yield (Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k)))
+    levels = _levels(base, cap)
     for k in range(cap):
-        alphabet += [lam(k), rho(k)]
-        rels.append((Path(k, (lam(k), rho(k))), Path(k, ())))  # the two sandwiches
-        rels.append((Path(k + 1, (rho(k), lam(k))), Path(k + 1, (e_(k + 1, k + 1),))))
+        yield (Path(k, (lam(k), rho(k))), Path(k, ()))        # the two sandwiches
+        yield (Path(k + 1, (rho(k), lam(k))), Path(k + 1, (e_(k + 1, k + 1),)))
         for g in levels[k]:                                   # generators pass the inclusion
-            rels.append((Path(k, (g, lam(k))), Path(k, (lam(k),) + plus_word((g,)))))
+            yield (Path(k, (g, lam(k))), Path(k, (lam(k),) + plus_word((g,))))
         for g in levels[k]:                                   # and the projection
-            rels.append((Path(k + 1, (rho(k), g)), Path(k + 1, plus_word((g,)) + (rho(k),))))
-    return alphabet, rels
+            yield (Path(k + 1, (rho(k), g)), Path(k + 1, plus_word((g,)) + (rho(k),)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,47 +311,41 @@ def _word_chain(word, letters_to_edges):
     return compose_chain([letters_to_edges(x) for x in word])
 
 
-def _xi_core():
-    I = TIdent(1)
-    X = tedge(TX)
-    U = tedge(TU)
-    Ub = tedge(TUBAR)
-    XI = ttensor(X, I)
-    IX = ttensor(I, X)
-    rels = [
-        (tcompose(X, X), TIdent(2)),
-        (tcompose(tcompose(XI, IX), XI), tcompose(tcompose(IX, XI), IX)),
-        (tcompose(Ub, U), TIdent(0)),
-        (tcompose(X, ttensor(U, I)), ttensor(I, U)),
-        (tcompose(ttensor(Ub, I), X), ttensor(I, Ub)),
-    ]
-    return rels
+def _xi_i_alphabet(base, n, cap):
+    return [TX, TU, TUBAR]
 
 
 def _xi_i(base, n, cap):
-    return [TX, TU, TUBAR], _xi_core()
+    I = TIdent(1)
+    X, U, Ub = tedge(TX), tedge(TU), tedge(TUBAR)
+    XI = ttensor(X, I)
+    IX = ttensor(I, X)
+    yield (tcompose(X, X), TIdent(2))
+    yield (tcompose(tcompose(XI, IX), XI), tcompose(tcompose(IX, XI), IX))
+    yield (tcompose(Ub, U), TIdent(0))
+    yield (tcompose(X, ttensor(U, I)), ttensor(I, U))
+    yield (tcompose(ttensor(Ub, I), X), ttensor(I, Ub))
+
+
+def _xi_mi_alphabet(base, n, cap):
+    return _xi_i_alphabet(base, n, cap) + [bx(x) for x in base.alphabet]
 
 
 def _xi_mi(base, n, cap):
     letters = base.alphabet
-    alphabet = [TX, TU, TUBAR] + [bx(x) for x in letters]
     I = TIdent(1)
-    X = tedge(TX)
-    U = tedge(TU)
-    Ub = tedge(TUBAR)
-    rels = []
+    X, U, Ub = tedge(TX), tedge(TU), tedge(TUBAR)
     for (u, v) in base.relations:                             # base relations as loops at 1
-        rels.append((_word_chain(u, lambda c: tedge(bx(c))),
-                     _word_chain(v, lambda c: tedge(bx(c)))))
-    rels.extend(_xi_core())
+        yield (_word_chain(u, lambda c: tedge(bx(c))),
+               _word_chain(v, lambda c: tedge(bx(c))))
+    yield from _xi_i(base, n, cap)
     for x in letters:                                         # swap carries a label across
         xe = tedge(bx(x))
-        rels.append((tcompose(X, ttensor(xe, I)), tcompose(ttensor(I, xe), X)))
+        yield (tcompose(X, ttensor(xe, I)), tcompose(ttensor(I, xe), X))
     for x in letters:                                         # labels die against the caps
-        rels.append((tcompose(tedge(bx(x)), U), U))
+        yield (tcompose(tedge(bx(x)), U), U)
     for x in letters:
-        rels.append((tcompose(Ub, tedge(bx(x))), Ub))
-    return alphabet, rels
+        yield (tcompose(Ub, tedge(bx(x))), Ub)
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +355,24 @@ def _ordered_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
+def _r_sing_in_alphabet(base, n, cap):
+    return [f_(i, j) for i, j in _ordered_pairs(n)]
+
+
 def _r_sing_in(base, n, cap):
-    alphabet = [f_(i, j) for i, j in _ordered_pairs(n)]
-    rels = []
     for i, j in _ordered_pairs(n):                            # transfer is regular
-        rels.append(((f_(i, j), f_(j, i), f_(i, j)), (f_(i, j),)))
+        yield ((f_(i, j), f_(j, i), f_(i, j)), (f_(i, j),))
     for i, j in _ordered_pairs(n):                            # cube equals square
-        rels.append(((f_(i, j),) * 3, (f_(i, j),) * 2))
+        yield ((f_(i, j),) * 3, (f_(i, j),) * 2)
     for i in range(1, n + 1):                                 # squares agree across the pair
         for j in range(i + 1, n + 1):
-            rels.append(((f_(i, j),) * 2, (f_(j, i),) * 2))
+            yield ((f_(i, j),) * 2, (f_(j, i),) * 2)
     pairs = _ordered_pairs(n)
     for a, (i, j) in enumerate(pairs):                        # disjoint transfers commute
         for (k, l) in pairs[a + 1:]:
             if {i, j} & {k, l}:
                 continue
-            rels.append(((f_(i, j), f_(k, l)), (f_(k, l), f_(i, j))))
+            yield ((f_(i, j), f_(k, l)), (f_(k, l), f_(i, j)))
     for i in range(1, n + 1):                                 # projections at i agree
         for j in range(1, n + 1):
             if j == i:
@@ -380,20 +380,20 @@ def _r_sing_in(base, n, cap):
             for k in range(j + 1, n + 1):
                 if k == i:
                     continue
-                rels.append(((f_(i, j), f_(j, i)), (f_(i, k), f_(k, i))))
+                yield ((f_(i, j), f_(j, i)), (f_(i, k), f_(k, i)))
     for i, j in _ordered_pairs(n):                            # sliding a shared slot
         for k in range(1, n + 1):
             if k in (i, j):
                 continue
-            rels.append(((f_(i, j), f_(i, k)), (f_(j, k), f_(i, j))))
-            rels.append(((f_(j, k), f_(i, j)), (f_(i, k), f_(j, k))))
+            yield ((f_(i, j), f_(i, k)), (f_(j, k), f_(i, j)))
+            yield ((f_(j, k), f_(i, j)), (f_(i, k), f_(j, k)))
     for i in range(1, n + 1):                                 # three-cycles match transposed
         for j in range(i + 1, n + 1):
             for k in range(1, n + 1):
                 if k in (i, j):
                     continue
-                rels.append(((f_(k, i), f_(i, j), f_(j, k)),
-                             (f_(k, j), f_(j, i), f_(i, k))))
+                yield ((f_(k, i), f_(i, j), f_(j, k)),
+                       (f_(k, j), f_(j, i), f_(i, k)))
     for i, j in _ordered_pairs(n):                            # cycle then move elsewhere
         for k in range(1, n + 1):
             if k in (i, j):
@@ -401,35 +401,36 @@ def _r_sing_in(base, n, cap):
             for l in range(1, n + 1):
                 if l in (i, j, k):
                     continue
-                rels.append(((f_(k, i), f_(i, j), f_(j, k), f_(k, l)),
-                             (f_(k, l), f_(l, i), f_(i, j), f_(j, l))))
-    return alphabet, rels
+                yield ((f_(k, i), f_(i, j), f_(j, k), f_(k, l)),
+                       (f_(k, l), f_(l, i), f_(i, j), f_(j, l)))
+
+
+def _r_sing_tuples_alphabet(base, n, cap):
+    return ([e_(i) for i in range(1, n + 1)]
+            + [xc(x, i, j) for i, j in _ordered_pairs(n) for x in base.alphabet])
 
 
 def _r_sing_tuples(base, n, cap):
     letters = base.alphabet
-    alphabet = [e_(i) for i in range(1, n + 1)]
-    alphabet += [xc(x, i, j) for i in range(1, n + 1)
-                 for j in range(1, n + 1) if j != i for x in letters]
-    rels = _omissions(n)
+    yield from _omissions(n)
     for (u, v) in base.relations:                             # base relations, pinned
         for i, j in _ordered_pairs(n):
-            rels.append((lift_word_ij(u, i, j), lift_word_ij(v, i, j)))
+            yield (lift_word_ij(u, i, j), lift_word_ij(v, i, j))
     for i, j in _ordered_pairs(n):                            # untouched omission slides and re-pins
         for k in range(1, n + 1):
             if k in (i, j):
                 continue
             for x in letters:
-                rels.append(((xc(x, i, j), e_(k)), (e_(k), xc(x, i, j))))
-                rels.append(((e_(k), xc(x, i, j)), (e_(j), xc(x, i, k))))
+                yield ((xc(x, i, j), e_(k)), (e_(k), xc(x, i, j)))
+                yield ((e_(k), xc(x, i, j)), (e_(j), xc(x, i, k)))
     for i, j in _ordered_pairs(n):                            # pinned slot absorbs its omission
         for x in letters:
-            rels.append(((xc(x, i, j), e_(j)), (e_(j), xc(x, i, j))))
-            rels.append(((e_(j), xc(x, i, j)), (xc(x, i, j),)))
+            yield ((xc(x, i, j), e_(j)), (e_(j), xc(x, i, j)))
+            yield ((e_(j), xc(x, i, j)), (xc(x, i, j),))
     for i, j in _ordered_pairs(n):                            # omitting the labelled slot
         for x in letters:
-            rels.append(((xc(x, i, j), e_(i)), (e_(i), xc(x, i, j))))
-            rels.append(((e_(i), xc(x, i, j)), (e_(i), e_(j))))
+            yield ((xc(x, i, j), e_(i)), (e_(i), xc(x, i, j)))
+            yield ((e_(i), xc(x, i, j)), (e_(i), e_(j)))
     for i in range(1, n + 1):                                 # same pin, different slots commute
         for j in range(i + 1, n + 1):
             for k in range(1, n + 1):
@@ -437,28 +438,29 @@ def _r_sing_tuples(base, n, cap):
                     continue
                 for x in letters:
                     for y in letters:
-                        rels.append(((xc(x, i, k), xc(y, j, k)),
-                                     (xc(y, j, k), xc(x, i, k))))
-    return alphabet, rels
+                        yield ((xc(x, i, k), xc(y, j, k)),
+                               (xc(y, j, k), xc(x, i, k)))
+
+
+def _r_m_sing_in_alphabet(base, n, cap):
+    return _r_sing_in_alphabet(base, n, cap) + _r_sing_tuples_alphabet(base, n, cap)
 
 
 def _r_m_sing_in(base, n, cap):
     letters = base.alphabet
-    f_alpha, f_rels = _r_sing_in(base, n, cap)
-    t_alpha, t_rels = _r_sing_tuples(base, n, cap)
-    alphabet = f_alpha + t_alpha
-    rels = list(f_rels) + list(t_rels)
+    yield from _r_sing_in(base, n, cap)
+    yield from _r_sing_tuples(base, n, cap)
     for i, j in _ordered_pairs(n):                            # transfer and back omits i
-        rels.append(((f_(i, j), f_(j, i)), (e_(i),)))
+        yield ((f_(i, j), f_(j, i)), (e_(i),))
     for i, j in _ordered_pairs(n):                            # label crosses its own transfer
         for x in letters:
-            rels.append(((f_(i, j), xc(x, i, j)), (xc(x, j, i), f_(i, j))))
+            yield ((f_(i, j), xc(x, i, j)), (xc(x, j, i), f_(i, j)))
     for i, j in _ordered_pairs(n):                            # label at the moved slot
         for k in range(1, n + 1):
             if k in (i, j):
                 continue
             for x in letters:
-                rels.append(((f_(i, j), xc(x, i, k)), (xc(x, j, k), f_(i, j))))
+                yield ((f_(i, j), xc(x, i, k)), (xc(x, j, k), f_(i, j)))
     for i, j in _ordered_pairs(n):                            # pin at the dead slot
         for k in range(1, n + 1):
             # k must differ from i (the pinned letter needs k != i) but k = j
@@ -466,38 +468,40 @@ def _r_m_sing_in(base, n, cap):
             if k == i:
                 continue
             for x in letters:
-                rels.append(((f_(i, j), xc(x, k, i)), (xc(x, k, i), e_(j))))
+                yield ((f_(i, j), xc(x, k, i)), (xc(x, k, i), e_(j)))
     for i, j in _ordered_pairs(n):                            # label rides into the transfer
         for k in range(1, n + 1):
             # k must differ from j; this covers distinct i,j,k as well as k = i
             if k == j:
                 continue
             for x in letters:
-                rels.append(((f_(i, j), xc(x, j, k)), (f_(i, j), f_(k, j))))
+                yield ((f_(i, j), xc(x, j, k)), (f_(i, j), f_(k, j)))
     for i, j in _ordered_pairs(n):                            # pin at the target slot
         for k in range(1, n + 1):
             if k in (i, j):
                 continue
             for x in letters:
-                rels.append(((f_(i, j), xc(x, k, j)), (xc(x, k, i), f_(i, j))))
+                yield ((f_(i, j), xc(x, k, j)), (xc(x, k, i), f_(i, j)))
     for i, j in _ordered_pairs(n):                            # fully disjoint
         for k, l in _ordered_pairs(n):
             if {i, j} & {k, l}:
                 continue
             for x in letters:
-                rels.append(((f_(i, j), xc(x, k, l)), (xc(x, k, l), f_(i, j))))
-    return alphabet, rels
+                yield ((f_(i, j), xc(x, k, l)), (xc(x, k, l), f_(i, j)))
 
 
 class Kind(NamedTuple):
-    """What the program knows of one presentation kind: its flavor, its
-    builder ``(base, n, cap) -> (alphabet, relations)``, its least level,
-    the ``wreath`` variant of the structure it presents (``None`` for a
-    tensor kind, which has no enumerable target) and whether that target
-    is over the trivial base, because the kind presents plain maps."""
+    """What the program knows of one presentation kind: its flavor; its
+    generators ``alphabet(base, n, cap)`` and, apart from them, its
+    ``relations(base, n, cap)``, which yields ``(lhs, rhs)`` pairs in
+    emission order; its least level; the ``wreath`` variant of the
+    structure it presents (``None`` for a tensor kind, which has no
+    enumerable target); and whether that target is over the trivial base,
+    because the kind presents plain maps."""
 
     flavor: str
-    builder: Callable
+    alphabet: Callable
+    relations: Callable
     least: int | None
     variant: str | None
     plain: bool = False
@@ -509,19 +513,18 @@ class Kind(NamedTuple):
 
 
 KIND = {
-    "r-in": Kind("monoid", _r_in, 0, "full", plain=True),
-    "r-in-popova": Kind("monoid", _r_in_popova, 1, "full", plain=True),
-    "r-min": Kind("monoid", _r_min, 0, "full"),
-    "r-min-small": Kind("monoid", _r_min_small, 1, "full"),
-    "omega-mi": Kind("category", _omega_mi, 0, "full"),
-    "xi-i": Kind("tensor", _xi_i, None, None, plain=True),
-    "xi-mi": Kind("tensor", _xi_mi, None, None),
-    "r-sing-in": Kind("semigroup", _r_sing_in, 2, "singular-monoid", plain=True),
-    "r-sing-tuples": Kind("semigroup", _r_sing_tuples, 2, "singular-tuples"),
-    "r-m-sing-in": Kind("semigroup", _r_m_sing_in, 2, "singular-monoid"),
+    "r-in": Kind("monoid", _r_in_alphabet, _r_in, 0, "full", plain=True),
+    "r-in-popova": Kind("monoid", _r_in_popova_alphabet, _r_in_popova, 1, "full", plain=True),
+    "r-min": Kind("monoid", _r_min_alphabet, _r_min, 0, "full"),
+    "r-min-small": Kind("monoid", _r_min_small_alphabet, _r_min_small, 1, "full"),
+    "omega-mi": Kind("category", _omega_mi_alphabet, _omega_mi, 0, "full"),
+    "xi-i": Kind("tensor", _xi_i_alphabet, _xi_i, None, None, plain=True),
+    "xi-mi": Kind("tensor", _xi_mi_alphabet, _xi_mi, None, None),
+    "r-sing-in": Kind("semigroup", _r_sing_in_alphabet, _r_sing_in, 2, "singular-monoid", plain=True),
+    "r-sing-tuples": Kind("semigroup", _r_sing_tuples_alphabet, _r_sing_tuples, 2, "singular-tuples"),
+    "r-m-sing-in": Kind("semigroup", _r_m_sing_in_alphabet, _r_m_sing_in, 2, "singular-monoid"),
 }
 
-KIND_FLAVOR = {name: row.flavor for name, row in KIND.items()}
 KINDS = tuple(KIND)
 
 

@@ -13,7 +13,7 @@ from invwreath.base import builtin
 from invwreath.cli import main
 from invwreath.congruence import enumerate_congruence
 from invwreath.pperm import PartialBijection, enumerate_partial_bijections
-from invwreath.presentations import KIND_FLAVOR, KINDS, build
+from invwreath.presentations import KIND, KINDS, build
 from invwreath.verify import (
     check_soundness,
     verify_category,
@@ -55,7 +55,7 @@ def test_criterion_01_soundness_sweep():
     for name in SWEEP_BASES:
         base = builtin(name)
         for kind in KINDS:
-            flavor = KIND_FLAVOR[kind]
+            flavor = KIND[kind].flavor
             if flavor in ("monoid", "semigroup"):
                 instances = [build(kind, base, n=n) for n in (2, 3)]
             elif flavor == "category":

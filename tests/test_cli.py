@@ -208,6 +208,56 @@ def test_words_read_only_the_kinds_generators(capsys):
         assert run(capsys, *argv)[0] == 0, argv
 
 
+def test_eval_reads_a_category_path_at_the_given_cap(capsys):
+    # with --cap an edge above the cap is no generator; without it a path
+    # carries its own levels
+    code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--cap", "2", "--word", "s1:5")
+    assert (code, out) == (1, "")
+    assert "'s1:5' is not a generator of kind omega-mi at cap=2" in err
+    code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--cap", "2", "--word", "lam2")
+    assert (code, out) == (1, "") and "'lam2' is not a generator" in err
+    assert run(capsys, "eval", "--kind", "omega-mi", "--cap", "-1", "--word", "s1:2")[0] == 1
+    for argv in (["eval", "--cap", "2", "--word", "lam1 g@2:2"],
+                 ["eval", "--word", "s1:5"],
+                 ["word-problem", "--lhs", "s1:5", "--rhs", "s1:5"]):
+        assert run(capsys, *argv, "--kind", "omega-mi", "--monoid", "c2")[0] == 0, argv
+
+
+def test_reading_words_builds_no_relation(capsys, monkeypatch):
+    # eval, word-problem and normal-form read only the alphabet, so they
+    # answer at a level whose relations would be costly to build
+    from invwreath.base import builtin
+    from invwreath.presentations import KIND
+    from invwreath.words import eval_word, normal_form_singular_tuple, parse_monoid_word
+
+    def refuse(*args):
+        raise AssertionError("relations built")
+
+    for kind in ("r-m-sing-in", "r-sing-tuples"):
+        monkeypatch.setitem(KIND, kind, KIND[kind]._replace(relations=refuse))
+    level = ("--kind", "r-m-sing-in", "--monoid", "c2", "--n", "14")
+    code, out, _ = run(capsys, "eval", *level, "--word", "f1,2 g@1;3", "--format", "json")
+    want = eval_word(parse_monoid_word("f1,2 g@1;3"), builtin("c2"), 14)
+    assert code == 0 and json.loads(out) == want.to_json()
+    code, out, _ = run(capsys, "word-problem", *level, "--lhs", "f1,2 f2,1", "--rhs", "e1")
+    assert (code, out.strip()) == (0, "equal")
+    code, out, _ = run(capsys, "word-problem", *level, "--lhs", "f1,2", "--rhs", "f2,1")
+    assert (code, out.strip()) == (2, "not equal")
+    code, out, err = run(capsys, "eval", *level, "--word", "f1,2 s1")
+    assert (code, out) == (1, "") and "'s1' is not a generator of kind r-m-sing-in at n=14" in err
+    code, out, _ = run(capsys, "normal-form", "--kind", "r-sing-tuples", "--monoid", "c2",
+                       "--n", "14", "--word", "g@1;2 e3", "--format", "json")
+    q, sigma, _ = normal_form_singular_tuple(parse_monoid_word("g@1;2 e3"), builtin("c2"), 14)
+    assert code == 0 and json.loads(out)["q"] == q and json.loads(out)["relabel"] == list(sigma)
+
+
+def test_enumerate_negative_size_is_a_usage_error(capsys):
+    for variant in ("maps", "full"):
+        code, out, err = run(capsys, "enumerate", "--variant", variant, "--m", "-1", "--n", "2")
+        assert (code, out) == (1, ""), variant
+        assert err.startswith("error: negative chain size"), variant
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, "eval", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--word", "s1 g@1", "--format", "json")
@@ -442,7 +492,7 @@ def test_matrix_empty(tmp_path, capsys):
 
 
 def test_round_trip_of_emitted_relations(capsys):
-    from invwreath.presentations import KIND_FLAVOR
+    from invwreath.presentations import KIND
     from invwreath.words import (
         parse_monoid_word,
         parse_path,
@@ -458,7 +508,8 @@ def test_round_trip_of_emitted_relations(capsys):
         "category": (parse_path, path_text),
         "tensor": (parse_term, term_text),
     }
-    for kind, flavor in KIND_FLAVOR.items():
+    for kind, row in KIND.items():
+        flavor = row.flavor
         argv = ["emit", "--kind", kind, "--monoid", "c2"]
         if flavor in ("monoid", "semigroup"):
             argv += ["--n", "3"]

@@ -1,12 +1,13 @@
 """Presentation builders: worked-example content, counts, soundness, typing."""
 
+import hashlib
 import math
 
 import pytest
 
-from invwreath.base import NoEvaluationError, builtin
+from invwreath.base import BUILTIN_NAMES, NoEvaluationError, builtin
 from invwreath.presentations import (
-    KIND_FLAVOR,
+    KIND,
     KINDS,
     build,
     emit_json,
@@ -117,7 +118,7 @@ def test_soundness_small_sweep():
     from invwreath.verify import check_soundness
     for base in SMALL_BASES:
         for kind in KINDS:
-            flavor = KIND_FLAVOR[kind]
+            flavor = KIND[kind].flavor
             if flavor in ("monoid", "semigroup"):
                 p = build(kind, base, n=2)
             elif flavor == "category":
@@ -132,6 +133,37 @@ def test_determinism():
     a = build("r-m-sing-in", C2, n=3)
     b = build("r-m-sing-in", C2, n=3)
     assert a.alphabet == b.alphabet and a.relations == b.relations
+
+
+def test_every_build_is_pinned():
+    # a digest of the emitted JSON of each kind over every builtin base at
+    # each level from the least to 4 (caps 0 to 3): a change to any
+    # generator or relation, or to their order, shows here and must be
+    # deliberate
+    pins = {
+        "r-in": "9e1f05f99b1818bad3f16c3bbe3bec74098a0761c032de83df9ba2d674809e37",
+        "r-in-popova": "9becc0a1e8d9974c0ed8c10aedaecc84e5de984b1baa69be25e0958a7d6bcddd",
+        "r-min": "2798ded1c4ddb1aecfac6f531bd4b4b952f54ad3a0be6fb89b2bdebbdd79838c",
+        "r-min-small": "5176758e02eb6e4c450d2d0508f52bd707849ac536f459aaa93df155ea7769d7",
+        "omega-mi": "1a8c576288dd8a766ea5277615d583842cb2be0b6696d637fcabdb8b649a4c40",
+        "xi-i": "8d372378d571dc8ad03323ee770108463e5a9709a71e02de17626fcae5e87050",
+        "xi-mi": "b455d5b98b818d7cbd78b0f7efc176ace3f001702e6596b1ba151a10ace1e6f3",
+        "r-sing-in": "519499759a22f1cb09d223026616aa97efd88201a92fbaa55a807738dc2d39e6",
+        "r-sing-tuples": "881cf24b109c6a4f5297a14ff45b3c99733c9e6010aeaa86d827d832b992266c",
+        "r-m-sing-in": "1ccc388bb140e5404476082b59b930a42e772ccf26afc100a2db0326ad032716",
+    }
+    assert set(pins) == set(KINDS)
+    for kind, row in KIND.items():
+        if row.level is None:
+            levels = [{}]
+        else:
+            top = 3 if row.level == "cap" else 4
+            levels = [{row.level: k} for k in range(row.least, top + 1)]
+        digest = hashlib.sha256()
+        for name in BUILTIN_NAMES:
+            for level in levels:
+                digest.update(emit_json(build(kind, builtin(name), **level)).encode())
+        assert digest.hexdigest() == pins[kind], kind
 
 
 def test_semigroup_sides_nonempty():
