@@ -11,6 +11,7 @@ used as generators throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterator
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "lift1",
     "enumerate_partial_bijections",
     "image_rows",
+    "code_rows",
     "DEFAULT_ENUM_CAP",
 ]
 
@@ -214,24 +216,73 @@ def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) ->
 def image_rows(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """The image rows of ``enumerate_partial_bijections``, in its order,
     as plain tuples."""
+    return code_rows(m, n)
+
+
+def code_rows(m: int, n: int, labels: int = 0, fixed: bool = False,
+              singular: bool = False) -> Iterator[tuple[int, ...]]:
+    """The partial bijections ``{1..m} -> {1..n}``, each defined position
+    labelled ``1..labels``, as rows of position codes in increasing order.
+    A position off the domain holds ``0``; one with image ``v`` and label
+    ``l`` holds ``v * (labels + 1) + l``, or ``v`` when there are no
+    labels, so the unlabelled rows are the image rows.  With ``fixed``
+    each position maps to itself or nowhere; with ``singular`` a row has a
+    position off the domain.
+
+    An odometer runs over the first ``m - 1`` positions and completes each
+    prefix with every code the last position can take, so the state is
+    one prefix and its free images: no recursion, and no list of rows."""
     if m < 0 or n < 0:
         raise ValueError(f"negative chain size: m={m}, n={n}")
-    row: list[int] = []
-    used: set[int] = set()
+    return _code_rows(m, n, labels, fixed, singular)
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(row) == m:
-            yield tuple(row)
-            return
-        row.append(0)
-        yield from rec()
-        row.pop()
-        for v in range(1, n + 1):
-            if v not in used:
-                row.append(v)
-                used.add(v)
-                yield from rec()
-                used.discard(v)
-                row.pop()
 
-    return rec()
+def _code_rows(m, n, labels, fixed, singular):
+    width = labels + 1
+    first = 1 if labels else 0
+    # per image, the one-position rows that take it, labels ascending
+    block = [()] + [tuple((v * width + label,) for label in range(first, width))
+                    for v in range(1, n + 1)]
+    if not m:
+        if not singular:
+            yield ()
+        return
+    off = ((0,),)
+    last = m - 1                    # the position that completes a prefix
+    row = [0] * last
+    free = [False] + [True] * n + [True]    # per image; the last entry stops a search
+    zeros = last                    # prefix positions off the domain
+    while True:
+        prefix = tuple(row)
+        if singular and not zeros:
+            tail = off
+        elif fixed:
+            tail = off + block[m] if m <= n else off
+        else:
+            tail = chain(off, chain.from_iterable(compress(block, free)))
+        yield from map(prefix.__add__, tail)
+        # the next prefix: the rightmost position that can grow grows, and
+        # the positions after it are back off the domain
+        i = last - 1
+        while True:
+            if i < 0:
+                return
+            c = row[i]
+            if c and c % width < labels:
+                row[i] = c + 1                  # the next label
+                break
+            v = c // width
+            if v:
+                free[v] = True
+            if fixed:
+                v = i + 1 if not v and i < n else n + 1
+            else:
+                v = free.index(True, v + 1)     # the next free image
+            if v <= n:
+                free[v] = False
+                row[i] = v * width + first
+                zeros -= not c
+                break
+            row[i] = 0
+            zeros += c > 0
+            i -= 1

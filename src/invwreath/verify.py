@@ -20,9 +20,12 @@ the generator images under composition instead.  Either way the witness
 words are the same breadth-first words, and ``canonical_word`` reads its
 words from that closure too, with the kind built at the element's own
 level, so the program has one source of witness words.  Generation
-composes plain forms (``wreath.compose_keys``) and validates none of its
-products; the docstring of ``check_generation`` says why that is sound.
-Last the sizes are compared.
+multiplies position codes (``wreath.right_action``): each generator image
+is a lookup table on codes, so a product is one ``map``.  The target is
+streamed as codes (``wreath.enumerate_codes``), and an element is decoded
+to its plain form only when it is missing.  No product is validated; the
+docstring of ``check_generation`` says why that is sound.  Last the sizes
+are compared.
 
 The category kind differs in three places only: its target is a count per
 hom-set; its report carries the headroom the counts were taken at; and a
@@ -42,9 +45,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain
-from operator import truth
 
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
@@ -78,12 +80,18 @@ class StageReport:
 class GenerationResult:
     covered: int
     target: int
-    witness: dict                                  # plain form -> word
+    coded: dict = field(repr=False)                # (codes, n) -> word
+    width: int = field(repr=False)                 # of the codes
     missing_example: WreathElement | None = None
 
     @property
     def ok(self) -> bool:
         return self.covered == self.target
+
+    @cached_property
+    def witness(self) -> dict:
+        """Plain form -> word, decoded on first read, in ``coded``'s order."""
+        return {wreath.decode_key(self.width, c): word for c, word in self.coded.items()}
 
 
 @dataclass
@@ -218,19 +226,31 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
 
 
 def _generators(p: Presentation):
-    """What generation closes, on plain forms over the target's base: the
-    seeds, which are the generator images for a semigroup kind and the
-    identity at each object otherwise, each with its word; the generator
-    images with their letters, in alphabet order; and the product."""
+    """What generation closes, on position codes over the target's base
+    (``wreath.encode_key``): the seeds, which are the generator images for
+    a semigroup kind and the identity at each object otherwise, each with
+    its word; per letter, in alphabet order, its image's domain size, its
+    action on codes (``wreath.right_action``) and its codomain size; and
+    the product, ``None`` off a letter's domain."""
     tgt_base, _, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
-    mul = partial(wreath.compose_keys, adjoin_zero(tgt_monoid).table)
-    gens = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
+    z = adjoin_zero(tgt_monoid).table
+    keys = [(sym, words.sym_image(sym, tgt_base, p.n).key) for sym in p.alphabet]
     if p.flavor == "semigroup":
-        seeds = [(g, (sym,)) for sym, g in gens]
+        seeds = [(wreath.encode_key(len(z), g), (sym,)) for sym, g in keys]
     else:
-        seeds = [(wreath.identity_key(tgt_monoid, m), ()) for m, n in homs if m == n]
-    return seeds, gens, mul
+        seeds = [(wreath.encode_key(len(z), wreath.identity_key(tgt_monoid, m)), ())
+                 for m, n in homs if m == n]
+    gens = [(sym, (len(g[0]), wreath.right_action(z, g).__getitem__, g[2])) for sym, g in keys]
+    return seeds, gens, _act
+
+
+def _act(a, g):
+    """The pair ``a`` times a letter's image ``g`` on codes, or ``None``
+    when ``a``'s codomain is not ``g``'s domain."""
+    codes, n = a
+    dom, act, cod = g
+    return (tuple(map(act, codes)), cod) if n == dom else None
 
 
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
@@ -242,22 +262,24 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     composition.  Both visit in the same breadth-first order, with letters
     in alphabet order, so they give the same witness words.
 
-    Everything runs on plain forms (``wreath.compose_keys``), and
-    ``witness`` is keyed by them.  The products are not validated, and
-    need not be: a verdict of ``pass`` needs ``covered == target ==
-    classes``.  The walk makes one product per class, so at most
-    ``classes`` distinct images, and ``covered`` of them are target keys;
-    when all three agree, the images are exactly the target's keys, each
-    reached once.
+    Everything runs on position codes (``wreath.encode_key``): each letter
+    acts by a lookup table, so a product is one ``map`` over the codes.
+    The products are not validated, and need not be: a verdict of ``pass``
+    needs ``covered == target == classes``.  The walk makes one product per
+    class, so at most ``classes`` distinct images, and ``covered`` of them
+    are target elements; when all three agree, the images are exactly the
+    target's elements, each reached once.
 
-    The target's keys are what is checked.  They are streamed hom-set by
-    hom-set, never held as a set; each must have its support equal to
-    its domain, they must strictly increase within a hom-set, and the
-    total must match the closed form, or the run raises
-    ``InternalInconsistency``.  The missing example is the smallest
-    element not reached, by ``sort_key``, the earlier hom-set on a tie."""
+    The target's codes are what is checked.  They are streamed hom-set by
+    hom-set (``wreath.enumerate_codes``), never held as a set; each code
+    must be 0 or have both an image and a label, the code tuples must
+    strictly increase within a hom-set, and the total must match the
+    closed form, or the run raises ``InternalInconsistency``.  The missing
+    example is the smallest element not reached, by ``sort_key``, the
+    earlier hom-set on a tie; only elements not reached are decoded."""
     tgt_base, variant, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
+    width = tgt_monoid.size + 1
     seeds, gens, mul = _generators(p)
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
@@ -265,48 +287,53 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             starts = [table.trace(0, (sym,)) for sym in p.alphabet]
         else:
             starts = list(table.roots.values())     # one per object, in order
-        witness = _walk(table, starts, seeds, gens, mul)
+        witness = _walk(table, starts, seeds, gens)
     else:
         witness = closure(seeds, gens, mul)
-    # a repeated key shows as a key that does not increase.  Keys of two
-    # hom-sets that tie on ``sort_key`` share the domain size, so the
-    # earlier hom-set's, with the smaller codomain, is the smaller key
+    # a repeated element shows as a code tuple that does not increase.
+    # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
+    # size, so the earlier hom-set's, with the smaller codomain, is smaller
     found = covered = 0
     missing = None
     for m, n in homs:
+        # codes with an image and no label, or a label and no image
+        stray = {c for c in range(1, (n + 1) * width) if c < width or not c % width}
         last = None
-        for key in wreath.enumerate_keys(tgt_monoid, m, n, variant, cap=max(m, n)):
-            images, entries, _ = key
-            if list(map(truth, images)) != list(map(truth, entries)):
+        for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant, cap=max(m, n)):
+            if not stray.isdisjoint(codes):
                 raise InternalInconsistency(
-                    f"target key {key} has its support off its domain")
-            if last is not None and key <= last:
+                    f"target codes {codes} of hom-set ({m}, {n}) have support off the domain")
+            if last is not None and codes <= last:
                 raise InternalInconsistency(
                     f"target enumeration of hom-set ({m}, {n}) repeats or is out of order")
-            last = key
+            last = codes
             found += 1
-            if key in witness:
+            if (codes, n) in witness:
                 covered += 1
-            elif missing is None or key < missing:
-                missing = key
+            else:
+                key = wreath.decode_key(width, (codes, n))
+                if missing is None or key < missing:
+                    missing = key
     tgt = target_size(p)
     if found != tgt:
         raise InternalInconsistency(
             f"target enumeration ({found}) disagrees with the closed form ({tgt})")
-    return GenerationResult(covered, found, witness,
+    return GenerationResult(covered, found, witness, width,
                             None if missing is None else wreath.from_key(missing))
 
 
-def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
+def _walk(table: CongruenceTable, starts, seeds, gens) -> dict:
     """``base.closure`` over a complete table: breadth-first over the
-    classes from ``starts`` (the classes of ``seeds``), one ``mul`` per
+    classes from ``starts`` (the classes of ``seeds``), one product per
     class reached.  A class whose image is new takes its parent's word plus
     one letter; a class whose image is already known adds no witness, and
     neither do its children's images, which its first holder has added.
     Only the letters of ``gens`` that leave a class's object are followed,
     so a category table is walked within the cap."""
-    # per object, the columns of the letters of ``gens`` that leave it
-    leaving = [[(cols[letter], letter, g) for letter, g in gens if letter in cols]
+    # per object, the column, letter, action and codomain of each letter
+    # of ``gens`` that leaves it
+    leaving = [[(cols[letter], letter, act, cod) for letter, (_, act, cod) in gens
+                if letter in cols]
                for cols in table.columns]
     image = [None] * len(table.transitions)     # per class
     queue = []
@@ -318,12 +345,13 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
         witness.setdefault(elt, word)
     for c in queue:         # grows while it is read
         a = image[c]
+        codes = a[0]
         row = table.transitions[c]
-        for col, letter, g in leaving[table.objects[c]]:
+        for col, letter, act, cod in leaving[table.objects[c]]:
             t = row[col]
             if image[t] is not None:
                 continue
-            b = image[t] = mul(a, g)
+            b = image[t] = (tuple(map(act, codes)), cod)
             queue.append(t)
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
@@ -333,7 +361,7 @@ def _walk(table: CongruenceTable, starts, seeds, gens, mul) -> dict:
 @lru_cache(maxsize=16)
 def _witnesses(kind: str, base: BasePresentation, level: int) -> dict:
     """The witness words of ``kind`` built at ``level``, by the closure
-    that generation falls back to, keyed by plain form."""
+    that generation falls back to, keyed by position codes."""
     return closure(*_generators(build(kind, base, **{KIND[kind].level: level})))
 
 
@@ -355,7 +383,11 @@ def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
     if row.flavor == "tensor":
         return hat_path(canonical_word(elem, "omega-mi", base))
     level = max(elem.dom_size, elem.cod_size) if row.level == "cap" else elem.dom_size
-    word = _witnesses(kind, base, level).get(elem.key)
+    try:
+        coded = wreath.encode_key(base.require_evaluation().size + 1, elem.key)
+    except ValueError:
+        coded = None
+    word = _witnesses(kind, base, level).get(coded)
     if word is None:
         raise ValueError(f"kind {kind} presents no element {elem.to_json()}")
     return Path(elem.dom_size, word) if row.flavor == "category" else word

@@ -15,6 +15,16 @@ hom-sets whose rows agree, such as the empty maps ``0 -> 1`` and
 anything, ``enumerate_keys`` lists a hom-set's keys, and ``from_key`` is
 the one constructor that validates.  Within a hom-set, keys order as
 ``sort_key`` does.
+
+Generation multiplies in a second form, on position codes.  Over the
+zero-extended table ``z``, position ``i`` of a key with image ``v`` and
+label ``l`` has the code ``v * len(z) + l``, which is 0 off the domain, and
+an element of hom-set ``(m, n)`` is the pair ``(codes, n)`` of its ``m``
+codes and its codomain size.  Right multiplication by ``b`` moves each
+position on its own, so it is one lookup table on codes
+(``right_action``), and a product is one ``map`` over the codes.
+``enumerate_codes`` streams a hom-set's codes in increasing order, which
+is not ``sort_key`` order; ``encode_key`` and ``decode_key`` convert.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ __all__ = [
     "WreathElement",
     "from_key",
     "compose_keys",
+    "right_action",
+    "encode_key",
+    "decode_key",
     "level_mismatch",
     "identity_key",
     "compose",
@@ -41,6 +54,7 @@ __all__ = [
     "embed_map",
     "identity_element",
     "enumerate_keys",
+    "enumerate_codes",
     "enumerate_wreath",
     "rank_counts",
     "count_wreath",
@@ -108,6 +122,36 @@ def compose_keys(z, a, b):
     return (tuple(map(b_images.__getitem__, images)),
             tuple(map(getitem, map(z.__getitem__, entries), map(b_entries.__getitem__, images))),
             b_n)
+
+
+def right_action(z, b) -> tuple:
+    """The table of right multiplication by the plain form ``b`` on
+    position codes over the zero-extended table ``z``: entry ``c`` is the
+    code that a position with code ``c`` has in the product.  A position
+    with image ``v`` and label ``l`` goes to ``b``'s image of ``v`` with the
+    label ``l`` times ``b``'s label there; ``b``'s rows get a leading ``0``,
+    as in ``compose_keys``, so a position off the domain stays at ``0``."""
+    images, entries, _ = b
+    width = len(z)
+    return tuple(v * width + z[label][e]
+                 for v, e in zip((0,) + images, (0,) + entries)
+                 for label in range(width))
+
+
+def encode_key(width: int, key) -> tuple:
+    """The pair ``(codes, n)`` of the plain form ``key``, with ``width``
+    the size of the zero-extended table.  A label that is no element of
+    that table raises ``ValueError``."""
+    images, entries, n = key
+    if any(label >= width for label in entries):
+        raise ValueError(f"labels {entries} outside a table of {width - 1} elements")
+    return tuple(v * width + label for v, label in zip(images, entries)), n
+
+
+def decode_key(width: int, coded) -> tuple:
+    """The plain form of the pair ``(codes, n)``."""
+    codes, n = coded
+    return tuple(c // width for c in codes), tuple(c % width for c in codes), n
 
 
 def level_mismatch(a, b) -> CompositionError:
@@ -186,6 +230,19 @@ def hom_count(monoid: FiniteMonoid, m: int, n: int) -> int:
     return count_wreath(monoid, m, n)
 
 
+def _check_hom_set(monoid: FiniteMonoid, m: int, n: int, variant: str, cap: int | None):
+    """Refuse a hom-set above the cap (by default ``default_level_cap``)
+    or a variant that it has not."""
+    if cap is None:
+        cap = default_level_cap(monoid)
+    if m > cap or n > cap:
+        raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
+    if variant not in ("full", "singular-monoid", "singular-tuples"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant != "full" and m != n:
+        raise ValueError("singular variants need m == n")
+
+
 def enumerate_keys(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
                    cap: int | None = None) -> Iterator[tuple]:
     """The plain forms of all elements of the chosen variant, ordered
@@ -195,12 +252,7 @@ def enumerate_keys(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
     elements whose map is not a permutation), ``singular-tuples`` (tuples
     with a zero entry, embedded via their partial identity).
     """
-    if cap is None:
-        cap = default_level_cap(monoid)
-    if m > cap or n > cap:
-        raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
-    if variant in ("singular-monoid", "singular-tuples") and m != n:
-        raise ValueError("singular variants need m == n")
+    _check_hom_set(monoid, m, n, variant, cap)
     values = range(1, monoid.size + 1)
     for row in pperm.image_rows(m, n):
         rank = m - row.count(0)
@@ -217,6 +269,15 @@ def enumerate_keys(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
             spread.append(k if v else 0)
         for labels in product(values, repeat=rank):
             yield row, tuple(map(((0,) + labels).__getitem__, spread)), n
+
+
+def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
+                    cap: int | None = None) -> Iterator[tuple]:
+    """The code tuples (``encode_key``) of ``enumerate_keys``'s elements,
+    in increasing tuple order, streamed with the state of one tuple."""
+    _check_hom_set(monoid, m, n, variant, cap)
+    return pperm.code_rows(m, n, monoid.size, fixed=variant == "singular-tuples",
+                           singular=variant != "full")
 
 
 def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",

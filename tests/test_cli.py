@@ -258,6 +258,19 @@ def test_enumerate_negative_size_is_a_usage_error(capsys):
         assert err.startswith("error: negative chain size"), variant
 
 
+def test_enumerate_a_long_chain_into_the_empty_one(capsys):
+    # the one map from 1,200 points to none: rows are built in a loop, not
+    # by a recursion as deep as the chain
+    code, out, _ = run(capsys, "enumerate", "--m", "1200", "--n", "0", "--cap", "2000")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "count: 1" and len(lines) == 2
+    assert json.loads(lines[1]) == {"tuple": [0] * 1200,
+                                    "map": {"m": 1200, "n": 0, "images": [0] * 1200}}
+    code, out, _ = run(capsys, "enumerate", "--m", "1200", "--n", "0", "--cap", "2000",
+                       "--count-only")
+    assert (code, out) == (0, "count: 1\n")
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, "eval", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--word", "s1 g@1", "--format", "json")

@@ -1,5 +1,7 @@
 """Partial bijection arithmetic against brute-force oracles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from invwreath.pperm import (
     CapExceededError,
     CompositionError,
     PartialBijection,
+    code_rows,
     drop1,
     enumerate_partial_bijections,
     identity,
@@ -170,6 +173,25 @@ def test_enumeration_counts_and_order():
         assert [e.images for e in elems] == sorted(e.images for e in elems)
     assert count_wreath(TRIVIAL, 3, 3) == 34
     assert count_wreath(TRIVIAL, 4, 4) == 209
+
+
+def test_code_rows_against_a_filtered_product():
+    # every row of m codes in 0..(n+1)(labels+1), kept when it names a
+    # labelled partial bijection of the flags' kind, sorted
+    for m, n, labels in product(range(4), range(4), range(3)):
+        width = labels + 1
+        for fixed, singular in product((False, True), repeat=2):
+            def names_one(row):
+                images = [c // width for c in row]
+                defined = [v for v in images if v]
+                return (all((c % width > 0) == (c >= width) if labels else True for c in row)
+                        and len(set(defined)) == len(defined)
+                        and not (fixed and any(v not in (0, i) for i, v in enumerate(images, 1)))
+                        and not (singular and all(images)))
+            expected = [row for row in product(range((n + 1) * width), repeat=m)
+                        if names_one(row)]
+            assert list(code_rows(m, n, labels, fixed, singular)) == expected, \
+                (m, n, labels, fixed, singular)
 
 
 def test_domain_image_bookkeeping():

@@ -143,15 +143,35 @@ def test_repeated_target_element_is_an_inconsistency(monkeypatch):
     # must still be caught, here with the count kept at the closed form
     import invwreath.wreath as wreath_mod
 
-    real = wreath_mod.enumerate_keys
+    real = wreath_mod.enumerate_codes
 
     def repeating(*args, **kwargs):
-        keys = list(real(*args, **kwargs))
-        yield from keys[:-1] + keys[:1]
+        rows = list(real(*args, **kwargs))
+        yield from rows[:-1] + rows[:1]
 
-    monkeypatch.setattr(wreath_mod, "enumerate_keys", repeating)
+    monkeypatch.setattr(wreath_mod, "enumerate_codes", repeating)
     p = build("r-min", C2, n=2)
     with pytest.raises(InternalInconsistency, match="repeats"):
+        check_generation(p, enumerate_congruence(p))
+
+
+def test_target_code_without_a_label_is_an_inconsistency(monkeypatch):
+    # a streamed code with an image but label 0 names no element: the
+    # stream is wrong, even where the count and the order still hold
+    import invwreath.wreath as wreath_mod
+
+    real = wreath_mod.enumerate_codes
+    width = C2.monoid.size + 1
+
+    def unlabelled(*args, **kwargs):
+        for codes in real(*args, **kwargs):
+            if codes == (2 * width + 1, 0):       # image 2, label 1 at position 1
+                codes = (2 * width, 0)            # image 2, label 0
+            yield codes
+
+    monkeypatch.setattr(wreath_mod, "enumerate_codes", unlabelled)
+    p = build("r-min", C2, n=2)
+    with pytest.raises(InternalInconsistency, match="support off the domain"):
         check_generation(p, enumerate_congruence(p))
 
 

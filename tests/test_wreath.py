@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invwreath.base import MTuple, act, adjoin_zero, builtin, ones, tuple_mul
+from invwreath.base import BUILTIN_NAMES, MTuple, act, adjoin_zero, builtin, ones, tuple_mul
 from invwreath.pperm import (
     CapExceededError,
     CompositionError,
@@ -18,13 +18,17 @@ from invwreath.wreath import (
     compose,
     compose_keys,
     count_wreath,
+    decode_key,
     embed_map,
     embed_tuple,
+    encode_key,
+    enumerate_codes,
     enumerate_keys,
     enumerate_wreath,
     from_key,
     hom_count,
     identity_element,
+    right_action,
     tensor,
 )
 
@@ -235,3 +239,50 @@ def test_enumerate_keys_is_the_sorted_hom_set():
         assert [from_key(k).key for k in keys] == keys
         assert len(keys) == count_wreath(monoid, m, n, variant), (name, variant, m, n)
         assert [e.key for e in enumerate_wreath(monoid, m, n, variant, cap=3)] == keys
+
+
+# ---------------------------------------------------------------------------
+# position codes
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_pairs())
+def test_right_action_agrees_with_compose_keys(pair):
+    monoid, p, q = pair
+    z = adjoin_zero(monoid).table
+    codes, _ = encode_key(len(z), p.key)
+    act = right_action(z, q.key)
+    got = (tuple(act[c] for c in codes), q.cod_size)
+    assert decode_key(len(z), got) == compose_keys(z, p.key, q.key)
+    assert decode_key(len(z), encode_key(len(z), p.key)) == p.key
+
+
+def test_code_stream_is_the_hom_set():
+    # every variant over every base with a table, m, n <= 3
+    bases = [builtin(name).monoid for name in BUILTIN_NAMES if builtin(name).monoid]
+    assert len(bases) == len(BUILTIN_NAMES) - 1          # all but the bicyclic monoid
+    for monoid in bases:
+        width = monoid.size + 1
+        for m in range(4):
+            for n in range(4):
+                for variant in ("full", "singular-monoid", "singular-tuples"):
+                    if variant != "full" and m != n:
+                        continue
+                    rows = list(enumerate_codes(monoid, m, n, variant, cap=3))
+                    cell = (monoid.name, variant, m, n)
+                    assert all(a < b for a, b in zip(rows, rows[1:])), cell
+                    assert len(rows) == count_wreath(monoid, m, n, variant), cell
+                    assert ({decode_key(width, (codes, n)) for codes in rows}
+                            == set(enumerate_keys(monoid, m, n, variant, cap=3))), cell
+
+
+def test_code_stream_refuses_what_the_key_stream_refuses():
+    monoid = C2.monoid
+    with pytest.raises(CapExceededError):
+        enumerate_codes(monoid, 4, 4)
+    with pytest.raises(ValueError, match="m == n"):
+        enumerate_codes(monoid, 2, 3, "singular-monoid")
+    with pytest.raises(ValueError, match="unknown variant"):
+        enumerate_codes(monoid, 2, 2, "partial")
+    with pytest.raises(ValueError, match="outside a table"):
+        encode_key(2, ((1,), (2,), 1))
