@@ -27,6 +27,13 @@ to its plain form only when it is missing.  No product is validated; the
 docstring of ``check_generation`` says why that is sound.  Last the sizes
 are compared.
 
+Soundness runs on the same codes, with the same letter actions: each
+relation side is evaluated from the identity at its source, one ``map``
+per letter, and the two sides' codes are compared.  Only a relation whose
+sides differ is evaluated again as elements over the presentation's own
+base, to word the failure; the docstring of ``check_soundness`` says when
+else the evaluator is used.
+
 The category kind differs in three places only: its target is a count per
 hom-set; its report carries the headroom the counts were taken at; and a
 count above the target does not fail.  At a headroom ``h`` the cell builds
@@ -47,6 +54,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
@@ -134,10 +142,28 @@ def _jsonable(v):
 
 
 def check_soundness(p: Presentation) -> StageReport:
-    """Evaluate every relation; report the first counterexample."""
+    """Evaluate every relation; report the first counterexample.
+
+    A flat or category side is evaluated on position codes, as generation
+    multiplies: from the identity at the side's source, each letter applies
+    the action on codes that ``_generators`` gives it, and the two sides'
+    final ``(codes, n)`` pairs are compared.  A plain kind is checked over
+    the trivial base its target has; its letters carry identity labels, so
+    the answer is the one over its own base.  A relation is evaluated again
+    by its flavor's evaluator (``FLAVOR_SYNTAX``) in two cases: when its
+    sides differ, to word the failure with the elements over the
+    presentation's own base; and when a side has a letter outside the
+    alphabet, or one whose domain is not where the side has got to, so
+    that an ill-typed side raises the evaluator's ``CompositionError``.  A
+    tensor side is a term, evaluated by ``eval_term``."""
     p.base.require_evaluation()
     syntax = FLAVOR_SYNTAX[p.flavor]
+    coded = None if p.flavor == "tensor" else _coded_value(p)
     for idx, (lhs, rhs) in enumerate(p.relations):
+        if coded is not None:
+            sides = coded(lhs), coded(rhs)
+            if None not in sides and sides[0] == sides[1]:
+                continue
         left = syntax.eval(lhs, p.base, p.n)
         right = syntax.eval(rhs, p.base, p.n)
         if left != right:
@@ -145,7 +171,38 @@ def check_soundness(p: Presentation) -> StageReport:
                 False,
                 f"relation {idx}: {syntax.text(lhs)} evaluates to {left.to_json()} "
                 f"but {syntax.text(rhs)} evaluates to {right.to_json()}")
+        if coded is not None and None not in sides:
+            raise InternalInconsistency(
+                f"relation {idx} holds as elements but not on position codes")
     return StageReport(True, f"{len(p.relations)} relations sound")
+
+
+def _coded_value(p: Presentation):
+    """The function from a flat word or a path of ``p`` to its ``(codes,
+    n)`` pair over the target's base, or to ``None`` at a letter outside
+    the alphabet or off its domain."""
+    monoid = _target_of(p)[0].require_evaluation()
+    width = monoid.size + 1
+    acts = dict(_generators(p)[1])
+    category = p.flavor == "category"
+    identities = {}
+    no_letter = (None, None, None)
+
+    def value(side):
+        src, letters = (side.src, side.edges) if category else (p.n, side)
+        start = identities.get(src)
+        if start is None:
+            start = identities[src] = wreath.encode_key(width, wreath.identity_key(monoid, src))
+        codes, n = start
+        for sym in letters:
+            dom, act, cod = acts.get(sym, no_letter)
+            if dom != n:
+                return None
+            codes = tuple(map(act, codes))
+            n = cod
+        return codes, n
+
+    return value
 
 
 def _target(kind: str, base: BasePresentation, level: int):
@@ -229,9 +286,8 @@ def _generators(p: Presentation):
     """What generation closes, on position codes over the target's base
     (``wreath.encode_key``): the seeds, which are the generator images for
     a semigroup kind and the identity at each object otherwise, each with
-    its word; per letter, in alphabet order, its image's domain size, its
-    action on codes (``wreath.right_action``) and its codomain size; and
-    the product, ``None`` off a letter's domain."""
+    its word; and per letter, in alphabet order, its image's domain size,
+    its action on codes (``wreath.right_action``) and its codomain size."""
     tgt_base, _, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
     z = adjoin_zero(tgt_monoid).table
@@ -242,15 +298,24 @@ def _generators(p: Presentation):
         seeds = [(wreath.encode_key(len(z), wreath.identity_key(tgt_monoid, m)), ())
                  for m, n in homs if m == n]
     gens = [(sym, (len(g[0]), wreath.right_action(z, g).__getitem__, g[2])) for sym, g in keys]
-    return seeds, gens, _act
+    return seeds, gens
+
+
+def _close(seeds, gens) -> dict:
+    """``base.closure`` of ``_generators``' seeds under its letters,
+    trying on each element only the letters whose domain is its
+    codomain."""
+    leaving = {}
+    for letter, g in gens:
+        leaving.setdefault(g[0], []).append((letter, g))
+    return closure(seeds, leaving, _act, source=itemgetter(1))
 
 
 def _act(a, g):
-    """The pair ``a`` times a letter's image ``g`` on codes, or ``None``
-    when ``a``'s codomain is not ``g``'s domain."""
-    codes, n = a
-    dom, act, cod = g
-    return (tuple(map(act, codes)), cod) if n == dom else None
+    """The pair ``a`` times a letter's image ``g`` on codes, where ``a``'s
+    codomain is ``g``'s domain."""
+    _, act, cod = g
+    return tuple(map(act, a[0])), cod
 
 
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
@@ -280,7 +345,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     tgt_base, variant, homs = _target_of(p)
     tgt_monoid = tgt_base.require_evaluation()
     width = tgt_monoid.size + 1
-    seeds, gens, mul = _generators(p)
+    seeds, gens = _generators(p)
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
             # the empty word's class is no element: start one letter in
@@ -289,7 +354,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             starts = list(table.roots.values())     # one per object, in order
         witness = _walk(table, starts, seeds, gens)
     else:
-        witness = closure(seeds, gens, mul)
+        witness = _close(seeds, gens)
     # a repeated element shows as a code tuple that does not increase.
     # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
     # size, so the earlier hom-set's, with the smaller codomain, is smaller
@@ -362,7 +427,7 @@ def _walk(table: CongruenceTable, starts, seeds, gens) -> dict:
 def _witnesses(kind: str, base: BasePresentation, level: int) -> dict:
     """The witness words of ``kind`` built at ``level``, by the closure
     that generation falls back to, keyed by position codes."""
-    return closure(*_generators(build(kind, base, **{KIND[kind].level: level})))
+    return _close(*_generators(build(kind, base, **{KIND[kind].level: level})))
 
 
 def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):

@@ -17,7 +17,7 @@ Text syntax (whitespace separated, round-trips with the printers):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pperm, wreath
@@ -59,7 +59,16 @@ class Sym:
     """One generator symbol.  ``kind`` selects the family; unused fields
     stay at their defaults so symbols hash and compare structurally.  ``n``
     is the level of a swap, omission or slot letter on a path (``None``:
-    level-free) and the lower level of ``lam``/``rho``."""
+    level-free) and the lower level of ``lam``/``rho``.
+
+    Symbols are interned: the constructors below hand back one shared
+    ``Sym`` per distinct symbol, from a table bounded like
+    ``_parse_token``'s, so a dict lookup on a symbol usually hits by
+    identity.  Each ``Sym`` hashes its fields once, when it is made, so one
+    made directly or by ``dataclasses.replace`` hashes and compares like
+    the shared one.  Pickling rebuilds a symbol through the table, so the
+    stored hash, which depends on the process's string hashing, never
+    leaves the process."""
 
     kind: str
     letter: str = ""
@@ -67,13 +76,31 @@ class Sym:
     j: int = 0
     n: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.letter, self.i, self.j, self.n)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return _sym, (self.kind, self.letter, self.i, self.j, self.n)
+
+
+@lru_cache(maxsize=4096)
+def _sym(kind: str, letter: str, i: int, j: int, n: int | None) -> Sym:
+    """The shared symbol with these fields, which callers pass all and in
+    order, so that one symbol has one key.  Sharing is safe because a
+    ``Sym`` is frozen; the bound keeps a stream of distinct symbols from
+    growing memory."""
+    return Sym(kind, letter, i, j, n)
+
 
 def s_(i: int, n: int | None = None) -> Sym:
     if i < 1:
         raise ValueError(f"swap index {i} must be positive")
     if n is not None and i >= n:
         raise ValueError(f"leveled swap s{i}:{n} needs i < n")
-    return Sym("s", i=i, n=n)
+    return _sym("s", "", i, 0, n)
 
 
 def e_(i: int, n: int | None = None) -> Sym:
@@ -81,11 +108,11 @@ def e_(i: int, n: int | None = None) -> Sym:
         raise ValueError(f"omit index {i} must be positive")
     if n is not None and i > n:
         raise ValueError(f"leveled omit e{i}:{n} needs i <= n")
-    return Sym("e", i=i, n=n)
+    return _sym("e", "", i, 0, n)
 
 
 def pe() -> Sym:
-    return Sym("pe")
+    return _sym("pe", "", 0, 0, None)
 
 
 def x_(letter: str, i: int, n: int | None = None) -> Sym:
@@ -93,40 +120,40 @@ def x_(letter: str, i: int, n: int | None = None) -> Sym:
         raise ValueError(f"slot {i} must be positive")
     if n is not None and i > n:
         raise ValueError(f"leveled letter {letter}@{i}:{n} needs i <= n")
-    return Sym("x", letter=letter, i=i, n=n)
+    return _sym("x", letter, i, 0, n)
 
 
 def bx(letter: str) -> Sym:
-    return Sym("bx", letter=letter)
+    return _sym("bx", letter, 0, 0, None)
 
 
 def f_(i: int, j: int) -> Sym:
     if i == j or i < 1 or j < 1:
         raise ValueError(f"transfer indices ({i},{j}) must be distinct and positive")
-    return Sym("f", i=i, j=j)
+    return _sym("f", "", i, j, None)
 
 
 def xc(letter: str, i: int, j: int) -> Sym:
     if i == j or i < 1 or j < 1:
         raise ValueError(f"pinned slots ({i},{j}) must be distinct and positive")
-    return Sym("xc", letter=letter, i=i, j=j)
+    return _sym("xc", letter, i, j, None)
 
 
 def lam(n: int) -> Sym:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return Sym("lam", n=n)
+    return _sym("lam", "", 0, 0, n)
 
 
 def rho(n: int) -> Sym:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return Sym("rho", n=n)
+    return _sym("rho", "", 0, 0, n)
 
 
-TX = Sym("TX")
-TU = Sym("TU")
-TUBAR = Sym("TUbar")
+TX = _sym("TX", "", 0, 0, None)
+TU = _sym("TU", "", 0, 0, None)
+TUBAR = _sym("TUbar", "", 0, 0, None)
 
 
 def token(sym: Sym) -> str:
@@ -658,7 +685,7 @@ def plus_word(word):
     for sym in word:
         if sym.n is None or sym.kind not in ("s", "e", "x"):
             raise ValueError(f"{token(sym)} is not a leveled symbol")
-    return tuple(replace(sym, n=sym.n + 1) for sym in word)
+    return tuple(_sym(sym.kind, sym.letter, sym.i, sym.j, sym.n + 1) for sym in word)
 
 
 def reverse_word(word):

@@ -7,11 +7,14 @@ import time
 import jsonschema
 import pytest
 
-from invwreath.base import InternalInconsistency, NoEvaluationError, builtin
+from invwreath.base import InternalInconsistency, NoEvaluationError, builtin, closure
 from invwreath.congruence import enumerate_congruence
-from invwreath.presentations import KIND, build
+from invwreath.pperm import CompositionError
+from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
+    _close,
+    _generators,
     canonical_word,
     check_generation,
     check_soundness,
@@ -21,12 +24,13 @@ from invwreath.verify import (
     verify_presentation,
     verify_tensor,
 )
+from invwreath.words import Path, lam, parse_path, s_
 from invwreath.words import parse_monoid_word as w
-from invwreath.words import parse_path
 from invwreath.wreath import hom_count
 
 C2 = builtin("c2")
 TRIV = builtin("trivial")
+SMALL_BASES = [builtin(name) for name in ("trivial", "c2", "c3", "sl2", "s3")]
 
 
 def test_soundness_pass_and_fail():
@@ -40,8 +44,89 @@ def test_soundness_pass_and_fail():
 
 
 def test_soundness_needs_evaluation():
-    with pytest.raises(NoEvaluationError):
-        check_soundness(build("r-min", builtin("bicyclic"), n=2))
+    for p in (build("r-min", builtin("bicyclic"), n=2),
+              build("omega-mi", builtin("bicyclic"), cap=2)):
+        with pytest.raises(NoEvaluationError):
+            check_soundness(p)
+
+
+def _soundness_by_evaluation(p):
+    """The soundness check on elements: each side evaluated by its flavor's
+    evaluator over the presentation's base, the first failure worded."""
+    syntax = FLAVOR_SYNTAX[p.flavor]
+    for idx, (lhs, rhs) in enumerate(p.relations):
+        left, right = syntax.eval(lhs, p.base, p.n), syntax.eval(rhs, p.base, p.n)
+        if left != right:
+            return False, (f"relation {idx}: {syntax.text(lhs)} evaluates to {left.to_json()} "
+                           f"but {syntax.text(rhs)} evaluates to {right.to_json()}")
+    return True, f"{len(p.relations)} relations sound"
+
+
+def _with_relation(p, idx, relation):
+    return dataclasses.replace(p, relations=p.relations[:idx] + (relation,) + p.relations[idx:])
+
+
+def test_soundness_on_codes_agrees_with_evaluation():
+    for base in SMALL_BASES:
+        for kind, row in KIND.items():
+            p = build(kind, base, **{row.level: 2} if row.level else {})
+            report = check_soundness(p)
+            assert (report.ok, report.detail) == _soundness_by_evaluation(p), (kind, base.name)
+            assert report.ok, (kind, base.name, report.detail)
+            # and with a relation whose sides come from two relations
+            (lhs, _), (_, rhs) = p.relations[0], p.relations[-1]
+            p = _with_relation(p, 1, (lhs, rhs))
+            report = check_soundness(p)
+            assert (report.ok, report.detail) == _soundness_by_evaluation(p), (kind, base.name)
+    assert check_soundness(build("r-in", C2, n=3)).ok
+
+
+def test_an_unsound_relation_is_worded_as_elements():
+    # one per flavor, with the words of the parent's element-based check
+    cases = [
+        (build("r-in", C2, n=3), (w("s1 e1"), w("e1 s1")),
+         "relation 3: s1 e1 evaluates to {'tuple': [1, 0, 1], 'map': {'m': 3, 'n': 3, "
+         "'images': [2, 0, 3]}} but e1 s1 evaluates to {'tuple': [0, 1, 1], 'map': "
+         "{'m': 3, 'n': 3, 'images': [0, 1, 3]}}"),
+        (build("r-sing-in", TRIV, n=3), (w("f1,2 f2,3"), w("f1,3")),
+         "relation 3: f1,2 f2,3 evaluates to {'tuple': [0, 1, 1], 'map': {'m': 3, 'n': 3, "
+         "'images': [0, 1, 2]}} but f1,3 evaluates to {'tuple': [0, 1, 1], 'map': "
+         "{'m': 3, 'n': 3, 'images': [0, 2, 1]}}"),
+        (build("omega-mi", C2, cap=2), (parse_path("g@1:2 s1:2"), parse_path("s1:2 g@1:2")),
+         "relation 3: g@1:2 s1:2 evaluates to {'tuple': [2, 1], 'map': {'m': 2, 'n': 2, "
+         "'images': [2, 1]}} but s1:2 g@1:2 evaluates to {'tuple': [1, 2], 'map': "
+         "{'m': 2, 'n': 2, 'images': [2, 1]}}"),
+    ]
+    for p, relation, detail in cases:
+        report = check_soundness(_with_relation(p, 3, relation))
+        assert (report.ok, report.detail) == (False, detail), p.kind
+
+
+def test_an_ill_typed_side_raises_as_evaluation_does():
+    # a letter of another level, outside the alphabet
+    p = _with_relation(build("r-in", TRIV, n=3), 2, ((s_(1, 2),), w("s1")))
+    with pytest.raises(CompositionError, match="cannot compose 3->3 with 2->2"):
+        check_soundness(p)
+    # a letter of the alphabet that does not start where the path has got
+    # to; ``Path`` refuses such a path, so it is made around its check
+    path = object.__new__(Path)
+    object.__setattr__(path, "src", 2)
+    object.__setattr__(path, "edges", (s_(1, 2), lam(1)))
+    p = _with_relation(build("omega-mi", C2, cap=2), 2, (path, parse_path("lam1")))
+    with pytest.raises(CompositionError, match="cannot compose 2->2 with 1->2"):
+        check_soundness(p)
+
+
+def test_the_closure_tries_only_the_letters_that_leave_an_element():
+    # against the closure that tries every letter and skips an undefined product
+    def act_or_none(a, g):
+        dom, act, cod = g
+        return (tuple(map(act, a[0])), cod) if a[1] == dom else None
+
+    for p in (build("omega-mi", C2, cap=3), build("r-min", C2, n=3),
+              build("r-sing-in", TRIV, n=3)):
+        seeds, gens = _generators(p)
+        assert list(_close(seeds, gens).items()) == list(closure(seeds, gens, act_or_none).items())
 
 
 def _same_generation(a, b):

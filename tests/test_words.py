@@ -1,10 +1,16 @@
 """Words, paths, terms: syntax, evaluation, translations, normal forms."""
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
-from invwreath import wreath
+from invwreath import words, wreath
 from invwreath.base import builtin
 from invwreath.pperm import PartialBijection, identity, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
@@ -13,6 +19,7 @@ from invwreath.words import (
     ParseError,
     _parse_token,
     Path,
+    Sym,
     TIdent,
     bx,
     e_,
@@ -63,6 +70,7 @@ from invwreath.words import (
 
 C2 = builtin("c2")
 S3 = builtin("s3")
+SRC = str(FilePath(__file__).resolve().parent.parent / "src")
 
 
 def full_alphabet(base, n):
@@ -243,6 +251,40 @@ def test_parse_errors_are_raised_again():
             with pytest.raises(ParseError) as err:
                 parse_monoid_word(f"s1 {text} e1")
             assert str(err.value) == message
+
+
+def test_symbols_are_interned_and_hash_by_their_fields():
+    assert s_(1) is s_(1)
+    assert _parse_token("s1:3") is s_(1, 3)
+    assert Sym("s", i=1) == s_(1) and hash(Sym("s", i=1)) == hash(s_(1))
+    assert repr(s_(1, 3)) == "Sym(kind='s', letter='', i=1, j=0, n=3)"
+    up = plus_word((s_(1, 3), e_(3, 3), x_("g", 2, 3)))
+    assert up == (s_(1, 4), e_(3, 4), x_("g", 2, 4))
+    assert all(a is b for a, b in zip(up, (s_(1, 4), e_(3, 4), x_("g", 2, 4))))
+    # a symbol made outside the table hashes from its own fields
+    moved = dataclasses.replace(s_(1, 3), n=4)
+    assert moved == s_(1, 4) and hash(moved) == hash(Sym("s", i=1, n=4)) == hash(s_(1, 4))
+    assert pickle.loads(pickle.dumps(xc("g", 1, 2))) is xc("g", 1, 2)
+
+
+def test_a_pickled_symbol_hashes_in_another_process():
+    # string hashing differs between processes, so a hash stored on the
+    # symbol must not travel with it
+    data = pickle.dumps((x_("g", 2, 3), bx("g")))
+    code = ("import pickle, sys; from invwreath.words import Sym; "
+            "a, b = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(a) == hash(Sym('x', 'g', 2, 0, 3)) and {a: 1}[Sym('x', 'g', 2, 0, 3)] == 1; "
+            "assert hash(b) == hash(Sym('bx', 'g'))")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], input=data, env=env, check=True, timeout=60)
+
+
+def test_the_intern_table_is_bounded():
+    for k in range(1, 10_001):
+        assert _parse_token(f"s{k}") == Sym("s", i=k)
+    info = words._sym.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= info.maxsize
 
 
 def test_edge_typing():
