@@ -22,7 +22,6 @@ __all__ = [
     "ZeroExtended",
     "adjoin_zero",
     "MTuple",
-    "tuple_mul",
     "act",
     "tuple_tensor",
     "ones",
@@ -134,13 +133,6 @@ class MTuple:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.entries, start=1) if v)
-
-
-def tuple_mul(m0: ZeroExtended, a: MTuple, b: MTuple) -> MTuple:
-    """Entrywise product; supports intersect."""
-    if len(a) != len(b):
-        raise CompositionError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-    return MTuple(tuple(m0.mul(x, y) for x, y in zip(a.entries, b.entries)))
 
 
 def act(alpha: PartialBijection, a: MTuple) -> MTuple:

@@ -15,17 +15,22 @@ anything is built.  It then builds the presentation and runs soundness,
 the enumeration, and generation.  A complete table is the right Cayley
 graph of the presented structure, so generation walks it breadth-first
 from the roots: each class's image is its parent's image times one
-generator image.  Only when the table is incomplete does generation close
-the generator images under composition instead.  Either way the witness
+generator image.  The walk keeps no word: per codomain, a dict from each
+image's codes to the class that first held it, and per class the holder
+of its parent's image and the letter, a spanning tree from which
+``GenerationResult`` rebuilds the words when they are read.  Only when the
+table is incomplete does generation close the generator images under
+composition instead, keeping a word per element.  Either way the witness
 words are the same breadth-first words, and ``canonical_word`` reads its
 words from that closure too, with the kind built at the element's own
 level, so the program has one source of witness words.  Generation
 multiplies position codes (``wreath.right_action``): each generator image
 is a lookup table on codes, so a product is one ``map``.  The target is
-streamed as codes (``wreath.enumerate_codes``), and an element is decoded
-to its plain form only when it is missing.  No product is validated; the
-docstring of ``check_generation`` says why that is sound.  Last the sizes
-are compared.
+streamed as codes (``wreath.enumerate_codes``) and looked up in its
+codomain's dict, and an element is decoded to its plain form only when it
+is missing.  No product is validated; the docstring of
+``check_generation`` says why that is sound.  Last the sizes are
+compared.
 
 Soundness runs on the same codes, with the same letter actions: each
 relation side is evaluated from the identity at its source, one ``map``
@@ -86,20 +91,53 @@ class StageReport:
 
 @dataclass
 class GenerationResult:
+    """What generation reached: ``covered`` of the ``target`` elements, and
+    the least element missed.  A walk keeps no witness word: ``coded``
+    rebuilds the words from its spanning tree on first read."""
     covered: int
     target: int
-    coded: dict = field(repr=False)                # (codes, n) -> word
     width: int = field(repr=False)                 # of the codes
     missing_example: WreathElement | None = None
+    reached: object = field(default=None, repr=False)   # a _Tree, or the closure's dict
 
     @property
     def ok(self) -> bool:
         return self.covered == self.target
 
     @cached_property
+    def coded(self) -> dict:
+        """``(codes, n)`` -> word, in the order generation reached them:
+        rebuilt from the walk's spanning tree on first read, or the
+        closure's dict as it is."""
+        return self.reached.words() if isinstance(self.reached, _Tree) else self.reached
+
+    @cached_property
     def witness(self) -> dict:
         """Plain form -> word, decoded on first read, in ``coded``'s order."""
         return {wreath.decode_key(self.width, c): word for c, word in self.coded.items()}
+
+
+@dataclass
+class _Tree:
+    """What ``_walk`` keeps: a spanning tree of the classes that hold an
+    image first, and no word.  A holder is such a class, or ``~k`` for the
+    ``k``-th seed, whose word is given."""
+    held: dict          # per codomain: code tuple -> its first holder
+    parent: list        # per class: the holder of its parent's image
+    letter: list        # per class: the letter from its parent
+    order: list         # the classes in the order the walk reached them
+    seed_words: list
+
+    def words(self) -> dict:
+        """``(codes, n)`` -> word, in the order the walk first held each
+        image: the seeds', then the classes' in walk order."""
+        key = {h: (codes, n) for n, held in self.held.items() for codes, h in held.items()}
+        word = {~k: w for k, w in enumerate(self.seed_words)}
+        out = {key[h]: w for h, w in word.items() if h in key}
+        for c in self.order:
+            if c in key:
+                out[key[c]] = word[c] = word[self.parent[c]] + (self.letter[c],)
+        return out
 
 
 @dataclass
@@ -319,13 +357,16 @@ def _act(a, g):
 
 
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
-    """Reach the structure's elements from the generator images, keeping
-    one witness word per element, and compare with the brute-force target.
+    """Reach the structure's elements from the generator images, with one
+    witness word per element, and compare with the brute-force target.
 
     With a complete ``table`` the elements are reached by walking it, one
     product per class; otherwise by closing the generator images under
     composition.  Both visit in the same breadth-first order, with letters
-    in alphabet order, so they give the same witness words.
+    in alphabet order, so they give the same witness words.  The walk keeps
+    a spanning tree (``_walk``), and the words are built only when the
+    result's ``coded`` or ``witness`` is read; the closure keeps its dict
+    of words.
 
     Everything runs on position codes (``wreath.encode_key``): each letter
     acts by a lookup table, so a product is one ``map`` over the codes.
@@ -336,7 +377,8 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     target's elements, each reached once.
 
     The target's codes are what is checked.  They are streamed hom-set by
-    hom-set (``wreath.enumerate_codes``), never held as a set; each code
+    hom-set (``wreath.enumerate_codes``), never held as a set, and each
+    tuple is looked up among the images reached in its codomain; each code
     must be 0 or have both an image and a label, the code tuples must
     strictly increase within a hom-set, and the total must match the
     closed form, or the run raises ``InternalInconsistency``.  The missing
@@ -352,9 +394,11 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             starts = [table.trace(0, (sym,)) for sym in p.alphabet]
         else:
             starts = list(table.roots.values())     # one per object, in order
-        witness = _walk(table, starts, seeds, gens)
+        reached = _walk(table, starts, seeds, gens)
+        held = reached.held
     else:
-        witness = _close(seeds, gens)
+        reached = _close(seeds, gens)
+        held = {n: _Codomain(reached, n) for _, n in homs}
     # a repeated element shows as a code tuple that does not increase.
     # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
     # size, so the earlier hom-set's, with the smaller codomain, is smaller
@@ -363,6 +407,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     for m, n in homs:
         # codes with an image and no label, or a label and no image
         stray = {c for c in range(1, (n + 1) * width) if c < width or not c % width}
+        into = held.get(n, ())
         last = None
         for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant, cap=max(m, n)):
             if not stray.isdisjoint(codes):
@@ -373,7 +418,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
                     f"target enumeration of hom-set ({m}, {n}) repeats or is out of order")
             last = codes
             found += 1
-            if (codes, n) in witness:
+            if codes in into:
                 covered += 1
             else:
                 key = wreath.decode_key(width, (codes, n))
@@ -383,44 +428,68 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     if found != tgt:
         raise InternalInconsistency(
             f"target enumeration ({found}) disagrees with the closed form ({tgt})")
-    return GenerationResult(covered, found, witness, width,
-                            None if missing is None else wreath.from_key(missing))
+    return GenerationResult(covered, found, width,
+                            None if missing is None else wreath.from_key(missing), reached)
 
 
-def _walk(table: CongruenceTable, starts, seeds, gens) -> dict:
+class _Codomain:
+    """The code tuples of one codomain among the closure's ``(codes, n)``
+    keys, looked up as ``_walk``'s per-codomain dicts are, with no copy."""
+
+    def __init__(self, reached: dict, n: int):
+        self.reached, self.n = reached, n
+
+    def __contains__(self, codes) -> bool:
+        return (codes, self.n) in self.reached
+
+
+def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
     """``base.closure`` over a complete table: breadth-first over the
     classes from ``starts`` (the classes of ``seeds``), one product per
-    class reached.  A class whose image is new takes its parent's word plus
-    one letter; a class whose image is already known adds no witness, and
-    neither do its children's images, which its first holder has added.
-    Only the letters of ``gens`` that leave a class's object are followed,
-    so a category table is walked within the cap."""
-    # per object, the column, letter, action and codomain of each letter
-    # of ``gens`` that leaves it
-    leaving = [[(cols[letter], letter, act, cod) for letter, (_, act, cod) in gens
-                if letter in cols]
+    class reached.  Only the letters of ``gens`` that leave a class's
+    object are followed, so a category table is walked within the cap.
+
+    No word is kept.  Per codomain, a dict maps each code tuple to its
+    first holder: the seed that gave it, or the class whose product first
+    reached it.  A class that holds its image records the holder of its
+    parent's image and the letter, so its word is that holder's word plus
+    the letter, as ``base.closure`` would give it; a class whose image is
+    already held records nothing.  A class's image is dropped once its row
+    is processed, so only the frontier's images stay alive."""
+    held = {}
+    # per object, the column, letter, action, codomain and codomain's dict
+    # of each letter of ``gens`` that leaves it
+    leaving = [[(cols[letter], letter, act, cod, held.setdefault(cod, {}))
+                for letter, (_, act, cod) in gens if letter in cols]
                for cols in table.columns]
-    image = [None] * len(table.transitions)     # per class
+    image = [None] * len(table.transitions)     # per class, until its row is done
+    parent = [None] * len(image)
+    letters = [None] * len(image)
     queue = []
-    witness = {}
-    for c, (elt, word) in zip(starts, seeds):
+    for k, (c, (elt, _)) in enumerate(zip(starts, seeds)):
         if image[c] is None:
             image[c] = elt
             queue.append(c)
-        witness.setdefault(elt, word)
+        held.setdefault(elt[1], {}).setdefault(elt[0], ~k)
     for c in queue:         # grows while it is read
-        a = image[c]
-        codes = a[0]
+        codes, n = image[c]
+        image[c] = True     # still visited
+        holder = None
         row = table.transitions[c]
-        for col, letter, act, cod in leaving[table.objects[c]]:
+        for col, letter, act, cod, into in leaving[table.objects[c]]:
             t = row[col]
             if image[t] is not None:
                 continue
-            b = image[t] = (tuple(map(act, codes)), cod)
+            b = tuple(map(act, codes))
+            image[t] = b, cod
             queue.append(t)
-            if b not in witness:
-                witness[b] = witness[a] + (letter,)
-    return witness
+            if b not in into:
+                into[b] = t
+                if holder is None:
+                    holder = held[n][codes]
+                parent[t] = holder
+                letters[t] = letter
+    return _Tree(held, parent, letters, queue, [word for _, word in seeds])
 
 
 @lru_cache(maxsize=16)

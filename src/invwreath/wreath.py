@@ -50,7 +50,6 @@ __all__ = [
     "identity_key",
     "compose",
     "tensor",
-    "embed_tuple",
     "embed_map",
     "identity_element",
     "enumerate_keys",
@@ -170,11 +169,6 @@ def compose(m0: ZeroExtended, p: WreathElement, q: WreathElement) -> WreathEleme
 
 def tensor(p: WreathElement, q: WreathElement) -> WreathElement:
     return WreathElement(tuple_tensor(p.tup, q.tup), p.pmap.tensor(q.pmap))
-
-
-def embed_tuple(a: MTuple) -> WreathElement:
-    """A bare tuple, as the pair with the partial identity on its support."""
-    return WreathElement(a, pperm.partial_identity(a.support, len(a)))
 
 
 def embed_map(monoid: FiniteMonoid, alpha: PartialBijection) -> WreathElement:

@@ -24,7 +24,6 @@ from invwreath.words import (
     bx,
     e_,
     eval_word,
-    min_separation_rules,
     normal_form_singular_tuple,
     normal_form_wreath_word,
     pe,
@@ -34,10 +33,10 @@ from invwreath.words import (
     reassemble_wreath,
     relabel_tuple,
     s_,
-    separate,
     x_,
     xc,
 )
+from oracles import embed_tuple, min_separation_rules, separate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SWEEP_BASES = ("trivial", "c2", "c3", "sl2", "s3")
@@ -280,7 +279,7 @@ def test_criterion_11_translation_properties():
         relabelled = relabel_tuple(eval_word(word, base, n).tup, sigma)
         if set(relabelled.support) != set(range(1, q + 1)) or \
                 eval_word(reassemble_singular(q, n, slots), base, n) != \
-                wreath.embed_tuple(relabelled):
+                embed_tuple(relabelled):
             singular_nf = False
             break
 

@@ -15,6 +15,7 @@ from invwreath.base import builtin
 from invwreath.pperm import PartialBijection, identity, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.verify import canonical_word
+from oracles import embed_tuple, min_separation_rules, separate, sing_separation_rules
 from invwreath.words import (
     ParseError,
     _parse_token,
@@ -32,7 +33,6 @@ from invwreath.words import (
     hat_path,
     lam,
     leveled_word,
-    min_separation_rules,
     normal_form_singular_tuple,
     normal_form_wreath_word,
     parse_monoid_word,
@@ -49,8 +49,6 @@ from invwreath.words import (
     reverse_word,
     rho,
     s_,
-    separate,
-    sing_separation_rules,
     sorting_relabel,
     tedge,
     term_d,
@@ -498,7 +496,7 @@ def test_singular_normal_form_random():
         reassembled = reassemble_singular(q, 3, slots)
         orig = eval_word(w, C2, 3)
         assert eval_word(reassembled, C2, 3) == \
-            wreath.embed_tuple(relabel_tuple(orig.tup, sigma))
+            embed_tuple(relabel_tuple(orig.tup, sigma))
         assert sorting_relabel(orig.tup.support, 3) == sigma
 
 

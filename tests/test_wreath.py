@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invwreath.base import BUILTIN_NAMES, MTuple, act, adjoin_zero, builtin, ones, tuple_mul
+from invwreath.base import BUILTIN_NAMES, MTuple, act, adjoin_zero, builtin, ones
 from invwreath.pperm import (
     CapExceededError,
     CompositionError,
@@ -20,7 +20,6 @@ from invwreath.wreath import (
     count_wreath,
     decode_key,
     embed_map,
-    embed_tuple,
     encode_key,
     enumerate_codes,
     enumerate_keys,
@@ -31,6 +30,8 @@ from invwreath.wreath import (
     right_action,
     tensor,
 )
+
+from oracles import embed_tuple, tuple_mul
 
 C2 = builtin("c2")
 C6_TABLE = tuple(tuple((a + b) % 6 for b in range(6)) for a in range(6))
