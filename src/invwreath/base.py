@@ -177,7 +177,7 @@ def pinned(monoid: FiniteMonoid, elt: int, i: int, j: int, n: int) -> MTuple:
     return MTuple(tuple(row))
 
 
-def closure(seeds, gens, mul, source=None) -> dict:
+def closure(seeds, gens, mul) -> dict:
     """Breadth-first right-multiplication closure with one witness word per
     element.
 
@@ -185,12 +185,9 @@ def closure(seeds, gens, mul, source=None) -> dict:
     given for an element wins.  ``gens`` is a sequence of ``(letter,
     element)`` pairs, tried in order level by level, so each element's word
     is a seed word extended by as few letters as possible.  ``mul(a, g)``
-    returns the product, or ``None`` where it is undefined.
-
-    In a category, ``source(a)`` names the object ``a`` ends at, and
-    ``gens`` maps each object to the pairs, in order, of the letters that
-    leave it; only those are tried on ``a``.  The letters left out have no
-    product with ``a``, so the witnesses and their order are the same.
+    returns the product, or ``None`` where it is undefined.  Generation's
+    closure on position codes (``verify._close``) visits in the same order
+    but keeps a spanning tree in place of the words.
     """
     witness = {}
     frontier = []
@@ -202,7 +199,7 @@ def closure(seeds, gens, mul, source=None) -> dict:
         nxt = []
         for a in frontier:
             word = witness[a]
-            for letter, g in gens if source is None else gens.get(source(a), ()):
+            for letter, g in gens:
                 b = mul(a, g)
                 if b is not None and b not in witness:
                     witness[b] = word + (letter,)

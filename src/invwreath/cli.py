@@ -179,8 +179,9 @@ def _print_report(report):
 def _reader(args):
     """The base of ``args`` and a parser of ``args.kind``'s text that reads
     only the kind's own generators at its level, which is checked; no
-    relation is built.  A path of the category kind is read as it is when
-    no cap is given."""
+    relation is built.  A path of the category kind must also start within
+    the cap, which an empty path is not held to by its edges; without a
+    cap it is read as it is."""
     row = _kind(args.kind)
     base = _load_monoid(args.monoid)
     parse = FLAVOR_SYNTAX[row.flavor].parse
@@ -197,6 +198,8 @@ def _reader(args):
         for sym in obj if row.level == "n" else obj.edges if row.level else term_edges(obj):
             if sym not in letters:
                 raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}{at}")
+        if row.level == "cap" and obj.src > cap:
+            raise UsageError(f"source object {obj.src} is above --cap {cap}")
         return obj
     return base, read
 

@@ -29,7 +29,6 @@ __all__ = [
     "drop1",
     "lift1",
     "enumerate_partial_bijections",
-    "image_rows",
     "code_rows",
     "DEFAULT_ENUM_CAP",
 ]
@@ -210,13 +209,7 @@ def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) ->
     """
     if m > cap or n > cap:
         raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
-    return (PartialBijection(m, n, row) for row in image_rows(m, n))
-
-
-def image_rows(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The image rows of ``enumerate_partial_bijections``, in its order,
-    as plain tuples."""
-    return code_rows(m, n)
+    return (PartialBijection(m, n, row) for row in code_rows(m, n))
 
 
 def code_rows(m: int, n: int, labels: int = 0, fixed: bool = False,

@@ -15,13 +15,13 @@ anything is built.  It then builds the presentation and runs soundness,
 the enumeration, and generation.  A complete table is the right Cayley
 graph of the presented structure, so generation walks it breadth-first
 from the roots: each class's image is its parent's image times one
-generator image.  The walk keeps no word: per codomain, a dict from each
-image's codes to the class that first held it, and per class the holder
+generator image.  Only when the table is incomplete does generation close
+the generator images under composition instead.  Either way it keeps no
+word: per codomain, a dict from each image's codes to the class or
+closure element that first held it, and per class or element the holder
 of its parent's image and the letter, a spanning tree from which
-``GenerationResult`` rebuilds the words when they are read.  Only when the
-table is incomplete does generation close the generator images under
-composition instead, keeping a word per element.  Either way the witness
-words are the same breadth-first words, and ``canonical_word`` reads its
+``GenerationResult`` rebuilds the words when they are read.  Both give
+the same breadth-first witness words, and ``canonical_word`` reads its
 words from that closure too, with the kind built at the element's own
 level, so the program has one source of witness words.  Generation
 multiplies position codes (``wreath.right_action``): each generator image
@@ -59,10 +59,9 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import itemgetter
 
 from . import wreath, words
-from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin, closure
+from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
 from .presentations import FLAVOR_SYNTAX, KIND, Presentation, build, check_level
 from .words import Path, eval_path, eval_term, hat_path, path_text, term_text, x_mn_decompose
@@ -92,13 +91,13 @@ class StageReport:
 @dataclass
 class GenerationResult:
     """What generation reached: ``covered`` of the ``target`` elements, and
-    the least element missed.  A walk keeps no witness word: ``coded``
-    rebuilds the words from its spanning tree on first read."""
+    the least element missed.  It keeps no witness word: ``coded`` rebuilds
+    the words from the spanning tree on first read."""
     covered: int
     target: int
     width: int = field(repr=False)                 # of the codes
+    reached: _Tree = field(repr=False)
     missing_example: WreathElement | None = None
-    reached: object = field(default=None, repr=False)   # a _Tree, or the closure's dict
 
     @property
     def ok(self) -> bool:
@@ -106,10 +105,9 @@ class GenerationResult:
 
     @cached_property
     def coded(self) -> dict:
-        """``(codes, n)`` -> word, in the order generation reached them:
-        rebuilt from the walk's spanning tree on first read, or the
-        closure's dict as it is."""
-        return self.reached.words() if isinstance(self.reached, _Tree) else self.reached
+        """``(codes, n)`` -> word, in the order generation reached them,
+        rebuilt from the spanning tree on first read."""
+        return self.reached.words()
 
     @cached_property
     def witness(self) -> dict:
@@ -119,18 +117,19 @@ class GenerationResult:
 
 @dataclass
 class _Tree:
-    """What ``_walk`` keeps: a spanning tree of the classes that hold an
-    image first, and no word.  A holder is such a class, or ``~k`` for the
+    """What generation keeps, by the walk or the closure: a spanning tree
+    of the holders of the images, and no word.  A holder is the class, or
+    closure element, that reached an image first, or ``~k`` for the
     ``k``-th seed, whose word is given."""
     held: dict          # per codomain: code tuple -> its first holder
-    parent: list        # per class: the holder of its parent's image
-    letter: list        # per class: the letter from its parent
-    order: list         # the classes in the order the walk reached them
+    parent: list        # per class or element: the holder of its parent's image
+    letter: list        # per class or element: the letter from its parent
+    order: object       # the classes or elements in the order they were reached
     seed_words: list
 
     def words(self) -> dict:
-        """``(codes, n)`` -> word, in the order the walk first held each
-        image: the seeds', then the classes' in walk order."""
+        """``(codes, n)`` -> word, in the order each image was first held:
+        the seeds', then the rest in ``order``."""
         key = {h: (codes, n) for n, held in self.held.items() for codes, h in held.items()}
         word = {~k: w for k, w in enumerate(self.seed_words)}
         out = {key[h]: w for h, w in word.items() if h in key}
@@ -339,21 +338,31 @@ def _generators(p: Presentation):
     return seeds, gens
 
 
-def _close(seeds, gens) -> dict:
-    """``base.closure`` of ``_generators``' seeds under its letters,
-    trying on each element only the letters whose domain is its
-    codomain."""
-    leaving = {}
-    for letter, g in gens:
-        leaving.setdefault(g[0], []).append((letter, g))
-    return closure(seeds, leaving, _act, source=itemgetter(1))
-
-
-def _act(a, g):
-    """The pair ``a`` times a letter's image ``g`` on codes, where ``a``'s
-    codomain is ``g``'s domain."""
-    _, act, cod = g
-    return tuple(map(act, a[0])), cod
+def _close(seeds, gens) -> _Tree:
+    """``base.closure`` of ``_generators``' seeds under its letters, kept as
+    ``_walk`` keeps its walk: breadth-first, frontier by frontier, each new
+    image numbered as its holder, with the holder of the image it came from
+    and the letter.  Only the letters whose domain is an element's codomain
+    are tried on it; the others have no product with it."""
+    held, leaving = {}, {}
+    for letter, (dom, act, cod) in gens:
+        leaving.setdefault(dom, []).append((letter, act, cod, held.setdefault(cod, {})))
+    parent, letters, frontier = [], [], []
+    for k, ((codes, n), _) in enumerate(seeds):
+        if held.setdefault(n, {}).setdefault(codes, ~k) == ~k:     # the first seed of its image
+            frontier.append((codes, n, ~k))
+    while frontier:
+        nxt = []
+        for codes, n, holder in frontier:
+            for letter, act, cod, into in leaving.get(n, ()):
+                b = tuple(map(act, codes))
+                if b not in into:
+                    into[b] = len(parent)
+                    nxt.append((b, cod, len(parent)))
+                    parent.append(holder)
+                    letters.append(letter)
+        frontier = nxt
+    return _Tree(held, parent, letters, range(len(parent)), [word for _, word in seeds])
 
 
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
@@ -363,10 +372,10 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     With a complete ``table`` the elements are reached by walking it, one
     product per class; otherwise by closing the generator images under
     composition.  Both visit in the same breadth-first order, with letters
-    in alphabet order, so they give the same witness words.  The walk keeps
-    a spanning tree (``_walk``), and the words are built only when the
-    result's ``coded`` or ``witness`` is read; the closure keeps its dict
-    of words.
+    in alphabet order, so they give the same witness words.  Both keep a
+    spanning tree (``_Tree``) and no word, and look the target up in its
+    per-codomain dicts; the words are built only when the result's
+    ``coded`` or ``witness`` is read.
 
     Everything runs on position codes (``wreath.encode_key``): each letter
     acts by a lookup table, so a product is one ``map`` over the codes.
@@ -395,10 +404,8 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
         else:
             starts = list(table.roots.values())     # one per object, in order
         reached = _walk(table, starts, seeds, gens)
-        held = reached.held
     else:
         reached = _close(seeds, gens)
-        held = {n: _Codomain(reached, n) for _, n in homs}
     # a repeated element shows as a code tuple that does not increase.
     # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
     # size, so the earlier hom-set's, with the smaller codomain, is smaller
@@ -407,7 +414,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     for m, n in homs:
         # codes with an image and no label, or a label and no image
         stray = {c for c in range(1, (n + 1) * width) if c < width or not c % width}
-        into = held.get(n, ())
+        into = reached.held.get(n, ())
         last = None
         for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant, cap=max(m, n)):
             if not stray.isdisjoint(codes):
@@ -428,19 +435,8 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     if found != tgt:
         raise InternalInconsistency(
             f"target enumeration ({found}) disagrees with the closed form ({tgt})")
-    return GenerationResult(covered, found, width,
-                            None if missing is None else wreath.from_key(missing), reached)
-
-
-class _Codomain:
-    """The code tuples of one codomain among the closure's ``(codes, n)``
-    keys, looked up as ``_walk``'s per-codomain dicts are, with no copy."""
-
-    def __init__(self, reached: dict, n: int):
-        self.reached, self.n = reached, n
-
-    def __contains__(self, codes) -> bool:
-        return (codes, self.n) in self.reached
+    return GenerationResult(covered, found, width, reached,
+                            None if missing is None else wreath.from_key(missing))
 
 
 def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
@@ -495,8 +491,8 @@ def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
 @lru_cache(maxsize=16)
 def _witnesses(kind: str, base: BasePresentation, level: int) -> dict:
     """The witness words of ``kind`` built at ``level``, by the closure
-    that generation falls back to, keyed by position codes."""
-    return _close(*_generators(build(kind, base, **{KIND[kind].level: level})))
+    that generation falls back to, keyed by ``(codes, n)``."""
+    return _close(*_generators(build(kind, base, **{KIND[kind].level: level}))).words()
 
 
 def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
@@ -542,8 +538,7 @@ def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
     pair of objects.  The enumeration starts at ``headroom`` and widens on
     a count above the target up to ``max_headroom`` (see the module
     docstring).  ``seed`` is ignored."""
-    if cap < 1:
-        raise ValueError("object cap must be at least 1")
+    check_level("omega-mi", cap=cap)
     if headroom < 0:
         raise ValueError(f"headroom must be at least 0, got {headroom}")
     return _verify_cell("omega-mi", base, cap, budget, headroom, max_headroom)

@@ -12,9 +12,8 @@ domain size is the length of the rows; the codomain size keeps apart
 hom-sets whose rows agree, such as the empty maps ``0 -> 1`` and
 ``0 -> 2``.  Keys are tuples of ints, so they hash and compare in C.
 ``compose_keys`` multiplies two keys without building or validating
-anything, ``enumerate_keys`` lists a hom-set's keys, and ``from_key`` is
-the one constructor that validates.  Within a hom-set, keys order as
-``sort_key`` does.
+anything, and ``from_key`` is the one constructor that validates.  Within
+a hom-set, keys order as ``sort_key`` does.
 
 Generation multiplies in a second form, on position codes.  Over the
 zero-extended table ``z``, position ``i`` of a key with image ``v`` and
@@ -24,14 +23,14 @@ codes and its codomain size.  Right multiplication by ``b`` moves each
 position on its own, so it is one lookup table on codes
 (``right_action``), and a product is one ``map`` over the codes.
 ``enumerate_codes`` streams a hom-set's codes in increasing order, which
-is not ``sort_key`` order; ``encode_key`` and ``decode_key`` convert.
+is not ``sort_key`` order; ``encode_key`` and ``decode_key`` convert, and
+``enumerate_wreath`` decodes a hom-set and sorts it into that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from operator import getitem
 from typing import Iterator
 
@@ -52,7 +51,6 @@ __all__ = [
     "tensor",
     "embed_map",
     "identity_element",
-    "enumerate_keys",
     "enumerate_codes",
     "enumerate_wreath",
     "rank_counts",
@@ -237,38 +235,16 @@ def _check_hom_set(monoid: FiniteMonoid, m: int, n: int, variant: str, cap: int 
         raise ValueError("singular variants need m == n")
 
 
-def enumerate_keys(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                   cap: int | None = None) -> Iterator[tuple]:
-    """The plain forms of all elements of the chosen variant, ordered
-    lexicographically by (map images, tuple entries).
+def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
+                    cap: int | None = None) -> Iterator[tuple]:
+    """The code tuples (``encode_key``) of the hom-set ``(m, n)`` of the
+    chosen variant, in increasing tuple order, streamed with the state of
+    one tuple.
 
     Variants: ``full`` (the whole hom-set), ``singular-monoid`` (endo
     elements whose map is not a permutation), ``singular-tuples`` (tuples
     with a zero entry, embedded via their partial identity).
     """
-    _check_hom_set(monoid, m, n, variant, cap)
-    values = range(1, monoid.size + 1)
-    for row in pperm.image_rows(m, n):
-        rank = m - row.count(0)
-        if variant == "singular-monoid" and rank == n:
-            continue
-        if variant == "singular-tuples" and (
-                rank == n or any(v and v != i for i, v in enumerate(row, start=1))):
-            continue
-        # slot i reads label number spread[i] of (0,) + labels: 0 off the domain
-        spread, k = [], 0
-        for v in row:
-            if v:
-                k += 1
-            spread.append(k if v else 0)
-        for labels in product(values, repeat=rank):
-            yield row, tuple(map(((0,) + labels).__getitem__, spread)), n
-
-
-def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                    cap: int | None = None) -> Iterator[tuple]:
-    """The code tuples (``encode_key``) of ``enumerate_keys``'s elements,
-    in increasing tuple order, streamed with the state of one tuple."""
     _check_hom_set(monoid, m, n, variant, cap)
     return pperm.code_rows(m, n, monoid.size, fixed=variant == "singular-tuples",
                            singular=variant != "full")
@@ -276,6 +252,9 @@ def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
 
 def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
                      cap: int | None = None) -> Iterator[WreathElement]:
-    """The elements of ``enumerate_keys``, in its order."""
-    for key in enumerate_keys(monoid, m, n, variant, cap):
-        yield from_key(key)
+    """The elements of ``enumerate_codes``, decoded and ordered by
+    ``sort_key``."""
+    width = monoid.size + 1
+    keys = sorted(decode_key(width, (codes, n))
+                  for codes in enumerate_codes(monoid, m, n, variant, cap))
+    return map(from_key, keys)

@@ -3,12 +3,18 @@ kept so that what it checked is still checked.
 
 - ``walk_keeping_words``: generation's walk over a complete table as it was
   before it kept a spanning tree, with a dict from each ``(codes, n)`` pair
-  reached to its word.
+  reached to its word.  ``base.closure`` is the same reference for the
+  closure that generation falls back to.
+- ``enumerate_keys``: a hom-set's plain forms in ``sort_key`` order, built
+  from image rows and label tuples, the reference for
+  ``wreath.enumerate_codes`` and ``wreath.enumerate_wreath``.
 - ``separate`` with its rule tables: prefix/suffix separation of mixed
   words, as the paper's normal-form arguments use it.
 - ``tuple_mul`` and ``embed_tuple``: the entrywise tuple product and a
   bare tuple as a wreath element.
 """
+
+from itertools import product
 
 from invwreath import pperm
 from invwreath.base import BasePresentation, MTuple, ZeroExtended
@@ -51,6 +57,33 @@ def walk_keeping_words(table, starts, seeds, gens) -> dict:
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
     return witness
+
+
+def enumerate_keys(monoid, m, n, variant="full"):
+    """The plain forms of all elements of the chosen variant of the hom-set
+    ``(m, n)``, ordered lexicographically by (map images, tuple entries).
+    The hom-set is not checked against a cap or the variant.
+
+    Variants: ``full`` (the whole hom-set), ``singular-monoid`` (endo
+    elements whose map is not a permutation), ``singular-tuples`` (tuples
+    with a zero entry, embedded via their partial identity).
+    """
+    values = range(1, monoid.size + 1)
+    for row in pperm.code_rows(m, n):
+        rank = m - row.count(0)
+        if variant == "singular-monoid" and rank == n:
+            continue
+        if variant == "singular-tuples" and (
+                rank == n or any(v and v != i for i, v in enumerate(row, start=1))):
+            continue
+        # slot i reads label number spread[i] of (0,) + labels: 0 off the domain
+        spread, k = [], 0
+        for v in row:
+            if v:
+                k += 1
+            spread.append(k if v else 0)
+        for labels in product(values, repeat=rank):
+            yield row, tuple(map(((0,) + labels).__getitem__, spread)), n
 
 
 # ---------------------------------------------------------------------------

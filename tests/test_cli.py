@@ -61,6 +61,17 @@ def test_verify_text_names_the_level_by_its_keyword(capsys):
     assert out.splitlines()[0] == "xi-i monoid=c2: pass"
 
 
+def test_verify_takes_the_category_kinds_least_cap(capsys):
+    # cap 0 holds one element, the identity of the empty object
+    code, out, _ = run(capsys, "verify", "--kind", "omega-mi", "--monoid", "c2", "--cap", "0",
+                       "--format", "json")
+    report = json.loads(out)
+    assert (code, report["verdict"], report["target_size"]) == (0, "pass", {"0,0": 1})
+    code, out, err = run(capsys, "verify", "--kind", "omega-mi", "--monoid", "c2",
+                         "--cap", "-1")
+    assert (code, out) == (1, "") and "needs an object cap >= 0" in err
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--format", "json")
@@ -217,7 +228,12 @@ def test_eval_reads_a_category_path_at_the_given_cap(capsys):
     code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--cap", "2", "--word", "lam2")
     assert (code, out) == (1, "") and "'lam2' is not a generator" in err
     assert run(capsys, "eval", "--kind", "omega-mi", "--cap", "-1", "--word", "s1:2")[0] == 1
+    # an empty path has no edge to check, but its object is above the cap
+    code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--monoid", "c2", "--cap", "2",
+                         "--word", "i3")
+    assert (code, out) == (1, "") and "source object 3 is above --cap 2" in err
     for argv in (["eval", "--cap", "2", "--word", "lam1 g@2:2"],
+                 ["eval", "--cap", "2", "--word", "i2"],
                  ["eval", "--word", "s1:5"],
                  ["word-problem", "--lhs", "s1:5", "--rhs", "s1:5"]):
         assert run(capsys, *argv, "--kind", "omega-mi", "--monoid", "c2")[0] == 0, argv

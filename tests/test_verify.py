@@ -132,12 +132,15 @@ def test_the_closure_tries_only_the_letters_that_leave_an_element():
     for p in (build("omega-mi", C2, cap=3), build("r-min", C2, n=3),
               build("r-sing-in", TRIV, n=3)):
         seeds, gens = _generators(p)
-        assert list(_close(seeds, gens).items()) == list(closure(seeds, gens, act_or_none).items())
+        expected = closure(seeds, gens, act_or_none)
+        assert list(_close(seeds, gens).words().items()) == list(expected.items())
 
 
 def _same_generation(a, b):
-    return ((a.covered, a.target, a.missing_example, list(a.witness.items()))
-            == (b.covered, b.target, b.missing_example, list(b.witness.items())))
+    return ((a.covered, a.target, a.missing_example, list(a.coded.items()),
+             list(a.witness.items()))
+            == (b.covered, b.target, b.missing_example, list(b.coded.items()),
+                list(b.witness.items())))
 
 
 def test_generation_witnesses():
@@ -256,18 +259,20 @@ def _words_held(root, letters) -> set:
 
 
 def test_a_fresh_result_holds_no_words():
-    # the walk keeps a spanning tree; words are built when ``coded`` is read.
-    # A semigroup's seeds are one-letter words, which are kept
+    # the walk and the closure keep a spanning tree; words are built when
+    # ``coded`` is read.  A semigroup's seeds are one-letter words, which
+    # are kept
     for p in (build("r-min", C2, n=3), build("r-sing-in", TRIV, n=3),
               build("omega-mi", C2, cap=2)):
-        gen = check_generation(p, enumerate_congruence(p))
-        letters = set(p.alphabet)
-        seed_words = {word for _, word in _generators(p)[0] if word}
-        assert _words_held(gen, letters) == seed_words, p.kind
-        assert "coded" not in vars(gen) and "witness" not in vars(gen)
-        assert gen.ok
-        words = {word for word in gen.coded.values() if word}
-        assert len(words) > len(seed_words) and words <= _words_held(gen, letters)
+        for table in (enumerate_congruence(p), None):
+            gen = check_generation(p, table)
+            letters = set(p.alphabet)
+            seed_words = {word for _, word in _generators(p)[0] if word}
+            assert _words_held(gen, letters) == seed_words, (p.kind, table)
+            assert "coded" not in vars(gen) and "witness" not in vars(gen)
+            assert gen.ok
+            words = {word for word in gen.coded.values() if word}
+            assert len(words) > len(seed_words) and words <= _words_held(gen, letters)
 
 
 def test_generation_adds_little_memory_per_class():
