@@ -15,9 +15,11 @@ import sys
 from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
+from .congruence import node_budget
 from .pperm import enumerate_partial_bijections
 from .presentations import FLAVOR_SYNTAX, KIND, build, check_level, emit_json, emit_text
 from .words import (
+    edge_dr,
     hat_path,
     normal_form_singular_tuple,
     normal_form_wreath_word,
@@ -179,9 +181,12 @@ def _print_report(report):
 def _reader(args):
     """The base of ``args`` and a parser of ``args.kind``'s text that reads
     only the kind's own generators at its level, which is checked; no
-    relation is built.  A path of the category kind must also start within
-    the cap, which an empty path is not held to by its edges; without a
-    cap it is read as it is."""
+    relation is built.  A path of the category kind is read against the
+    generators up to the highest object within the cap that its edges
+    touch: an edge among objects up to ``t`` is a generator at a cap above
+    ``t`` iff it is one at ``t``, so a high cap builds no more letters.  The
+    path must also start within the cap, which an empty path is not held
+    to by its edges; without a cap it is read as it is."""
     row = _kind(args.kind)
     base = _load_monoid(args.monoid)
     parse = FLAVOR_SYNTAX[row.flavor].parse
@@ -190,13 +195,19 @@ def _reader(args):
         return base, parse
     level = _level(args.kind, args.n, cap)
     check_level(args.kind, **level)
-    letters = frozenset(row.alphabet(base, args.n, cap))
+    letters = None if row.level == "cap" else frozenset(row.alphabet(base, args.n, cap))
     at = "".join(f" at {key}={value}" for key, value in level.items())
 
     def read(text):
         obj = parse(text)
-        for sym in obj if row.level == "n" else obj.edges if row.level else term_edges(obj):
-            if sym not in letters:
+        syms = obj if row.level == "n" else obj.edges if row.level else term_edges(obj)
+        known = letters
+        if known is None:
+            tops = (max(edge_dr(sym)) for sym in syms)
+            top = max((t for t in tops if t <= cap), default=0)
+            known = frozenset(row.alphabet(base, None, top))
+        for sym in syms:
+            if sym not in known:
                 raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}{at}")
         if row.level == "cap" and obj.src > cap:
             raise UsageError(f"source object {obj.src} is above --cap {cap}")
@@ -238,6 +249,22 @@ def _cmd_normal_form(args) -> int:
     base, read = _reader(args)
     word = read(args.word)
     if args.kind == "r-min":
+        # the map word is looked up among witnesses for every partial
+        # bijection at n, so their count is held to the node budget; it is
+        # summed rank by rank as verify's budget check sums a target
+        budget = node_budget("monoid", _budget())
+        limit = max(budget, verify_mod._EXACT_NEED)
+        need = 0
+        for term in wreath.rank_counts(builtin("trivial").require_evaluation(), args.n, args.n):
+            need += term
+            if need > limit:
+                break
+        if need > budget:
+            needs = f"more than {limit}" if need > limit else need
+            print(f"normal-form: the map word needs witnesses for {needs} partial "
+                  f"bijections at n={args.n}, above the node budget of {budget}",
+                  file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         parts, tail = normal_form_wreath_word(word, base, args.n)
         result = {
             "slots": [" ".join(w) if w else "1" for w in parts],

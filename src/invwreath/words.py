@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import pperm, wreath
 from .base import BasePresentation, MTuple, adjoin_zero, closure, pinned, unit_at
@@ -52,21 +53,18 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # symbols
 
-@dataclass(frozen=True)
-class Sym:
-    """One generator symbol.  ``kind`` selects the family; unused fields
-    stay at their defaults so symbols hash and compare structurally.  ``n``
-    is the level of a swap, omission or slot letter on a path (``None``:
-    level-free) and the lower level of ``lam``/``rho``.
+class Sym(NamedTuple):
+    """One generator symbol, a named tuple of its fields.  ``kind`` selects
+    the family; unused fields stay at their defaults so symbols hash and
+    compare structurally.  ``n`` is the level of a swap, omission or slot
+    letter on a path (``None``: level-free) and the lower level of
+    ``lam``/``rho``.
 
     Symbols are interned: the constructors below hand back one shared
     ``Sym`` per distinct symbol, from a table bounded like
     ``_parse_token``'s, so a dict lookup on a symbol usually hits by
-    identity.  Each ``Sym`` hashes its fields once, when it is made, so one
-    made directly or by ``dataclasses.replace`` hashes and compares like
-    the shared one.  Pickling rebuilds a symbol through the table, so the
-    stored hash, which depends on the process's string hashing, never
-    leaves the process."""
+    identity.  One made directly or by ``_replace`` hashes and compares
+    like the shared one; unpickling and copying hand back the shared one."""
 
     kind: str
     letter: str = ""
@@ -74,22 +72,16 @@ class Sym:
     j: int = 0
     n: int | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.letter, self.i, self.j, self.n)))
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        return _sym, (self.kind, self.letter, self.i, self.j, self.n)
+        return _sym, tuple(self)
 
 
 @lru_cache(maxsize=4096)
 def _sym(kind: str, letter: str, i: int, j: int, n: int | None) -> Sym:
     """The shared symbol with these fields, which callers pass all and in
     order, so that one symbol has one key.  Sharing is safe because a
-    ``Sym`` is frozen; the bound keeps a stream of distinct symbols from
-    growing memory."""
+    ``Sym`` is immutable; the bound keeps a stream of distinct symbols
+    from growing memory."""
     return Sym(kind, letter, i, j, n)
 
 
@@ -208,8 +200,8 @@ _IDENT_RE = re.compile(r"i(\d+)$")
 def _parse_token(tok: str) -> Sym:
     """The symbol ``tok`` spells.  Each distinct token string is parsed
     once and its symbol shared by every later call: the result depends on
-    the string alone, and a ``Sym`` is frozen, so no caller can change what
-    another holds.  A malformed token is not remembered (``lru_cache``
+    the string alone, and a ``Sym`` is immutable, so no caller can change
+    what another holds.  A malformed token is not remembered (``lru_cache``
     keeps no exceptions), so it raises the same ``ParseError`` each time.
     The bound keeps a stream of distinct tokens from growing memory."""
     for pattern, build in _TOKEN_PATTERNS:

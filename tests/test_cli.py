@@ -137,6 +137,24 @@ def test_matrix_tensor_cell_with_budget_is_an_error(tmp_path, capsys):
     assert [c["verdict"] for c in obj["cells"][1:]] == ["pass", "pass"]
 
 
+def test_a_failing_cell_exits_two(capsys, monkeypatch):
+    # r-min-small over c2 at n=3 without relation 12, its last, g e = e,
+    # keeps 91 classes too many
+    import dataclasses
+
+    from invwreath.presentations import build
+
+    def without_relation_12(kind, base, **level):
+        p = build(kind, base, **level)
+        return dataclasses.replace(p, relations=p.relations[:12])
+
+    monkeypatch.setattr("invwreath.verify.build", without_relation_12)
+    code, out, _ = run(capsys, "verify", "--kind", "r-min-small", "--monoid", "c2", "--n", "3")
+    assert code == 2
+    assert out.splitlines()[0] == "r-min-small monoid=c2 n=3: fail"
+    assert "  enumerated: 230 target: 139" in out.splitlines()
+
+
 def test_internal_inconsistency_exits_two(tmp_path, capsys, monkeypatch):
     import invwreath.verify as verify_mod
 
@@ -265,6 +283,49 @@ def test_reading_words_builds_no_relation(capsys, monkeypatch):
                        "--n", "14", "--word", "g@1;2 e3", "--format", "json")
     q, sigma, _ = normal_form_singular_tuple(parse_monoid_word("g@1;2 e3"), builtin("c2"), 14)
     assert code == 0 and json.loads(out)["q"] == q and json.loads(out)["relabel"] == list(sigma)
+
+
+def test_normal_form_holds_its_map_words_to_the_budget(capsys, monkeypatch):
+    # the map word is looked up among witnesses for all 1,441,729 partial
+    # bijections at n=8, so the word is refused before any is built
+    code, out, err = run(capsys, "normal-form", "--kind", "r-min", "--monoid", "c2",
+                         "--n", "8", "--word", "s1 g@2")
+    assert (code, out) == (3, "")
+    assert "1441729 partial bijections at n=8, above the node budget of 50000" in err
+    # there are 209 at n=4
+    argv = ("normal-form", "--kind", "r-min", "--monoid", "c2", "--n", "4",
+            "--word", "s1 g@2", "--format", "json")
+    monkeypatch.setenv("INVWREATH_BUDGET", "208")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "above the node budget of 208" in err
+    monkeypatch.setenv("INVWREATH_BUDGET", "209")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["map_word"] == "s1"
+    # a huge level names its count as a bound, not a number too long to print
+    code, _, err = run(capsys, "normal-form", "--kind", "r-min", "--n", "5000", "--word", "s1")
+    assert code == 3 and "more than 1000000000000 partial bijections at n=5000" in err
+
+
+def test_eval_at_a_high_cap_builds_letters_only_as_far_as_the_path(capsys, monkeypatch):
+    from invwreath.presentations import KIND
+
+    row = KIND["omega-mi"]
+    caps = []
+
+    def recording(base, n, cap):
+        caps.append(cap)
+        return row.alphabet(base, n, cap)
+
+    monkeypatch.setitem(KIND, "omega-mi", row._replace(alphabet=recording))
+    argv = ("eval", "--kind", "omega-mi", "--monoid", "c2", "--word", "lam1 rho1")
+    high = run(capsys, *argv, "--cap", "1000")
+    assert high[0] == 0 and high == run(capsys, *argv, "--cap", "2") and caps == [2, 2]
+    # an edge above the cap is refused with no letter built above object 0
+    caps.clear()
+    code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--cap", "1000",
+                         "--word", "lam1000")
+    assert (code, out) == (1, "") and caps == [0]
+    assert "'lam1000' is not a generator of kind omega-mi at cap=1000" in err
 
 
 def test_enumerate_negative_size_is_a_usage_error(capsys):

@@ -495,6 +495,41 @@ def test_verify_category_certifies_at_headroom_zero():
         assert (report.verdict, report.notes["headroom"]) == ("pass", 0), (name, cap)
 
 
+def test_an_unsound_cell_fails_before_enumeration(monkeypatch):
+    # the left side of relation 0 paired with the right side of relation 1
+    # is unsound, and the cell stops at soundness
+    def cross_paired(kind, base, **level):
+        p = build(kind, base, **level)
+        bad = (p.relations[0][0], p.relations[1][1])
+        return dataclasses.replace(p, relations=p.relations + (bad,))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated an unsound build")
+
+    monkeypatch.setattr("invwreath.verify.build", cross_paired)
+    monkeypatch.setattr("invwreath.verify.enumerate_congruence", refuse)
+    report = verify_presentation("r-min", C2, 2)
+    assert report.verdict == "fail" and not report.soundness.ok
+    assert report.soundness.detail.startswith("relation 16: s1 s1 evaluates to ")
+    assert report.generation is None and report.enumerated_size is None
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+
+
+def test_a_flat_count_above_the_target_fails(monkeypatch):
+    # r-min-small over c2 at n=3 without relation 12, its last, g e = e,
+    # keeps 91 classes too many
+    def without_relation_12(kind, base, **level):
+        p = build(kind, base, **level)
+        return dataclasses.replace(p, relations=p.relations[:12])
+
+    monkeypatch.setattr("invwreath.verify.build", without_relation_12)
+    report = verify_presentation("r-min-small", C2, 3)
+    assert report.verdict == "fail" and report.soundness.ok
+    assert (report.enumerated_size, report.target_size) == (230, 139)
+    assert "enumeration" not in report.notes
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+
+
 def test_verify_category_widens_on_overshoot(monkeypatch):
     # one class too many at headroom 0 must be retried one step wider
     def inflated(p, budget=None, cap=None):

@@ -1,6 +1,6 @@
 """Words, paths, terms: syntax, evaluation, translations, normal forms."""
 
-import dataclasses
+import copy
 import os
 import pickle
 import random
@@ -260,14 +260,15 @@ def test_symbols_are_interned_and_hash_by_their_fields():
     assert up == (s_(1, 4), e_(3, 4), x_("g", 2, 4))
     assert all(a is b for a, b in zip(up, (s_(1, 4), e_(3, 4), x_("g", 2, 4))))
     # a symbol made outside the table hashes from its own fields
-    moved = dataclasses.replace(s_(1, 3), n=4)
+    moved = s_(1, 3)._replace(n=4)
     assert moved == s_(1, 4) and hash(moved) == hash(Sym("s", i=1, n=4)) == hash(s_(1, 4))
     assert pickle.loads(pickle.dumps(xc("g", 1, 2))) is xc("g", 1, 2)
+    assert copy.deepcopy(xc("g", 1, 2)) is xc("g", 1, 2) and copy.copy(lam(2)) is lam(2)
 
 
 def test_a_pickled_symbol_hashes_in_another_process():
-    # string hashing differs between processes, so a hash stored on the
-    # symbol must not travel with it
+    # string hashing differs between processes, so an unpickled symbol
+    # must hash as one made in the process that reads it
     data = pickle.dumps((x_("g", 2, 3), bx("g")))
     code = ("import pickle, sys; from invwreath.words import Sym; "
             "a, b = pickle.loads(sys.stdin.buffer.read()); "
