@@ -6,6 +6,13 @@ Adjoining a zero shifts everything up by one: in the extended encoding,
 ``0`` is the new absorbing element and base element ``k`` becomes ``k+1``.
 Tuples over the extension carry that encoding entrywise, so ``0`` entries
 mark the complement of the support.
+
+The program's one breadth-first closure, ``_close``, lives here too.  It
+runs on position codes and keeps a spanning tree of shortest words
+(``_Tree``), from which one word is read by walking up to its seed.
+Generation falls back to it, ``canonical_word`` and the normal forms read
+their witness words from it, and a base presentation's check that its
+alphabet generates the table counts it (``word_for_monoid_element``).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ __all__ = [
     "ones_on",
     "unit_at",
     "pinned",
-    "closure",
+    "word_for_monoid_element",
     "BasePresentation",
     "builtin",
     "BUILTIN_NAMES",
@@ -177,35 +184,80 @@ def pinned(monoid: FiniteMonoid, elt: int, i: int, j: int, n: int) -> MTuple:
     return MTuple(tuple(row))
 
 
-def closure(seeds, gens, mul) -> dict:
-    """Breadth-first right-multiplication closure with one witness word per
-    element.
+@dataclass
+class _Tree:
+    """What a breadth-first closure keeps, by generation's walk or by
+    ``_close``: a spanning tree of the holders of the images, and no word.
+    A holder is the class, or closure element, that reached an image first,
+    or ``~k`` for the ``k``-th seed, whose word is given."""
+    held: dict          # per codomain: code tuple -> its first holder
+    parent: list        # per class or element: the holder of its parent's image
+    letter: list        # per class or element: the letter from its parent
+    order: object       # the classes or elements in the order they were reached
+    seed_words: list
 
-    ``seeds`` is a sequence of ``(element, word)`` pairs; the first word
-    given for an element wins.  ``gens`` is a sequence of ``(letter,
-    element)`` pairs, tried in order level by level, so each element's word
-    is a seed word extended by as few letters as possible.  ``mul(a, g)``
-    returns the product, or ``None`` where it is undefined.  Generation's
-    closure on position codes (``verify._close``) visits in the same order
-    but keeps a spanning tree in place of the words.
-    """
-    witness = {}
-    frontier = []
-    for elt, word in seeds:
-        if elt not in witness:
-            witness[elt] = word
-            frontier.append(elt)
+    def words(self) -> dict:
+        """``(codes, n)`` -> word, in the order each image was first held:
+        the seeds', then the rest in ``order``."""
+        key = {h: (codes, n) for n, held in self.held.items() for codes, h in held.items()}
+        word = {~k: w for k, w in enumerate(self.seed_words)}
+        out = {key[h]: w for h, w in word.items() if h in key}
+        for c in self.order:
+            if c in key:
+                out[key[c]] = word[c] = word[self.parent[c]] + (self.letter[c],)
+        return out
+
+    def word(self, codes, n):
+        """The word of the image ``(codes, n)``, or ``None`` if none is held:
+        ``words()`` for one element, by a walk up the tree as long as it."""
+        h = self.held.get(n, {}).get(codes)
+        if h is None:
+            return None
+        letters = []
+        while h >= 0:
+            letters.append(self.letter[h])
+            h = self.parent[h]
+        return self.seed_words[~h] + tuple(reversed(letters))
+
+
+def _close(seeds, gens) -> _Tree:
+    """The breadth-first closure of ``seeds``, ``((codes, n), word)`` pairs,
+    under ``gens``, ``(letter, (dom, act, cod))`` with ``act`` a letter's
+    action on one position code.  Frontier by frontier, with letters in
+    order, each new image is numbered as its holder, with the holder of the
+    image it came from and the letter; the first seed of an image wins.
+    Only the letters whose domain is an element's codomain are tried on it;
+    the others have no product with it."""
+    held, leaving = {}, {}
+    for letter, (dom, act, cod) in gens:
+        leaving.setdefault(dom, []).append((letter, act, cod, held.setdefault(cod, {})))
+    parent, letters, frontier = [], [], []
+    for k, ((codes, n), _) in enumerate(seeds):
+        if held.setdefault(n, {}).setdefault(codes, ~k) == ~k:     # the first seed of its image
+            frontier.append((codes, n, ~k))
     while frontier:
         nxt = []
-        for a in frontier:
-            word = witness[a]
-            for letter, g in gens:
-                b = mul(a, g)
-                if b is not None and b not in witness:
-                    witness[b] = word + (letter,)
-                    nxt.append(b)
+        for codes, n, holder in frontier:
+            for letter, act, cod, into in leaving.get(n, ()):
+                b = tuple(map(act, codes))
+                if b not in into:
+                    into[b] = len(parent)
+                    nxt.append((b, cod, len(parent)))
+                    parent.append(holder)
+                    letters.append(letter)
         frontier = nxt
-    return witness
+    return _Tree(held, parent, letters, range(len(parent)), [word for _, word in seeds])
+
+
+@lru_cache(maxsize=16)
+def word_for_monoid_element(base: BasePresentation) -> _Tree:
+    """``_close`` of the table's identity under the letters' images, in
+    alphabet order, with one position per element: element ``a`` is the
+    code tuple ``(a,)`` at ``1``, and ``.word((a,), 1)`` its witness word."""
+    monoid = base.require_evaluation()
+    gens = [(x, (1, tuple(row[g] for row in monoid.table).__getitem__, 1))
+            for x, g in zip(base.alphabet, base.images)]
+    return _close([(((monoid.identity,), 1), ())], gens)
 
 
 # Letters must stay clear of the reserved word syntax (s1, e2, e, f1,2,
@@ -250,9 +302,7 @@ class BasePresentation:
             for lhs, rhs in self.relations:
                 if self.eval_word(lhs) != self.eval_word(rhs):
                     raise ValueError(f"relation {lhs} = {rhs} is not sound in the table")
-            gens = [(x, self.image_of(x)) for x in self.alphabet]
-            if len(closure([(self.monoid.identity, ())], gens, self.monoid.mul)) \
-                    != self.monoid.size:
+            if len(word_for_monoid_element(self).held[1]) != self.monoid.size:
                 raise ValueError("alphabet does not generate the monoid")
 
     def require_evaluation(self) -> FiniteMonoid:

@@ -15,9 +15,9 @@ import sys
 from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
-from .congruence import node_budget
 from .pperm import enumerate_partial_bijections
-from .presentations import FLAVOR_SYNTAX, KIND, build, check_level, emit_json, emit_text
+from .presentations import (FLAVOR_SYNTAX, KIND, build, category_letters, check_level, emit_json,
+                            emit_text)
 from .words import (
     edge_dr,
     hat_path,
@@ -181,12 +181,13 @@ def _print_report(report):
 def _reader(args):
     """The base of ``args`` and a parser of ``args.kind``'s text that reads
     only the kind's own generators at its level, which is checked; no
-    relation is built.  A path of the category kind is read against the
-    generators up to the highest object within the cap that its edges
-    touch: an edge among objects up to ``t`` is a generator at a cap above
-    ``t`` iff it is one at ``t``, so a high cap builds no more letters.  The
-    path must also start within the cap, which an empty path is not held
-    to by its edges; without a cap it is read as it is."""
+    relation is built.  Each edge of a category path is read against the
+    generators whose higher end is that edge's (``category_letters``),
+    built once per object: an edge among objects up to ``t`` is a
+    generator at a cap above ``t`` iff it is one at ``t``, so a high cap or
+    a high object builds no letters of the levels the path does not touch.
+    The path must also start within the cap, which an empty path is not
+    held to by its edges; without a cap it is read as it is."""
     row = _kind(args.kind)
     base = _load_monoid(args.monoid)
     parse = FLAVOR_SYNTAX[row.flavor].parse
@@ -195,19 +196,19 @@ def _reader(args):
         return base, parse
     level = _level(args.kind, args.n, cap)
     check_level(args.kind, **level)
-    letters = None if row.level == "cap" else frozenset(row.alphabet(base, args.n, cap))
+    # per object within the cap, the generators whose higher end it is;
+    # under ``None`` those of a kind without objects
+    letters = {} if row.level == "cap" else {None: frozenset(row.alphabet(base, args.n, cap))}
     at = "".join(f" at {key}={value}" for key, value in level.items())
 
     def read(text):
         obj = parse(text)
         syms = obj if row.level == "n" else obj.edges if row.level else term_edges(obj)
-        known = letters
-        if known is None:
-            tops = (max(edge_dr(sym)) for sym in syms)
-            top = max((t for t in tops if t <= cap), default=0)
-            known = frozenset(row.alphabet(base, None, top))
         for sym in syms:
-            if sym not in known:
+            top = max(edge_dr(sym)) if row.level == "cap" else None
+            if top not in letters and top <= cap:
+                letters[top] = frozenset(category_letters(base, top))
+            if sym not in letters.get(top, ()):
                 raise UsageError(f"{token(sym)!r} is not a generator of kind {args.kind}{at}")
         if row.level == "cap" and obj.src > cap:
             raise UsageError(f"source object {obj.src} is above --cap {cap}")
@@ -249,20 +250,13 @@ def _cmd_normal_form(args) -> int:
     base, read = _reader(args)
     word = read(args.word)
     if args.kind == "r-min":
-        # the map word is looked up among witnesses for every partial
-        # bijection at n, so their count is held to the node budget; it is
-        # summed rank by rank as verify's budget check sums a target
-        budget = node_budget("monoid", _budget())
-        limit = max(budget, verify_mod._EXACT_NEED)
-        need = 0
-        for term in wreath.rank_counts(builtin("trivial").require_evaluation(), args.n, args.n):
-            need += term
-            if need > limit:
-                break
-        if need > budget:
-            needs = f"more than {limit}" if need > limit else need
+        # the map word is read from a closure of every partial bijection
+        # at n, which is the target of r-in at n, so it is held to the budget
+        over = verify_mod.over_budget("r-in", builtin("trivial"), args.n, _budget())
+        if over:
+            needs, nodes = over
             print(f"normal-form: the map word needs witnesses for {needs} partial "
-                  f"bijections at n={args.n}, above the node budget of {budget}",
+                  f"bijections at n={args.n}, above the node budget of {nodes}",
                   file=sys.stderr)
             return EXIT_INCONCLUSIVE
         parts, tail = normal_form_wreath_word(word, base, args.n)

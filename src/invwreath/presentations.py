@@ -76,6 +76,7 @@ __all__ = [
     "Presentation",
     "build",
     "check_level",
+    "category_letters",
     "emit_text",
     "emit_json",
 ]
@@ -278,27 +279,34 @@ def _r_min_small(base, n, cap):
 # ---------------------------------------------------------------------------
 # category kind
 
-def _levels(base, cap):
-    """The generators of r-min at each level ``0..cap``, tagged with it."""
-    return [leveled_word(_r_min_alphabet(base, k, None), k) for k in range(cap + 1)]
+def _level(base, k):
+    """The generators of r-min at level ``k``, tagged with it."""
+    return leveled_word(_r_min_alphabet(base, k, None), k)
 
 
 def _omega_mi_alphabet(base, n, cap):
-    return ([g for level in _levels(base, cap) for g in level]
+    return ([g for k in range(cap + 1) for g in _level(base, k)]
             + [g for k in range(cap) for g in (lam(k), rho(k))])
+
+
+def category_letters(base, k):
+    """The generators of ``omega-mi`` whose higher end is the object ``k``,
+    ``_level(base, k)`` then ``lam(k-1)`` and ``rho(k-1)``: at a cap of at
+    least ``k``, an edge with that higher end is a generator iff it is one."""
+    return _level(base, k) + ((lam(k - 1), rho(k - 1)) if k else ())
 
 
 def _omega_mi(base, n, cap):
     for k in range(cap + 1):                                  # r-min at every level
         for (u, v) in _r_min(base, k, None):
             yield (Path(k, leveled_word(u, k)), Path(k, leveled_word(v, k)))
-    levels = _levels(base, cap)
     for k in range(cap):
+        level = _level(base, k)
         yield (Path(k, (lam(k), rho(k))), Path(k, ()))        # the two sandwiches
         yield (Path(k + 1, (rho(k), lam(k))), Path(k + 1, (e_(k + 1, k + 1),)))
-        for g in levels[k]:                                   # generators pass the inclusion
+        for g in level:                                       # generators pass the inclusion
             yield (Path(k, (g, lam(k))), Path(k, (lam(k),) + plus_word((g,))))
-        for g in levels[k]:                                   # and the projection
+        for g in level:                                       # and the projection
             yield (Path(k + 1, (rho(k), g)), Path(k + 1, plus_word((g,)) + (rho(k),)))
 
 

@@ -16,21 +16,20 @@ the enumeration, and generation.  A complete table is the right Cayley
 graph of the presented structure, so generation walks it breadth-first
 from the roots: each class's image is its parent's image times one
 generator image.  Only when the table is incomplete does generation close
-the generator images under composition instead.  Either way it keeps no
-word: per codomain, a dict from each image's codes to the class or
-closure element that first held it, and per class or element the holder
-of its parent's image and the letter, a spanning tree from which
-``GenerationResult`` rebuilds the words when they are read.  Both give
-the same breadth-first witness words, and ``canonical_word`` reads its
-words from that closure too, with the kind built at the element's own
-level, so the program has one source of witness words.  Generation
-multiplies position codes (``wreath.right_action``): each generator image
-is a lookup table on codes, so a product is one ``map``.  The target is
-streamed as codes (``wreath.enumerate_codes``) and looked up in its
-codomain's dict, and an element is decoded to its plain form only when it
-is missing.  No product is validated; the docstring of
-``check_generation`` says why that is sound.  Last the sizes are
-compared.
+the generator images under composition instead, by ``base._close``.
+Either way it keeps no word but a spanning tree (``base._Tree``): per
+codomain, a dict from each image's codes to the class or closure element
+that first held it, and per class or element the holder of its parent's
+image and the letter.  Both give the same breadth-first witness words.
+``canonical_word`` reads one at a time from ``_close``'s tree of the kind
+built at the element's own level, and the normal forms read theirs from
+``_close`` too, so the program has one source of witness words.
+Generation multiplies position codes (``wreath.right_action``): each
+generator image is a lookup table on codes, so a product is one ``map``.
+The target is streamed as codes (``wreath.enumerate_codes``) and looked
+up in its codomain's dict, and an element is decoded to its plain form
+only when it is missing.  No product is validated; the docstring of
+``check_generation`` says why that is sound.  Last the sizes are compared.
 
 Soundness runs on the same codes, with the same letter actions: each
 relation side is evaluated from the identity at its source, one ``map``
@@ -61,7 +60,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from . import wreath, words
-from .base import BasePresentation, InternalInconsistency, adjoin_zero, builtin
+from .base import BasePresentation, InternalInconsistency, _close, _Tree, adjoin_zero, builtin
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
 from .presentations import FLAVOR_SYNTAX, KIND, Presentation, build, check_level
 from .words import Path, eval_path, eval_term, hat_path, path_text, term_text, x_mn_decompose
@@ -76,6 +75,7 @@ __all__ = [
     "canonical_word",
     "enumerate_target",
     "target_size",
+    "over_budget",
     "verify_presentation",
     "verify_category",
     "verify_tensor",
@@ -113,30 +113,6 @@ class GenerationResult:
     def witness(self) -> dict:
         """Plain form -> word, decoded on first read, in ``coded``'s order."""
         return {wreath.decode_key(self.width, c): word for c, word in self.coded.items()}
-
-
-@dataclass
-class _Tree:
-    """What generation keeps, by the walk or the closure: a spanning tree
-    of the holders of the images, and no word.  A holder is the class, or
-    closure element, that reached an image first, or ``~k`` for the
-    ``k``-th seed, whose word is given."""
-    held: dict          # per codomain: code tuple -> its first holder
-    parent: list        # per class or element: the holder of its parent's image
-    letter: list        # per class or element: the letter from its parent
-    order: object       # the classes or elements in the order they were reached
-    seed_words: list
-
-    def words(self) -> dict:
-        """``(codes, n)`` -> word, in the order each image was first held:
-        the seeds', then the rest in ``order``."""
-        key = {h: (codes, n) for n, held in self.held.items() for codes, h in held.items()}
-        word = {~k: w for k, w in enumerate(self.seed_words)}
-        out = {key[h]: w for h, w in word.items() if h in key}
-        for c in self.order:
-            if c in key:
-                out[key[c]] = word[c] = word[self.parent[c]] + (self.letter[c],)
-        return out
 
 
 @dataclass
@@ -286,18 +262,17 @@ def target_size(p: Presentation) -> int:
 _EXACT_NEED = 10 ** 12
 
 
-def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | None,
-                 report: VerificationReport) -> bool:
-    """Mark ``report`` inconclusive when the closed-form target alone needs
-    more nodes under one root than the enumeration's budget allows: each
-    class needs a node of its own, and a semigroup run one more for the
-    empty word.  ``level`` is the flat kind's ``n`` or the category's cap,
-    and nothing is built.
+def over_budget(kind: str, base: BasePresentation, level: int, budget: int | None):
+    """``None`` when the closed-form target of ``kind`` at ``level`` fits
+    in the enumeration's node budget under one root, else the pair of its
+    need and that budget.  Each class needs a node of its own, and a
+    semigroup run one more for the empty word.  ``level`` is the flat
+    kind's ``n`` or the category's cap, and nothing is built.
 
     The largest root is ``level`` itself, as ``hom_count`` grows with the
     domain, and its size is summed rank by rank, stopping once the sum
     passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
-    terms, not a sum of big integers."""
+    terms, not a sum of big integers, and its need reads ``more than``."""
     base, variant, objects = _target(kind, base, level)
     flavor = KIND[kind].flavor
     budget = node_budget(flavor, budget)
@@ -310,13 +285,8 @@ def _over_budget(kind: str, base: BasePresentation, level: int, budget: int | No
         if need > limit:
             break
     if need <= budget:
-        return False
-    report.verdict = "inconclusive"
-    needs = f"more than {limit}" if need > limit else need
-    report.notes["enumeration"] = (
-        f"stopped before generation: the target needs {needs} nodes under one root, "
-        f"above the node budget of {budget}")
-    return True
+        return None
+    return (f"more than {limit}" if need > limit else need), budget
 
 
 def _generators(p: Presentation):
@@ -336,33 +306,6 @@ def _generators(p: Presentation):
                  for m, n in homs if m == n]
     gens = [(sym, (len(g[0]), wreath.right_action(z, g).__getitem__, g[2])) for sym, g in keys]
     return seeds, gens
-
-
-def _close(seeds, gens) -> _Tree:
-    """``base.closure`` of ``_generators``' seeds under its letters, kept as
-    ``_walk`` keeps its walk: breadth-first, frontier by frontier, each new
-    image numbered as its holder, with the holder of the image it came from
-    and the letter.  Only the letters whose domain is an element's codomain
-    are tried on it; the others have no product with it."""
-    held, leaving = {}, {}
-    for letter, (dom, act, cod) in gens:
-        leaving.setdefault(dom, []).append((letter, act, cod, held.setdefault(cod, {})))
-    parent, letters, frontier = [], [], []
-    for k, ((codes, n), _) in enumerate(seeds):
-        if held.setdefault(n, {}).setdefault(codes, ~k) == ~k:     # the first seed of its image
-            frontier.append((codes, n, ~k))
-    while frontier:
-        nxt = []
-        for codes, n, holder in frontier:
-            for letter, act, cod, into in leaving.get(n, ()):
-                b = tuple(map(act, codes))
-                if b not in into:
-                    into[b] = len(parent)
-                    nxt.append((b, cod, len(parent)))
-                    parent.append(holder)
-                    letters.append(letter)
-        frontier = nxt
-    return _Tree(held, parent, letters, range(len(parent)), [word for _, word in seeds])
 
 
 def check_generation(p: Presentation, table: CongruenceTable | None = None) -> GenerationResult:
@@ -440,7 +383,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
 
 
 def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
-    """``base.closure`` over a complete table: breadth-first over the
+    """``_close`` over a complete table: breadth-first over the
     classes from ``starts`` (the classes of ``seeds``), one product per
     class reached.  Only the letters of ``gens`` that leave a class's
     object are followed, so a category table is walked within the cap.
@@ -449,7 +392,7 @@ def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
     first holder: the seed that gave it, or the class whose product first
     reached it.  A class that holds its image records the holder of its
     parent's image and the letter, so its word is that holder's word plus
-    the letter, as ``base.closure`` would give it; a class whose image is
+    the letter, as ``_close`` would give it; a class whose image is
     already held records nothing.  A class's image is dropped once its row
     is processed, so only the frontier's images stay alive."""
     held = {}
@@ -489,10 +432,10 @@ def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
 
 
 @lru_cache(maxsize=16)
-def _witnesses(kind: str, base: BasePresentation, level: int) -> dict:
-    """The witness words of ``kind`` built at ``level``, by the closure
-    that generation falls back to, keyed by ``(codes, n)``."""
-    return _close(*_generators(build(kind, base, **{KIND[kind].level: level}))).words()
+def _witnesses(kind: str, base: BasePresentation, level: int) -> _Tree:
+    """The spanning tree of ``kind`` built at ``level``, by the closure
+    that generation falls back to."""
+    return _close(*_generators(build(kind, base, **{KIND[kind].level: level})))
 
 
 def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
@@ -503,8 +446,8 @@ def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
     domain.  A plain kind presents unlabelled maps, so it reads ``elem``
     over the trivial base, as its target does.  A tensor kind's term is
     the realization of the category kind's path.  An element the kind does
-    not present raises ``ValueError``.  The witnesses of the last few
-    builds are kept."""
+    not present raises ``ValueError``.  The spanning trees of the last few
+    builds are kept, and one word is read from a tree per call."""
     row = KIND.get(kind)
     if row is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -513,11 +456,11 @@ def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
     if row.flavor == "tensor":
         return hat_path(canonical_word(elem, "omega-mi", base))
     level = max(elem.dom_size, elem.cod_size) if row.level == "cap" else elem.dom_size
+    tree = _witnesses(kind, base, level)
     try:
-        coded = wreath.encode_key(base.require_evaluation().size + 1, elem.key)
+        word = tree.word(*wreath.encode_key(base.require_evaluation().size + 1, elem.key))
     except ValueError:
-        coded = None
-    word = _witnesses(kind, base, level).get(coded)
+        word = None
     if word is None:
         raise ValueError(f"kind {kind} presents no element {elem.to_json()}")
     return Path(elem.dom_size, word) if row.flavor == "category" else word
@@ -557,7 +500,13 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     row = KIND[kind]
     category = row.flavor == "category"
     report = VerificationReport(kind, base.name or "custom", level)
-    if _over_budget(kind, base, level, budget, report):
+    over = over_budget(kind, base, level, budget)
+    if over:
+        needs, nodes = over
+        report.verdict = "inconclusive"
+        report.notes["enumeration"] = (
+            f"stopped before generation: the target needs {needs} nodes under one root, "
+            f"above the node budget of {nodes}")
         return report
     p = build(kind, base, **{row.level: level})
     report.soundness = check_soundness(p)

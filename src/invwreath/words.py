@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import pperm, wreath
-from .base import BasePresentation, MTuple, adjoin_zero, closure, pinned, unit_at
-from .pperm import PartialBijection
+from .base import (BasePresentation, MTuple, _close, _Tree, adjoin_zero, builtin, pinned, unit_at,
+                   word_for_monoid_element)
 from .wreath import WreathElement
 
 __all__ = [
@@ -689,22 +689,23 @@ def reverse_word(word):
 # ---------------------------------------------------------------------------
 # witness words and lifts
 
-@lru_cache(maxsize=None)
-def word_for_monoid_element(base: BasePresentation):
-    """Shortest-first witness word per monoid element (letters in alphabet
-    order), keyed by element index."""
-    monoid = base.require_evaluation()
-    gens = [(letter, base.image_of(letter)) for letter in base.alphabet]
-    return closure([(monoid.identity, ())], gens, monoid.mul)
+@lru_cache(maxsize=16)
+def word_for_pperm(n: int) -> _Tree:
+    """``_close`` of the identity at level ``n`` under ``r-in``'s alphabet,
+    ``s_1 … s_{n-1}, e_1 … e_n``, on position codes over the trivial base:
+    ``.word(_map_codes(alpha), n)`` is the witness word of ``alpha``."""
+    trivial = builtin("trivial")
+    z = adjoin_zero(trivial.monoid).table
+    syms = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
+    gens = [(sym, (n, wreath.right_action(z, sym_image(sym, trivial, n).key).__getitem__, n))
+            for sym in syms]
+    return _close([((_map_codes(pperm.identity(n)), n), ())], gens)
 
 
-@lru_cache(maxsize=None)
-def word_for_pperm(n: int):
-    """Witness words over the swap/omit alphabet for every partial
-    bijection at level ``n``, by breadth-first closure from the identity."""
-    gens = [(s_(i), pperm.swap_adjacent(i, n)) for i in range(1, n)]
-    gens.extend((e_(i), pperm.omit(i, n)) for i in range(1, n + 1))
-    return closure([(pperm.identity(n), ())], gens, PartialBijection.compose)
+def _map_codes(alpha: pperm.PartialBijection):
+    """``alpha`` on position codes over the trivial base: image ``v`` with
+    the identity label is ``2 v + 1``, and ``0`` off the domain."""
+    return tuple(2 * v + 1 if v else 0 for v in alpha.images)
 
 
 def lift_word_i(letters, i: int):
@@ -743,14 +744,10 @@ def leveled_word(word, level: int):
 def _wreath_factor_words(elem: WreathElement, base: BasePresentation):
     """Slot words and map word of the canonical factorization
     tuple-then-map, at the element's own level (an endo-element)."""
-    monoid = base.require_evaluation()
     n = elem.dom_size
     mwords = word_for_monoid_element(base)
-    parts = []
-    for i in range(1, n + 1):
-        v = elem.tup.entries[i - 1]
-        parts.append(mwords[v - 1] if v else ())
-    return parts, word_for_pperm(n)[elem.pmap]
+    parts = [mwords.word((v - 1,), 1) if v else () for v in elem.tup.entries]
+    return parts, word_for_pperm(n).word(_map_codes(elem.pmap), n)
 
 
 def normal_form_wreath_word(word, base: BasePresentation, n: int):
@@ -801,7 +798,7 @@ def normal_form_singular_tuple(word, base: BasePresentation, n: int):
     sigma = sorting_relabel(a.support, n)
     b = relabel_tuple(a, sigma)
     mwords = word_for_monoid_element(base)
-    slot_words = tuple(mwords[b.entries[k - 1] - 1] for k in range(1, q + 1))
+    slot_words = tuple(mwords.word((b.entries[k - 1] - 1,), 1) for k in range(1, q + 1))
     return q, sigma, slot_words
 
 

@@ -1,10 +1,12 @@
 """Oracles that only the tests read: code the program no longer needs,
 kept so that what it checked is still checked.
 
-- ``walk_keeping_words``: generation's walk over a complete table as it was
-  before it kept a spanning tree, with a dict from each ``(codes, n)`` pair
-  reached to its word.  ``base.closure`` is the same reference for the
-  closure that generation falls back to.
+- ``closure``: the breadth-first closure as it was before it kept a
+  spanning tree, on any elements, with a dict from each element reached to
+  its word: the reference for ``base._close``, which generation falls back
+  to and the normal forms read.
+- ``walk_keeping_words``: ``closure`` over a complete table, generation's
+  walk as it was before it kept a spanning tree.
 - ``enumerate_keys``: a hom-set's plain forms in ``sort_key`` order, built
   from image rows and label tuples, the reference for
   ``wreath.enumerate_codes`` and ``wreath.enumerate_wreath``.
@@ -23,8 +25,37 @@ from invwreath.words import e_, s_, token, word_text, x_, xc
 from invwreath.wreath import WreathElement
 
 
+def closure(seeds, gens, mul) -> dict:
+    """Breadth-first right-multiplication closure with one witness word per
+    element.
+
+    ``seeds`` is a sequence of ``(element, word)`` pairs; the first word
+    given for an element wins.  ``gens`` is a sequence of ``(letter,
+    element)`` pairs, tried in order level by level, so each element's word
+    is a seed word extended by as few letters as possible.  ``mul(a, g)``
+    returns the product, or ``None`` where it is undefined.
+    """
+    witness = {}
+    frontier = []
+    for elt, word in seeds:
+        if elt not in witness:
+            witness[elt] = word
+            frontier.append(elt)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            word = witness[a]
+            for letter, g in gens:
+                b = mul(a, g)
+                if b is not None and b not in witness:
+                    witness[b] = word + (letter,)
+                    nxt.append(b)
+        frontier = nxt
+    return witness
+
+
 def walk_keeping_words(table, starts, seeds, gens) -> dict:
-    """``base.closure`` over a complete table: breadth-first over the
+    """``closure`` over a complete table: breadth-first over the
     classes from ``starts`` (the classes of ``seeds``), one product per
     class reached.  A class whose image is new takes its parent's word plus
     one letter; a class whose image is already known adds no witness, and

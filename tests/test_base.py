@@ -13,7 +13,6 @@ from invwreath.base import (
     act,
     adjoin_zero,
     builtin,
-    closure,
     ones,
     ones_on,
     pinned,
@@ -22,7 +21,7 @@ from invwreath.base import (
 )
 from invwreath.pperm import CompositionError, PartialBijection, enumerate_partial_bijections
 from invwreath.wreath import compose, embed_map, identity_element
-from oracles import tuple_mul
+from oracles import closure, tuple_mul
 
 FIG_MAP = PartialBijection(6, 8, (0, 0, 4, 1, 0, 7))
 
@@ -160,9 +159,12 @@ def test_presentation_validation():
     with pytest.raises(ValueError):
         # unsound relation for the c2 table
         BasePresentation(("g",), ((("g",), ()),), c2.monoid, (1,))
-    with pytest.raises(ValueError):
-        # alphabet fails to generate
-        BasePresentation((), (), c2.monoid, ())
+    # alphabet fails to generate: none of c2, or one transposition of s3
+    s3 = builtin("s3")
+    for args in (((), (), c2.monoid, ()),
+                 (("a",), ((("a", "a"), ()),), s3.monoid, (s3.image_of("a"),))):
+        with pytest.raises(ValueError, match="alphabet does not generate the monoid"):
+            BasePresentation(*args)
 
 
 def test_presentation_json_round_trip():

@@ -306,26 +306,62 @@ def test_normal_form_holds_its_map_words_to_the_budget(capsys, monkeypatch):
     assert code == 3 and "more than 1000000000000 partial bijections at n=5000" in err
 
 
+def _recording_category_letters(monkeypatch):
+    """The objects a category path's edges are read at, with the kind's
+    whole alphabet never built."""
+    from invwreath import cli
+    from invwreath.presentations import KIND, category_letters
+
+    tops = []
+
+    def recording(base, k):
+        tops.append(k)
+        return category_letters(base, k)
+
+    def refuse(base, n, cap):
+        raise AssertionError(f"the alphabet at cap {cap} was built")
+
+    monkeypatch.setattr(cli, "category_letters", recording)
+    monkeypatch.setitem(KIND, "omega-mi", KIND["omega-mi"]._replace(alphabet=refuse))
+    return tops
+
+
 def test_eval_at_a_high_cap_builds_letters_only_as_far_as_the_path(capsys, monkeypatch):
-    from invwreath.presentations import KIND
-
-    row = KIND["omega-mi"]
-    caps = []
-
-    def recording(base, n, cap):
-        caps.append(cap)
-        return row.alphabet(base, n, cap)
-
-    monkeypatch.setitem(KIND, "omega-mi", row._replace(alphabet=recording))
+    tops = _recording_category_letters(monkeypatch)
     argv = ("eval", "--kind", "omega-mi", "--monoid", "c2", "--word", "lam1 rho1")
     high = run(capsys, *argv, "--cap", "1000")
-    assert high[0] == 0 and high == run(capsys, *argv, "--cap", "2") and caps == [2, 2]
-    # an edge above the cap is refused with no letter built above object 0
-    caps.clear()
+    assert high[0] == 0 and high == run(capsys, *argv, "--cap", "2") and tops == [2, 2]
+    # an edge above the cap is refused with no letter built
+    tops.clear()
     code, out, err = run(capsys, "eval", "--kind", "omega-mi", "--cap", "1000",
                          "--word", "lam1000")
-    assert (code, out) == (1, "") and caps == [0]
+    assert (code, out) == (1, "") and tops == []
     assert "'lam1000' is not a generator of kind omega-mi at cap=1000" in err
+
+
+def test_a_path_is_read_at_the_objects_its_edges_touch(capsys, monkeypatch):
+    # a path high up builds the letters of the objects it touches, not of
+    # every object below them
+    from invwreath.base import builtin
+    from invwreath.presentations import build
+    from invwreath.words import eval_path, parse_path, s_, token, x_
+
+    tops = _recording_category_letters(monkeypatch)
+    path = "g@1:999 lam999 s3:1000 rho999"
+    code, out, _ = run(capsys, "eval", "--kind", "omega-mi", "--monoid", "c2", "--cap", "1000",
+                       "--word", path, "--format", "json")
+    assert code == 0 and sorted(set(tops)) == [999, 1000]
+    assert json.loads(out) == eval_path(parse_path(path), builtin("c2")).to_json()
+    monkeypatch.undo()
+    # each edge is accepted at a cap iff it is a letter of the kind there
+    edges = {sym for k in range(5) for sym in build("omega-mi", builtin("s3"), cap=k).alphabet}
+    edges |= {x_("h", 1, 2), s_(3, 4)}
+    for cap in range(4):
+        letters = set(build("omega-mi", builtin("s3"), cap=cap).alphabet)
+        for sym in edges:
+            code, _, err = run(capsys, "eval", "--kind", "omega-mi", "--monoid", "s3",
+                               "--cap", str(cap), "--word", token(sym))
+            assert code == (0 if sym in letters else 1), (cap, token(sym), err)
 
 
 def test_enumerate_negative_size_is_a_usage_error(capsys):

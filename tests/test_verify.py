@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invwreath.base import InternalInconsistency, NoEvaluationError, builtin, closure
+from invwreath.base import InternalInconsistency, NoEvaluationError, _close, builtin
 from invwreath.congruence import enumerate_congruence
 from invwreath.pperm import CompositionError
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
-    _close,
     _generators,
     canonical_word,
     check_generation,
@@ -32,7 +31,7 @@ from invwreath.verify import (
 from invwreath.words import Path, Sym, lam, parse_path, s_
 from invwreath.words import parse_monoid_word as w
 from invwreath.wreath import encode_key, hom_count
-from oracles import walk_keeping_words
+from oracles import closure, walk_keeping_words
 
 C2 = builtin("c2")
 TRIV = builtin("trivial")
@@ -133,7 +132,11 @@ def test_the_closure_tries_only_the_letters_that_leave_an_element():
               build("r-sing-in", TRIV, n=3)):
         seeds, gens = _generators(p)
         expected = closure(seeds, gens, act_or_none)
-        assert list(_close(seeds, gens).words().items()) == list(expected.items())
+        tree = _close(seeds, gens)
+        assert list(tree.words().items()) == list(expected.items())
+        # one word read up the tree is the same word
+        assert all(tree.word(*key) == word for key, word in expected.items())
+        assert tree.word((), 9) is None
 
 
 def _same_generation(a, b):
@@ -190,6 +193,7 @@ def _walks_as_the_word_keeping_walk(p, table):
     seeds, gens = _generators(p)
     expected = walk_keeping_words(table, _starts(p, table), seeds, gens)
     assert list(gen.coded.items()) == list(expected.items())
+    assert all(gen.reached.word(*key) == word for key, word in expected.items())
     target = enumerate_target(p)
     missing = [e for e in target if encode_key(gen.width, e.key) not in expected]
     assert gen.covered == len(target) - len(missing)

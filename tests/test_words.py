@@ -11,11 +11,11 @@ from pathlib import Path as FilePath
 import pytest
 
 from invwreath import words, wreath
-from invwreath.base import builtin
-from invwreath.pperm import PartialBijection, identity, omit
+from invwreath.base import BUILTIN_NAMES, builtin
+from invwreath.pperm import PartialBijection, identity, omit, swap_adjacent
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.verify import canonical_word
-from oracles import embed_tuple, min_separation_rules, separate, sing_separation_rules
+from oracles import closure, embed_tuple, min_separation_rules, separate, sing_separation_rules
 from invwreath.words import (
     ParseError,
     _parse_token,
@@ -56,6 +56,7 @@ from invwreath.words import (
     term_text,
     token,
     ttensor,
+    word_for_monoid_element,
     word_for_pperm,
     word_text,
     x_,
@@ -68,6 +69,7 @@ from invwreath.words import (
 
 C2 = builtin("c2")
 S3 = builtin("s3")
+TRIVIAL = builtin("trivial")
 SRC = str(FilePath(__file__).resolve().parent.parent / "src")
 
 
@@ -573,11 +575,44 @@ def test_squeezed_words_round_trip_one_level_down():
     assert checked == 997
 
 
+def _pperm_codes(alpha):
+    """``alpha`` as ``(codes, n)`` over the trivial base."""
+    return wreath.encode_key(2, wreath.embed_map(TRIVIAL.monoid, alpha).key)
+
+
 def test_witness_words_are_shortest_first():
-    words = word_for_pperm(2)
-    assert words[identity(2)] == ()
-    assert words[omit(2, 2)] == (e_(2),)
-    assert len(words) == 7
+    tree = word_for_pperm(2)
+    assert tree.word(*_pperm_codes(identity(2))) == ()
+    assert tree.word(*_pperm_codes(omit(2, 2))) == (e_(2),)
+    assert len(tree.words()) == 7
+
+
+def test_witness_words_are_the_word_keeping_closures():
+    # the same words, in the same order, as the closure that kept a word
+    # per element, over partial bijections and over base tables
+    for n in range(6):
+        gens = [(s_(i), swap_adjacent(i, n)) for i in range(1, n)]
+        gens += [(e_(i), omit(i, n)) for i in range(1, n + 1)]
+        expected = closure([(identity(n), ())], gens, PartialBijection.compose)
+        got = word_for_pperm(n).words()
+        assert list(got.items()) == [(_pperm_codes(a), w) for a, w in expected.items()], n
+    for name in BUILTIN_NAMES:
+        base = builtin(name)
+        if base.monoid is None:
+            continue
+        gens = [(x, base.image_of(x)) for x in base.alphabet]
+        expected = closure([(base.monoid.identity, ())], gens, base.monoid.mul)
+        got = word_for_monoid_element(base).words()
+        assert list(got.items()) == [(((a,), 1), w) for a, w in expected.items()], name
+
+
+def test_the_map_word_is_the_canonical_word_of_the_bare_map():
+    # the r-min normal form's map word is r-in's witness for the map alone
+    for n in range(5):
+        for elem in wreath.enumerate_wreath(C2.monoid, n, n, cap=4):
+            parts, tail = normal_form_wreath_word(canonical_word(elem, "r-min", C2), C2, n)
+            bare = wreath.embed_map(TRIVIAL.monoid, elem.pmap)
+            assert tail == canonical_word(bare, "r-in", TRIVIAL), elem
 
 
 # ---------------------------------------------------------------------------
