@@ -109,10 +109,6 @@ class ZeroExtended:
     def size(self) -> int:
         return self.base.size + 1
 
-    @property
-    def one(self) -> int:
-        return self.base.identity + 1
-
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """Multiplication table in the extended encoding."""

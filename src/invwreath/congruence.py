@@ -53,10 +53,9 @@ For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-A category run has a root at each object up to a cap, by default the
-presentation's own, and reports the hom-sets within it.  Paths through
-wider objects still identify paths within the cap; ``verify`` says why a
-count taken from a wider build certifies the narrower one.
+A category run has a root at each object of the presentation, up to its
+cap, and reports every hom-set; ``verify`` says why the counts at the cap
+need no wider build.
 """
 
 from __future__ import annotations
@@ -418,34 +417,25 @@ def node_budget(flavor: str, budget: int | None) -> int:
     return budget
 
 
-def enumerate_congruence(p: Presentation, budget: int | None = None,
-                         cap: int | None = None) -> CongruenceTable:
+def enumerate_congruence(p: Presentation, budget: int | None = None) -> CongruenceTable:
     """Enumerate the structure presented by ``p``.
 
-    Monoid and semigroup flavors return a total class count and take no
-    ``cap``.  The category flavor returns per-hom-set counts for the
-    objects up to ``cap``, which defaults to ``p.cap`` and must lie in
-    ``0..p.cap``; roots stand only at those objects.  Every relation side
-    must be a well-typed path from its source, or the run raises
-    ``InternalInconsistency``.  ``budget`` bounds the nodes per source
-    object; ``None`` picks the flavor's default.  Tensor flavors have no
-    completeness enumeration.
+    Monoid and semigroup flavors return a total class count.  The category
+    flavor returns per-hom-set counts, with a root at each object up to
+    ``p.cap``.  Every relation side must be a well-typed path from its
+    source, or the run raises ``InternalInconsistency``.  ``budget`` bounds
+    the nodes per source object; ``None`` picks the flavor's default.
+    Tensor flavors have no completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
     category = p.flavor == "category"
-    if cap is None:
-        cap = p.cap
-    elif not category:
-        raise ValueError(f"a {p.flavor} presentation takes no cap")
-    elif not 0 <= cap <= p.cap:
-        raise ValueError(f"cap must lie in 0..{p.cap}, got {cap}")
     budget = node_budget(p.flavor, budget)
 
     if category:
         dr = [edge_dr(sym) for sym in p.alphabet]
-        roots = cap + 1
+        roots = p.cap + 1
         sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in p.relations]
     else:
         # one object: every generator is an endomorphism of 0
@@ -492,13 +482,10 @@ def enumerate_congruence(p: Presentation, budget: int | None = None,
                            objects=[eng.robj[i] for i in alive],
                            roots={m: canon[m + 1] for m in range(roots)})
     if category:
-        # nodes above the cap belong to paths through wider objects; only
-        # hom-sets within the cap are reported
         done.hom_sizes = {}
         for i in alive:
-            if eng.robj[i] <= cap:
-                key = (eng.dobj[i], eng.robj[i])
-                done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
+            key = (eng.dobj[i], eng.robj[i])
+            done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
     elif p.flavor == "semigroup":
         # the empty word's node must stay its own class (class 0) and
         # no transition may lead into it

@@ -71,11 +71,6 @@ class PartialBijection:
                     raise ValueError(f"target {v} hit twice; map not injective")
                 seen.add(v)
 
-    def __call__(self, i: int) -> int | None:
-        """Image of ``i``, or ``None`` when undefined."""
-        v = self.images[i - 1]
-        return v if v else None
-
     @property
     def dom(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.m + 1) if self.images[i - 1])

@@ -38,18 +38,24 @@ sides differ is evaluated again as elements over the presentation's own
 base, to word the failure; the docstring of ``check_soundness`` says when
 else the evaluator is used.
 
-The category kind differs in three places only: its target is a count per
-hom-set; its report carries the headroom the counts were taken at; and a
-count above the target does not fail.  At a headroom ``h`` the cell builds
-the presentation at ``cap + h``, checks its soundness too, and enumerates it
-with roots only up to the cap, counting the hom-sets within the cap; a
-wider build that is unsound fails the cell.  Soundness maps each counted
-hom-set of the wider presented category into the target, and generation
-on the cap-level alphabet, whose paths are paths of the wider build too,
-makes that map onto.  So each count at any headroom is at least the
-target's, and one equal to it, even at headroom 0, is a proof.  A run
-starts at headroom 0, where the table is smallest, and a count above the
-target re-enumerates one step wider, up to a maximal headroom.
+The category kind differs only in its target, a count per hom-set.  It is
+counted from the build at its own cap ``C``, and a count above the target
+fails, as a flat one does.  No wider build is needed.  The argument uses
+only relations that ``omega-mi`` has for each ``k < C``: ``λ_k ρ_k = 1_k``,
+``ρ_k λ_k = e_{k+1}``, ``g λ_k = λ_k g⁺`` and ``ρ_k g = g⁺ ρ_k``.
+
+- Push each ``λ`` left and each ``ρ`` right, turn each valley ``ρ_k λ_k``
+  into ``e_{k+1}``, and raise the peak by ``λ_k ρ_k = 1_k``.  Every path
+  ``m -> n`` within the cap is then ``Λ_m w P_n``, with
+  ``Λ_m = λ_m ⋯ λ_{C-1}``, ``P_n = ρ_{C-1} ⋯ ρ_n`` and ``w`` a word over
+  the level-``C`` letters of ``r-min``.
+- ``Λ_m P_m = 1_m`` and ``P_m Λ_m = e_{m+1} ⋯ e_C =: E_m``, so
+  ``Λ_m w P_n = Λ_m (E_m w E_n) P_n``.
+- If two such paths are one element, ``E_m w E_n`` and ``E_m w' E_n`` are
+  equal in ``M ≀ I_C``, so ``r-min`` at level ``C`` identifies them, and
+  the build identifies the two paths.
+- So no hom-set count exceeds the target, and soundness and generation
+  make it equal.
 """
 
 from __future__ import annotations
@@ -386,7 +392,7 @@ def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
     """``_close`` over a complete table: breadth-first over the
     classes from ``starts`` (the classes of ``seeds``), one product per
     class reached.  Only the letters of ``gens`` that leave a class's
-    object are followed, so a category table is walked within the cap.
+    object are followed.
 
     No word is kept.  Per codomain, a dict maps each code tuple to its
     first holder: the seed that gave it, or the class whose product first
@@ -446,8 +452,10 @@ def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
     domain.  A plain kind presents unlabelled maps, so it reads ``elem``
     over the trivial base, as its target does.  A tensor kind's term is
     the realization of the category kind's path.  An element the kind does
-    not present raises ``ValueError``.  The spanning trees of the last few
-    builds are kept, and one word is read from a tree per call."""
+    not present raises ``ValueError``, and so does a level whose target
+    is above the default node budget (``over_budget``), before anything is
+    closed.  The spanning trees of the last few builds are kept, and one
+    word is read from a tree per call."""
     row = KIND.get(kind)
     if row is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -456,6 +464,11 @@ def canonical_word(elem: WreathElement, kind: str, base: BasePresentation):
     if row.flavor == "tensor":
         return hat_path(canonical_word(elem, "omega-mi", base))
     level = max(elem.dom_size, elem.cod_size) if row.level == "cap" else elem.dom_size
+    over = over_budget(kind, base, level, None)
+    if over:
+        needs, nodes = over
+        raise ValueError(f"the witness words of kind {kind} at {row.level}={level} need "
+                         f"{needs} nodes, above the default node budget of {nodes}")
     tree = _witnesses(kind, base, level)
     try:
         word = tree.word(*wreath.encode_key(base.require_evaluation().size + 1, elem.key))
@@ -475,27 +488,20 @@ def verify_presentation(kind: str, base: BasePresentation, n: int,
 
 
 def verify_category(cap: int, base: BasePresentation, budget: int | None = None,
-                    headroom: int = 0, max_headroom: int = 4,
                     seed: int = 0) -> VerificationReport:
     """Verify the category kind up to object ``cap``, one hom-set count per
-    pair of objects.  The enumeration starts at ``headroom`` and widens on
-    a count above the target up to ``max_headroom`` (see the module
-    docstring).  ``seed`` is ignored."""
+    pair of objects, from the build at ``cap`` (see the module docstring).
+    ``seed`` is ignored."""
     check_level("omega-mi", cap=cap)
-    if headroom < 0:
-        raise ValueError(f"headroom must be at least 0, got {headroom}")
-    return _verify_cell("omega-mi", base, cap, budget, headroom, max_headroom)
+    return _verify_cell("omega-mi", base, cap, budget)
 
 
-def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | None,
-                 headroom: int = 0, max_headroom: int = 0) -> VerificationReport:
+def _verify_cell(kind: str, base: BasePresentation, level: int,
+                 budget: int | None) -> VerificationReport:
     """The one pipeline: the budget check, then build, soundness,
     enumeration, generation and the size comparison.  A flat count is one
-    number and a count above the target fails; a category count is one per
-    hom-set, and a count above the target re-enumerates one headroom wider,
-    up to ``max_headroom``, and then the cell is inconclusive.  Each wider
-    build is checked for soundness before it is counted from.  A count
-    below the target is an ``InternalInconsistency``."""
+    number and a category count one per hom-set; a count above the target
+    fails, and one below it is an ``InternalInconsistency``."""
     base.require_evaluation()
     row = KIND[kind]
     category = row.flavor == "category"
@@ -512,51 +518,28 @@ def _verify_cell(kind: str, base: BasePresentation, level: int, budget: int | No
     report.soundness = check_soundness(p)
     if not report.soundness.ok:
         return report
-    gen = None
-    while True:
-        wide = p
-        if headroom:
-            # the counts come from the wider build, so it must be sound too
-            wide = build(kind, base, cap=level + headroom)
-            sound = check_soundness(wide)
-            if not sound.ok:
-                report.soundness = StageReport(
-                    False, f"at headroom {headroom}, cap {level + headroom}: {sound.detail}")
-                report.notes["headroom"] = headroom
-                return report
-        table = enumerate_congruence(wide, budget, cap=level if category else None)
-        if gen is None:
-            gen = check_generation(p, table)
-            report.generation = (gen.covered, gen.target)
-            report.target_size = tgt = _hom_targets(p) if category else gen.target
-            if not gen.ok:
-                report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
-                return report
-        if table.status != "complete":
-            report.verdict = "inconclusive"
-            report.notes["enumeration"] = (f"budget exhausted at headroom {headroom}"
-                                           if category else
-                                           f"budget exhausted after {table.nodes_created} nodes")
-            return report
-        if category:
-            got = {key: table.hom_sizes.get(key, 0) for key in tgt}
-            below = any(got[key] < tgt[key] for key in tgt)
-            report.notes["headroom"] = headroom
-        else:
-            got, below = table.size, table.size < tgt
-        report.enumerated_size = got
-        if below:
-            raise InternalInconsistency(f"enumerated {got} classes below the sound target {tgt}")
-        if got == tgt:
-            report.verdict = "pass"
-            return report
-        if not category:
-            return report           # the verdict stays "fail"
-        if headroom >= max_headroom:
-            report.verdict = "inconclusive"
-            report.notes["enumeration"] = f"counts above target at maximal headroom {headroom}"
-            return report
-        headroom += 1
+    table = enumerate_congruence(p, budget)
+    gen = check_generation(p, table)
+    report.generation = (gen.covered, gen.target)
+    report.target_size = tgt = _hom_targets(p) if category else gen.target
+    if not gen.ok:
+        report.notes["generation"] = f"missing {gen.missing_example.to_json()}"
+        return report
+    if table.status != "complete":
+        report.verdict = "inconclusive"
+        report.notes["enumeration"] = f"budget exhausted after {table.nodes_created} nodes"
+        return report
+    if category:
+        got = {key: table.hom_sizes.get(key, 0) for key in tgt}
+        below = any(got[key] < tgt[key] for key in tgt)
+    else:
+        got, below = table.size, table.size < tgt
+    report.enumerated_size = got
+    if below:
+        raise InternalInconsistency(f"enumerated {got} classes below the sound target {tgt}")
+    if got == tgt:
+        report.verdict = "pass"
+    return report
 
 
 def verify_tensor(base: BasePresentation, levels: int = 3, samples: int = 200,

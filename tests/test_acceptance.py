@@ -172,9 +172,9 @@ def test_criterion_07_category_hom_sets():
     details = []
     for name in ("trivial", "c2"):
         base = builtin(name)
-        report = verify_category(3, base, headroom=2, max_headroom=2)
-        details.append((name, report.verdict, report.notes.get("headroom")))
-        ok = ok and report.verdict == "pass" and report.notes.get("headroom") <= 2
+        report = verify_category(3, base)
+        details.append((name, report.verdict))
+        ok = ok and report.verdict == "pass" and report.notes == {}
         if report.verdict == "pass":
             for m in range(4):
                 for n in range(4):

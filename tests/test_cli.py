@@ -192,6 +192,10 @@ def test_word_problem(capsys):
     code, out, _ = run(capsys, "word-problem", "--kind", "r-min", "--monoid", "c2",
                        "--n", "2", "--lhs", "s1", "--rhs", "e1")
     assert code == 2 and out.strip() == "not equal"
+    for lhs, equal in (("g@2 s1", True), ("e1", False)):
+        code, out, _ = run(capsys, "word-problem", "--kind", "r-min", "--monoid", "c2",
+                           "--n", "2", "--lhs", "s1 g@1", "--rhs", lhs, "--format", "json")
+        assert (code, json.loads(out)) == (0 if equal else 2, {"equal": equal})
 
 
 def test_semigroup_kinds_reject_the_empty_word(capsys):
@@ -400,6 +404,14 @@ def test_normal_form(capsys):
     code, out, _ = run(capsys, "normal-form", "--kind", "r-sing-tuples", "--monoid", "c2",
                        "--n", "2", "--word", "g@1;2", "--format", "json")
     assert json.loads(out)["q"] == 1
+    # the text output is one line per field, in the JSON's order
+    code, out, _ = run(capsys, "normal-form", "--kind", "r-min", "--monoid", "c2",
+                       "--n", "2", "--word", "s1 g@2")
+    assert code == 0
+    assert out.splitlines() == ["slots: ['g', '1']", "map_word: s1", "word: g@1 s1"]
+    code, out, _ = run(capsys, "normal-form", "--kind", "r-sing-tuples", "--monoid", "c2",
+                       "--n", "2", "--word", "g@1;2")
+    assert out.splitlines() == ["q: 1", "relabel: [1, 2]", "slots: ['g']", "word: e2 g@1;2"]
 
 
 def test_translate(capsys):

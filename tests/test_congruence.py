@@ -68,8 +68,7 @@ def test_semigroup_run_keeps_the_empty_word_apart():
 
 
 def test_category_counts():
-    # the build two objects wider, rooted at cap 2
-    table = enumerate_congruence(build("omega-mi", C2, cap=4), cap=2)
+    table = enumerate_congruence(build("omega-mi", C2, cap=2))
     assert table.status == "complete"
     for m in range(3):
         for n in range(3):
@@ -97,27 +96,29 @@ def _digest(table):
     return table.nodes_created, hashlib.sha256(json.dumps(wide).encode()).hexdigest()
 
 
-def test_engine_counts_are_pinned():
-    # status, class count, nodes defined at the default budget and a digest
-    # of the compressed table: a change of enumeration strategy shows here,
-    # and must be deliberate
-    cells = (
-        ("r-m-sing-in", C2, 3, 91, 291,
-         "5848d3cac45136d6e179b3a4a77d993a30b7782f686f5c6527c8f6940697fe52"),
-        ("r-sing-tuples", builtin("s3"), 3, 127, 148,
-         "373b0fe0b5a3152f734ea4b9f678489ff8e97ab4f4500ef3766ce32e832e27a3"),
-        ("r-sing-tuples", builtin("s3"), 4, 1105, 1744,
-         "bb28c47b9cf93fc2f5b3873aaf3944b933003929d86551ed9925533bb5087d10"),
-        ("r-in", TRIV, 4, 209, 451,
-         "7856cd382a055704737542c54a69c94443d19e8abc92294bd6426424695637b4"),
-        ("omega-mi", C2, 3, 264, 757,
-         "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"),
-        ("omega-mi", TRIV, 3, 90, 196,
-         "d45f016aa4e72d6a1243678403f6ba328aa3be585d84c1b410b9b7e543d0eedf"),
-        # 138 relations from one source: more than one trace kernel
-        ("r-sing-in", TRIV, 4, 185, 628,
-         "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b"),
-    )
+# status, class count, nodes defined at the default budget and a digest
+# of the compressed table: a change of enumeration strategy shows here,
+# and must be deliberate
+_PINNED = (
+    ("r-m-sing-in", C2, 3, 91, 291,
+     "5848d3cac45136d6e179b3a4a77d993a30b7782f686f5c6527c8f6940697fe52"),
+    ("r-sing-tuples", builtin("s3"), 3, 127, 148,
+     "373b0fe0b5a3152f734ea4b9f678489ff8e97ab4f4500ef3766ce32e832e27a3"),
+    ("r-sing-tuples", builtin("s3"), 4, 1105, 1744,
+     "bb28c47b9cf93fc2f5b3873aaf3944b933003929d86551ed9925533bb5087d10"),
+    ("r-in", TRIV, 4, 209, 451,
+     "7856cd382a055704737542c54a69c94443d19e8abc92294bd6426424695637b4"),
+    ("omega-mi", C2, 3, 264, 757,
+     "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"),
+    ("omega-mi", TRIV, 3, 90, 196,
+     "d45f016aa4e72d6a1243678403f6ba328aa3be585d84c1b410b9b7e543d0eedf"),
+    # 138 relations from one source: more than one trace kernel
+    ("r-sing-in", TRIV, 4, 185, 628,
+     "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b"),
+)
+
+
+def _check_pins(cells):
     for kind, base, n, classes, nodes, digest in cells:
         if kind == "omega-mi":
             table = enumerate_congruence(build(kind, base, cap=n))
@@ -127,27 +128,15 @@ def test_engine_counts_are_pinned():
             size = table.size
         assert (table.status, size) == ("complete", classes), kind
         assert _digest(table) == (nodes, digest), kind
+
+
+def test_engine_counts_are_pinned():
+    _check_pins(_PINNED)
     # these runs still outgrow their budget, and stop at it
     for kind, base, n, budget in (("r-in", TRIV, 5, 1000),
                                   ("r-sing-tuples", builtin("s3"), 4, 1000)):
         table = enumerate_congruence(build(kind, base, n=n), budget=budget)
         assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
-
-
-def _check_widened_pins():
-    # a widened category cell hands the engine the build at cap + headroom,
-    # rooted at the cap: nodes defined and a digest of the compressed table
-    for base, cap, wide, nodes, digest in (
-            (C2, 2, 4, 469, "53be93dd4d368e8c813b2cfb0c5cd12e192029fc22018727d68c062ef046b291"),
-            (C2, 3, 4, 2149, "5a2382410598415e4291b592068c77596f0d5104df8288feea9c25307061feed"),
-            (TRIV, 3, 5, 752, "38de5cb5d7cfd7060826d11ca22ceeae83b54ad4b9149c1ee713254169335f4e")):
-        table = enumerate_congruence(build("omega-mi", base, cap=wide), cap=cap)
-        assert table.status == "complete", (cap, wide)
-        assert _digest(table) == (nodes, digest), (cap, wide)
-
-
-def test_widened_tables_are_pinned():
-    _check_widened_pins()
 
 
 def test_a_cached_kernel_changes_nothing(monkeypatch):
@@ -213,8 +202,8 @@ def test_kernel_reuse_across_presentations_is_sound():
     assert all(report["verdict"] == "pass" for report in warm)
     hits = congruence._factory.cache_info().hits
     assert hits > 0
-    # the widened tables of omega-mi/c2 reuse the cap-4 build's kernels
-    _check_widened_pins()
+    # the pinned omega-mi tables reuse the kernels of the runs above
+    _check_pins([cell for cell in _PINNED if cell[0] == "omega-mi"])
     assert congruence._factory.cache_info().hits > hits
 
 
@@ -317,12 +306,6 @@ def test_category_run_enumerates_the_presentation_it_is_given():
     assert enumerate_congruence(p, budget=5000).nodes_created == 72
     half = dataclasses.replace(p, relations=p.relations[::2])
     assert enumerate_congruence(half, budget=5000).status == "budget-exceeded"
-    # roots stop at a cap within the presentation's own; a flat
-    # presentation has no objects to cap
-    with pytest.raises(ValueError, match="cap must lie in 0..2"):
-        enumerate_congruence(p, cap=3)
-    with pytest.raises(ValueError, match="takes no cap"):
-        enumerate_congruence(build("r-in", TRIV, n=2), cap=2)
 
 
 def test_budget_exhaustion_is_inconclusive_not_wrong():

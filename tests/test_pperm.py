@@ -37,7 +37,7 @@ def brute_compose(a: PartialBijection, b: PartialBijection) -> PartialBijection:
     for i in range(1, a.m + 1):
         for j in range(1, a.n + 1):
             for k in range(1, b.n + 1):
-                if a(i) == j and b(j) == k:
+                if a.images[i - 1] == j and b.images[j - 1] == k:
                     row[i - 1] = k
     return PartialBijection(a.m, b.n, tuple(row))
 

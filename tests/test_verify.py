@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from invwreath.base import InternalInconsistency, NoEvaluationError, _close, builtin
 from invwreath.congruence import enumerate_congruence
-from invwreath.pperm import CompositionError
+from invwreath.pperm import CompositionError, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
@@ -28,9 +28,9 @@ from invwreath.verify import (
     verify_presentation,
     verify_tensor,
 )
-from invwreath.words import Path, Sym, lam, parse_path, s_
+from invwreath.words import Path, Sym, e_, edge_dr, lam, parse_path, s_
 from invwreath.words import parse_monoid_word as w
-from invwreath.wreath import encode_key, hom_count
+from invwreath.wreath import embed_map, encode_key, hom_count
 from oracles import closure, walk_keeping_words
 
 C2 = builtin("c2")
@@ -170,10 +170,9 @@ def test_generation_witnesses():
         table = enumerate_congruence(p)
         assert table.status == "complete"
         assert _same_generation(check_generation(p, table), check_generation(p))
-    for wide in (2, 4):
-        table = enumerate_congruence(build("omega-mi", C2, cap=wide), cap=2)
-        assert table.status == "complete"
-        assert _same_generation(check_generation(omega, table), check_generation(omega))
+    table = enumerate_congruence(omega)
+    assert table.status == "complete"
+    assert _same_generation(check_generation(omega, table), check_generation(omega))
 
 
 def _starts(p, table):
@@ -209,9 +208,7 @@ def test_the_walk_gives_the_word_keeping_walks_witnesses():
         p = build(kind, base, n=level)
         assert _walks_as_the_word_keeping_walk(p, enumerate_congruence(p)).ok, (kind, base.name)
     omega = build("omega-mi", C2, cap=2)
-    for wide in (2, 4):
-        table = enumerate_congruence(build("omega-mi", C2, cap=wide), cap=2)
-        assert _walks_as_the_word_keeping_walk(omega, table).ok, wide
+    assert _walks_as_the_word_keeping_walk(omega, enumerate_congruence(omega)).ok
 
 
 _REWIRED_CELLS = (("r-min", C2, 2), ("r-sing-in", TRIV, 3), ("r-in", TRIV, 3),
@@ -311,6 +308,19 @@ def test_canonical_words_are_the_generation_witnesses():
                     assert word.src == elem.dom_size
                     word = word.edges
                 assert word == witness[elem.key], (kind, base.name, elem)
+
+
+def test_canonical_word_is_held_to_the_default_budget():
+    # the witnesses of r-m-sing-in over c2 at n=6 would close 245,713
+    # elements; the call stops at the budget check before closing any
+    elem = embed_map(C2.monoid, omit(1, 6))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="need 245714 nodes, above the default node budget "
+                                         "of 50000"):
+        canonical_word(elem, "r-m-sing-in", C2)
+    assert time.perf_counter() - start < 1
+    # at n=5 the target needs 15,252 nodes, and the word is read as before
+    assert canonical_word(embed_map(C2.monoid, omit(1, 5)), "r-m-sing-in", C2) == (e_(1),)
 
 
 def test_generation_failure_reported(monkeypatch):
@@ -440,7 +450,7 @@ def test_target_above_budget_is_inconclusive_before_generation():
     assert "23 nodes" in report.notes["enumeration"]
     report = verify_category(2, C2, budget=23)
     assert report.verdict == "inconclusive" and report.generation == (35, 35)
-    assert report.notes["enumeration"] == "budget exhausted at headroom 0"
+    assert report.notes["enumeration"] == "budget exhausted after 41 nodes"
 
 
 def test_huge_levels_stop_at_the_budget_check():
@@ -481,8 +491,7 @@ def test_verify_reports_deterministic():
 
 def test_verify_category_small():
     report = verify_category(2, TRIV)
-    assert report.verdict == "pass"
-    assert report.notes["headroom"] <= 2
+    assert report.verdict == "pass" and report.notes == {}
     report = verify_category(2, C2)
     assert report.verdict == "pass"
     obj = report.to_json()
@@ -492,11 +501,39 @@ def test_verify_category_small():
 
 def test_verify_category_certifies_at_headroom_zero():
     # every builtin with an evaluation table: the table at the cap itself
-    # already has the target's hom-set counts
+    # has the target's hom-set counts
     cells = [(name, cap) for name in ("trivial", "c2", "c3", "sl2", "s3") for cap in (1, 2)]
     for name, cap in cells + [("trivial", 3), ("c2", 3)]:
         report = verify_category(cap, builtin(name))
-        assert (report.verdict, report.notes["headroom"]) == ("pass", 0), (name, cap)
+        assert (report.verdict, report.notes) == ("pass", {}), (name, cap)
+
+
+def _level_relations(p, k):
+    """The relations of the category build ``p`` that ``r-min`` has at
+    level ``k``: loops at ``k`` whose letters are all loops at ``k``."""
+    return {(lhs, rhs) for lhs, rhs in p.relations
+            if lhs.src == k and all(edge_dr(sym) == (k, k) for sym in lhs.edges + rhs.edges)}
+
+
+def test_the_cap_level_decides_the_category():
+    # the argument in the verify docstring uses r-min only at level C:
+    # without every r-min relation below C each hom-set count stays exact,
+    # and without the level-C ones instead no run completes in the default
+    # per-root budget
+    for base, cap, full, kept in ((C2, 3, 77, 57), (builtin("s3"), 2, 48, 40),
+                                  (TRIV, 4, 76, 54)):
+        p = build("omega-mi", base, cap=cap)
+        below = set().union(*(_level_relations(p, k) for k in range(cap)))
+        top = _level_relations(p, cap)
+        lean = dataclasses.replace(p, relations=tuple(r for r in p.relations if r not in below))
+        assert (len(p.relations), len(lean.relations)) == (full, kept), base.name
+        table = enumerate_congruence(lean)
+        assert table.status == "complete", base.name
+        assert table.hom_sizes == {(m, n): hom_count(base.monoid, m, n)
+                                   for m in range(cap + 1) for n in range(cap + 1)}, base.name
+        headless = dataclasses.replace(p, relations=tuple(r for r in p.relations
+                                                          if r not in top))
+        assert enumerate_congruence(headless).status == "budget-exceeded", base.name
 
 
 def test_an_unsound_cell_fails_before_enumeration(monkeypatch):
@@ -534,59 +571,23 @@ def test_a_flat_count_above_the_target_fails(monkeypatch):
     jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
-def test_verify_category_widens_on_overshoot(monkeypatch):
-    # one class too many at headroom 0 must be retried one step wider
-    def inflated(p, budget=None, cap=None):
-        table = enumerate_congruence(p, budget, cap)
-        if cap == p.cap:
-            table.hom_sizes[(1, 1)] += 1
+def test_a_category_count_above_the_target_fails(monkeypatch):
+    # one class too many in a hom-set fails the cell at its cap, after one
+    # enumeration, as a flat count above the target does
+    runs = []
+
+    def inflated(p, budget=None):
+        runs.append(p.cap)
+        table = enumerate_congruence(p, budget)
+        table.hom_sizes[(1, 1)] += 1
         return table
 
     monkeypatch.setattr("invwreath.verify.enumerate_congruence", inflated)
     report = verify_category(2, C2)
-    assert report.verdict == "pass" and report.notes["headroom"] == 1
-    report = verify_category(2, C2, max_headroom=0)
-    assert report.verdict == "inconclusive" and report.notes["headroom"] == 0
-    assert report.notes["enumeration"] == "counts above target at maximal headroom 0"
+    assert report.verdict == "fail" and report.soundness.ok and runs == [2]
     assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
-
-
-def test_an_unsound_wider_build_does_not_pass(monkeypatch):
-    # the counts at a headroom come from the build at cap + headroom, so
-    # its relations above the cap are checked too: at a starting headroom
-    # and at a widening step
-    bad = (parse_path("s1:3"), parse_path("i3"))
-
-    def unsound(kind, base, **level):
-        p = build(kind, base, **level)
-        if level.get("cap") == 3:
-            p = dataclasses.replace(p, relations=p.relations + (bad,))
-        return p
-
-    def inflated(p, budget=None, cap=None):
-        table = enumerate_congruence(p, budget, cap)
-        if cap == p.cap:
-            table.hom_sizes[(1, 1)] += 1
-        return table
-
-    monkeypatch.setattr("invwreath.verify.build", unsound)
-    index = len(build("omega-mi", C2, cap=3).relations)
-    for headroom in (1, 0):
-        if headroom == 0:
-            monkeypatch.setattr("invwreath.verify.enumerate_congruence", inflated)
-        report = verify_category(2, C2, headroom=headroom)
-        assert report.verdict == "fail" and report.notes["headroom"] == 1, headroom
-        assert report.soundness.detail.startswith(
-            f"at headroom 1, cap 3: relation {index}: s1:3 evaluates to "), headroom
-
-
-def test_negative_headroom_is_rejected():
-    # it would enumerate below the cap and report its hom-sets as complete;
-    # the engine, which takes the cap to root at, rejects a negative one
-    with pytest.raises(ValueError, match="cap must lie in 0..2"):
-        enumerate_congruence(build("omega-mi", C2, cap=2), cap=-1)
-    with pytest.raises(ValueError, match="headroom"):
-        verify_category(2, C2, headroom=-1)
+    assert report.notes == {}
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
 def test_verify_tensor_small():

@@ -486,6 +486,10 @@ def test_singular_normal_form_examples():
     assert q == 0 and slots == ()
     q, sigma, slots = normal_form_singular_tuple((xc("g", 1, 2),), C2, 2)
     assert q == 1 and sigma == (1, 2) and slots == (("g",),)
+    # a word with full support is outside the singular part
+    for word in ((), (x_("g", 1),)):
+        with pytest.raises(ValueError, match="does not evaluate into the singular part"):
+            normal_form_singular_tuple(word, C2, 2)
 
 
 def test_singular_normal_form_random():
