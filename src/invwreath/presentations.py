@@ -27,7 +27,7 @@ symmetric index pair is instantiated once per unordered choice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from .base import BasePresentation
@@ -138,6 +138,9 @@ class Presentation:
     cap: int | None
     alphabet: tuple[Sym, ...]
     relations: tuple
+    # what a reader derives from the presentation once and keeps with it
+    # (``verify._generators``); ``replace`` starts it empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build(kind: str, base: BasePresentation, n: int | None = None,

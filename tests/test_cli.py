@@ -34,6 +34,21 @@ def test_emit_golden_small(capsys):
     assert out == (GOLDEN / "emit_r-min-small_bicyclic_n2.txt").read_text()
 
 
+def test_golden_matrix(capsys, monkeypatch):
+    """Every kind over every builtin at levels 2 and 3 (the tensor kinds once
+    per base), and two cells that run out of their budget: the JSON report
+    must match ``tests/golden/matrix.json`` byte for byte.  A change to it is
+    made on purpose and logged; regenerate it from the repository root with
+
+        env -u INVWREATH_BUDGET PYTHONPATH=src python -m invwreath matrix \\
+            tests/golden/matrix_cells.json --format json > tests/golden/matrix.json
+    """
+    monkeypatch.delenv("INVWREATH_BUDGET", raising=False)
+    code, out, _ = run(capsys, "matrix", str(GOLDEN / "matrix_cells.json"), "--format", "json")
+    assert code == 3                    # the two budget-limited cells are inconclusive
+    assert out == (GOLDEN / "matrix.json").read_text()
+
+
 def test_emit_golden_json(capsys):
     code, out, _ = run(capsys, "emit", "--kind", "r-min", "--monoid", "bicyclic",
                        "--n", "2", "--format", "json")

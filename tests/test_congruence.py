@@ -20,7 +20,7 @@ from invwreath.base import InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.presentations import build
 from invwreath.verify import target_size, verify_category, verify_presentation
-from invwreath.words import edge_dr
+from invwreath.words import e_, edge_dr, rho
 from invwreath.words import parse_monoid_word as w
 
 TRIV = builtin("trivial")
@@ -296,6 +296,17 @@ def test_ill_typed_relation_side_is_an_inconsistency():
     bad = types.SimpleNamespace(src=lhs.src + 1, edges=lhs.edges)
     with pytest.raises(InternalInconsistency):
         enumerate_congruence(dataclasses.replace(p, relations=p.relations + ((bad, rhs),)))
+
+
+def test_a_relation_between_two_objects_is_a_mistyped_merge():
+    # each side is a well-typed path from object 1, but rho0 ends at 0 and
+    # e1:1 at 1: the engine must refuse to merge their nodes
+    from invwreath.words import Path
+
+    p = build("omega-mi", C2, cap=1)
+    bad = (Path(1, (rho(0),)), Path(1, (e_(1, 1),)))
+    with pytest.raises(InternalInconsistency, match="merge nodes of different types"):
+        enumerate_congruence(dataclasses.replace(p, relations=p.relations + (bad,)))
 
 
 def test_category_run_enumerates_the_presentation_it_is_given():

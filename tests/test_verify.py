@@ -28,7 +28,7 @@ from invwreath.verify import (
     verify_presentation,
     verify_tensor,
 )
-from invwreath.words import Path, Sym, e_, edge_dr, lam, parse_path, s_
+from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, s_
 from invwreath.words import parse_monoid_word as w
 from invwreath.wreath import embed_map, encode_key, hom_count
 from oracles import closure, walk_keeping_words
@@ -382,6 +382,23 @@ def test_repeated_target_element_is_an_inconsistency(monkeypatch):
         check_generation(p, enumerate_congruence(p))
 
 
+def test_a_target_tuple_repeated_in_place_is_an_inconsistency(monkeypatch):
+    # the first tuple twice and the last dropped: the count holds, and only
+    # the strict order of the stream tells the repeat apart
+    import invwreath.wreath as wreath_mod
+
+    real = wreath_mod.enumerate_codes
+
+    def stuttering(*args, **kwargs):
+        rows = list(real(*args, **kwargs))
+        yield from rows[:1] + rows[:-1]
+
+    monkeypatch.setattr(wreath_mod, "enumerate_codes", stuttering)
+    p = build("r-min", C2, n=2)
+    with pytest.raises(InternalInconsistency, match="repeats or is out of order"):
+        check_generation(p, enumerate_congruence(p))
+
+
 def test_target_code_without_a_label_is_an_inconsistency(monkeypatch):
     # a streamed code with an image but label 0 names no element: the
     # stream is wrong, even where the count and the order still hold
@@ -590,15 +607,118 @@ def test_a_category_count_above_the_target_fails(monkeypatch):
     jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
+def test_a_cell_builds_each_letter_action_once(monkeypatch):
+    # soundness and generation share one build of the letters' tables per
+    # presentation; a fresh build, as after a stand-in, gets fresh tables
+    import invwreath.wreath as wreath_mod
+
+    real = wreath_mod.right_action
+    calls = []
+
+    def counting(z, g):
+        calls.append(g)
+        return real(z, g)
+
+    monkeypatch.setattr(wreath_mod, "right_action", counting)
+    assert verify_presentation("r-min", C2, 2).verdict == "pass"
+    assert verify_category(2, C2).verdict == "pass"
+    letters = len(build("r-min", C2, n=2).alphabet) + len(build("omega-mi", C2, cap=2).alphabet)
+    assert len(calls) == letters
+    p = build("r-min", C2, n=2)
+    assert _generators(p) is _generators(p)
+    assert _generators(dataclasses.replace(p)) is not _generators(p)
+
+
+def test_relations_equal_as_elements_but_not_on_codes_are_an_inconsistency(monkeypatch):
+    # a coded value that tells every relation's two sides apart: the
+    # evaluator finds the first relation sound, so the codes are wrong
+    monkeypatch.setattr("invwreath.verify._coded_value", lambda p: lambda side: (side, p.n))
+    with pytest.raises(InternalInconsistency, match="relation 0 holds as elements but not"):
+        check_soundness(build("r-in", TRIV, n=2))
+
+
+def test_a_count_below_the_target_is_an_inconsistency(monkeypatch):
+    # soundness and generation make the target a lower bound: a table one
+    # class short, flat or in one hom-set, contradicts them
+    def deflated(p, budget=None):
+        table = enumerate_congruence(p, budget)
+        if p.flavor == "category":
+            table.hom_sizes[(1, 1)] -= 1
+        else:
+            table.size -= 1
+        return table
+
+    monkeypatch.setattr("invwreath.verify.enumerate_congruence", deflated)
+    with pytest.raises(InternalInconsistency, match="enumerated 16 classes below the sound target 17"):
+        verify_presentation("r-min", C2, 2)
+    with pytest.raises(InternalInconsistency, match="below the sound target"):
+        verify_category(2, C2)
+
+
 def test_verify_tensor_small():
-    report = verify_tensor(C2, levels=2, samples=50)
-    assert report.verdict == "pass"
-    assert report.notes["hat_paths"] == 50
-    assert report.notes["decompositions"] == 60
-    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+    # hat is checked on every edge of omega-mi at cap 3, the decompositions
+    # on every padded tensor edge, and the shadow is omega-mi's soundness
+    for base, notes in zip(SMALL_BASES, ((15, 45, 36), (21, 60, 77), (21, 60, 77),
+                                         (21, 60, 77), (27, 75, 132))):
+        report = verify_tensor(base)
+        assert report.verdict == "pass" and report.soundness.ok
+        assert report.notes == dict(zip(("hat_edges", "decompositions", "shadow_relations"),
+                                        notes))
+        omega = build("omega-mi", base, cap=3)
+        assert notes[0] == len(omega.alphabet) and notes[2] == len(omega.relations)
+        jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
 def test_verify_tensor_unlabelled_kind():
-    report = verify_tensor(C2, levels=2, samples=50, kind="xi-i")
-    assert report.kind == "xi-i" and report.verdict == "pass"
-    assert report.notes["decompositions"] == 45  # three edges only
+    # the plain category: three tensor edges, omega-mi over the trivial base
+    for base in SMALL_BASES:
+        report = verify_tensor(base, kind="xi-i")
+        assert report.kind == "xi-i" and report.verdict == "pass"
+        assert report.notes == {"hat_edges": 15, "decompositions": 45, "shadow_relations": 36}
+
+
+def test_a_wrong_hat_edge_fails_the_tensor_check(monkeypatch):
+    # an omission realized as the identity term: the first e edge is named
+    import invwreath.verify as verify_mod
+
+    real = verify_mod.hat_edge
+    monkeypatch.setattr(verify_mod, "hat_edge",
+                        lambda sym: TIdent(sym.n) if sym.kind == "e" else real(sym))
+    report = verify_tensor(C2)
+    assert report.verdict == "fail" and report.soundness.ok
+    assert report.notes == {"hat": "edge e1:1 not realized"}
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+
+
+def test_a_wrong_decomposition_fails_the_tensor_check(monkeypatch):
+    # the padded crossing decomposed as the identity path
+    import invwreath.verify as verify_mod
+
+    real = verify_mod.x_mn_decompose
+
+    def uncrossed(sym, m, n):
+        term, path = real(sym, m, n)
+        return term, (Path(path.src, ()) if sym.kind == "TX" else path)
+
+    monkeypatch.setattr(verify_mod, "x_mn_decompose", uncrossed)
+    report = verify_tensor(C2)
+    assert report.verdict == "fail" and report.notes["hat_edges"] == 21
+    assert report.notes["decompose"] == "X != i2"
+    assert "shadow_relations" not in report.notes
+
+
+def test_an_unsound_category_relation_fails_the_tensor_check(monkeypatch):
+    # omega-mi with e1 = 1 at object 1: its soundness detail is the shadow note
+    def with_unsound(kind, base, **level):
+        p = build(kind, base, **level)
+        if kind != "omega-mi":
+            return p
+        bad = (Path(1, (e_(1, 1),)), Path(1, ()))
+        return dataclasses.replace(p, relations=p.relations + (bad,))
+
+    monkeypatch.setattr("invwreath.verify.build", with_unsound)
+    report = verify_tensor(C2)
+    assert report.verdict == "fail"
+    assert report.notes["hat_edges"] == 21 and report.notes["decompositions"] == 60
+    assert report.notes["shadow"].startswith("relation 77: e1:1 evaluates to ")
+    assert "shadow_relations" not in report.notes
