@@ -184,23 +184,21 @@ def pinned(monoid: FiniteMonoid, elt: int, i: int, j: int, n: int) -> MTuple:
 class _Tree:
     """What a breadth-first closure keeps, by generation's walk or by
     ``_close``: a spanning tree of the holders of the images, and no word.
-    A holder is the class, or closure element, that reached an image first,
-    or ``~k`` for the ``k``-th seed, whose word is given."""
+    A holder is numbered ``0, 1, ...`` in the order it first reached its
+    image, or is ``~k`` for the ``k``-th seed, whose word is given."""
     held: dict          # per codomain: code tuple -> its first holder
-    parent: list        # per class or element: the holder of its parent's image
-    letter: list        # per class or element: the letter from its parent
-    order: object       # the classes or elements in the order they were reached
+    parent: list        # per holder: the holder of its parent's image
+    letter: list        # per holder: the letter from its parent
     seed_words: list
 
     def words(self) -> dict:
         """``(codes, n)`` -> word, in the order each image was first held:
-        the seeds', then the rest in ``order``."""
+        the seeds', then the rest by holder number."""
         key = {h: (codes, n) for n, held in self.held.items() for codes, h in held.items()}
         word = {~k: w for k, w in enumerate(self.seed_words)}
         out = {key[h]: w for h, w in word.items() if h in key}
-        for c in self.order:
-            if c in key:
-                out[key[c]] = word[c] = word[self.parent[c]] + (self.letter[c],)
+        for c, (p, x) in enumerate(zip(self.parent, self.letter)):
+            out[key[c]] = word[c] = word[p] + (x,)
         return out
 
     def word(self, codes, n):
@@ -242,7 +240,7 @@ def _close(seeds, gens) -> _Tree:
                     parent.append(holder)
                     letters.append(letter)
         frontier = nxt
-    return _Tree(held, parent, letters, range(len(parent)), [word for _, word in seeds])
+    return _Tree(held, parent, letters, [word for _, word in seeds])
 
 
 @lru_cache(maxsize=16)

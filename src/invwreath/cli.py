@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+# a matrix exits with its worst cell's code: a fail or an error outranks an
+# inconclusive cell, whose code is the larger
+_SEVERITY = {EXIT_OK: 0, EXIT_INCONCLUSIVE: 1, EXIT_FAIL: 2}
 
 BUDGET_ENV = "INVWREATH_BUDGET"
 
@@ -341,11 +344,11 @@ def _cmd_matrix(args) -> int:
                                       _positive_budget(cell.get("budget")), default_budget)
             entry["verdict"] = report.verdict
             entry["report"] = report.to_json()
-            worst = max(worst, _report_exit(report))
+            worst = max(worst, _report_exit(report), key=_SEVERITY.__getitem__)
         except (ValueError, KeyError, OSError, InternalInconsistency) as exc:
             entry["verdict"] = "error"
             entry["error"] = str(exc)
-            worst = max(worst, EXIT_FAIL)
+            worst = EXIT_FAIL
         results.append(entry)
     if args.format == "json":
         print(json.dumps({"cells": results}, indent=2))

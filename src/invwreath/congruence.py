@@ -37,11 +37,10 @@ Reading changes no state except to write a merged target's class back
 into its row, so the nodes defined and the merges made are those of
 filling every trace.
 
-One typed engine serves every flavor.  Nodes carry source and target
-objects, generators go between objects, and each source object is the
-root of its own part of the table with its own node budget.  A monoid or
-semigroup run uses the single object 0: every generator goes ``0 -> 0``
-and there is one root, so the per-root budget is the whole budget.
+One typed engine serves every flavor, with one root per run: object 0
+for a monoid or semigroup, whose every generator goes ``0 -> 0``, and
+the cap for a category.  Nodes carry their target objects, generators
+go between objects, and the budget bounds the nodes of the one root.
 Each generator has a column within its source object, in alphabet order,
 and a row holds exactly the columns of its node's target object, from
 the engine to the returned table; relations are sorted and oriented on
@@ -53,9 +52,10 @@ For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
 stays a singleton and is excluded from the reported size.
 
-A category run has a root at each object of the presentation, up to its
-cap, and reports every hom-set; ``verify`` says why the counts at the cap
-need no wider build.
+A category run is rooted at its cap ``C`` alone and reports the hom-sets
+``(C, n)``; ``verify`` reads each lower hom-set ``(m, n)`` from the classes
+that ``C`` reaches through ``ρ_{C-1} ⋯ ρ_m``, and says why the counts at
+the cap need no wider build.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from operator import itemgetter
 
 from .base import InternalInconsistency
 from .presentations import Presentation
-from .words import edge_dr
+from .words import edge_dr, path_text
 
 __all__ = [
     "UnsupportedFlavorError",
@@ -99,13 +99,13 @@ class CongruenceTable:
     entry defined.  ``columns[m]`` maps the symbols of the generators
     leaving object ``m``, in alphabet order, to their columns 0, 1, ....
     ``gen_index`` maps alphabet symbols to their ids in alphabet order, and
-    ``roots`` maps each start object to its identity class (flat flavors
-    have the one object 0, which every generator leaves).
+    ``roots`` maps the one start object to its identity class: 0 for a
+    flat flavor, which every generator leaves, and the cap for a category.
     """
 
     status: str                       # "complete" | "budget-exceeded"
     size: int | None = None           # monoid/semigroup class count
-    hom_sizes: dict | None = None     # category: (src, tgt) -> class count
+    hom_sizes: dict | None = None     # category: (cap, tgt) -> class count
     nodes_created: int = 0
     transitions: list | None = None
     roots: dict | None = None
@@ -139,34 +139,29 @@ class CongruenceTable:
 class _Engine:
     """Table plus union-find over local generator columns.
 
-    Every node carries its ``(source, target)`` objects, and its row has
-    one column per generator leaving its target: ``targets[m][k]`` is
-    where the generator in column ``k`` of object ``m`` goes.  Relation
-    sides are well-typed paths, so a trace reads and defines only columns
-    of the row it stands on.  Each source object roots its own part of
-    the table, with at most ``budget`` nodes.  Node 0 is the sink (see the
-    module docstring), in no part and no budget.
+    Every node carries its target object, and its row has one column per
+    generator leaving it: ``targets[m][k]`` is where the generator in
+    column ``k`` of object ``m`` goes.  Relation sides are well-typed
+    paths, so a trace reads and defines only columns of the row it stands
+    on.  The one root's part of the table has at most ``budget`` nodes;
+    node 0 is the sink (see the module docstring), outside the budget.
     """
 
-    def __init__(self, targets, budget: int, roots: int):
+    def __init__(self, targets, budget: int):
         self.targets = targets
         self.budget = budget
-        self.created = [0] * roots
         # a tuple, so that no write can reach the sink's row
         self.sink = (0,) * max(map(len, targets))
         self.rows: list = [self.sink]
         self.parent: list[int] = [0]
-        self.dobj: list[int] = [-1]
         self.robj: list[int] = [-1]
 
-    def new_node(self, d: int, r: int) -> int:
-        if self.created[d] >= self.budget:
-            raise _BudgetExceeded
-        self.created[d] += 1
+    def new_node(self, r: int) -> int:
         idx = len(self.rows)
+        if idx > self.budget:
+            raise _BudgetExceeded
         self.rows.append([0] * len(self.targets[r]))
         self.parent.append(idx)
-        self.dobj.append(d)
         self.robj.append(r)
         return idx
 
@@ -191,7 +186,7 @@ class _Engine:
                 continue
             if b < a:
                 a, b = b, a
-            if self.dobj[a] != self.dobj[b] or self.robj[a] != self.robj[b]:
+            if self.robj[a] != self.robj[b]:
                 raise InternalInconsistency("attempt to merge nodes of different types")
             parent[b] = a
             row_b = rows[b]
@@ -261,22 +256,21 @@ class _Engine:
                 rows[a][u[i]] = b
                 return False
             node, gen = (a, u[i]) if i < lu else (b, v[j])
-            fresh = rows[node][gen] = self.new_node(self.dobj[node], self.targets[self.robj[node]][gen])
+            fresh = rows[node][gen] = self.new_node(self.targets[self.robj[node]][gen])
             # the one new entry extends whichever sides stopped at it
             if i < lu and a == node and u[i] == gen:
                 a, i = fresh, i + 1
             if j < lv and b == node and v[j] == gen:
                 b, j = fresh, j + 1
 
-    def run(self, rels_by_src: dict):
-        """One root per source object, then nodes in creation order: run
+    def run(self, rels_by_src: dict, root: int):
+        """The root at object ``root``, then nodes in creation order: run
         the kernels of the relations whose source is the node's target,
         then fill the node's remaining row entries with fresh nodes.  A
         kernel returns true when a fix merged the node into an earlier,
         fully processed one."""
         rows, parent, robj, targets = self.rows, self.parent, self.robj, self.targets
-        for m in range(len(self.created)):
-            self.new_node(m, m)
+        self.new_node(root)
         kernels = [[] for _ in targets]
         for src, rels in rels_by_src.items():
             for k in range(0, len(rels), _KERNEL_RELATIONS):
@@ -291,7 +285,7 @@ class _Engine:
                     row = rows[idx]
                     for col, r in enumerate(targets[robj[idx]]):
                         if not row[col]:
-                            row[col] = self.new_node(self.dobj[idx], r)
+                            row[col] = self.new_node(r)
             idx += 1
 
     def compressed(self):
@@ -408,8 +402,8 @@ def _trace_order(rels):
 
 
 def node_budget(flavor: str, budget: int | None) -> int:
-    """The per-root node budget of a run: ``budget``, or the flavor's
-    default for ``None``."""
+    """The node budget of a run: ``budget``, or the flavor's default for
+    ``None``."""
     if budget is None:
         return DEFAULT_CATEGORY_BUDGET if flavor == "category" else DEFAULT_MONOID_BUDGET
     if budget <= 0:
@@ -421,11 +415,12 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
     """Enumerate the structure presented by ``p``.
 
     Monoid and semigroup flavors return a total class count.  The category
-    flavor returns per-hom-set counts, with a root at each object up to
-    ``p.cap``.  Every relation side must be a well-typed path from its
-    source, or the run raises ``InternalInconsistency``.  ``budget`` bounds
-    the nodes per source object; ``None`` picks the flavor's default.
-    Tensor flavors have no completeness enumeration.
+    flavor is rooted at ``p.cap`` and returns the counts of the hom-sets
+    out of it.  The two sides of a category relation must be paths with
+    one source and one target, or the run raises
+    ``InternalInconsistency``.  ``budget`` bounds the nodes of the run;
+    ``None`` picks the flavor's default.  Tensor flavors have no
+    completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
@@ -435,30 +430,29 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
 
     if category:
         dr = [edge_dr(sym) for sym in p.alphabet]
-        roots = p.cap + 1
+        root = p.cap
+        # ``Path`` checks that each side's edges compose; the engine
+        # defines a transition wherever a trace is missing one, which is
+        # only sound when the two sides also share their ends
+        for lhs, rhs in p.relations:
+            if not (lhs.src == rhs.src and lhs.tgt == rhs.tgt):
+                raise InternalInconsistency(
+                    f"relation {path_text(lhs)} = {path_text(rhs)} does not have "
+                    f"one source and one target")
         sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in p.relations]
     else:
         # one object: every generator is an endomorphism of 0
         dr = [(0, 0)] * len(p.alphabet)
-        roots = 1
+        root = 0
         sides = [(0, lhs, rhs) for lhs, rhs in p.relations]
     gen_index = {sym: k for k, sym in enumerate(p.alphabet)}
     rels_by_src: dict[int, list] = {}
     for src, lhs, rhs in sides:
-        pair = tuple(tuple(gen_index[s] for s in side) for side in (lhs, rhs))
-        # the engine defines a transition wherever a trace is missing one,
-        # which is only sound along a well-typed path
-        for side in pair:
-            obj = src
-            for g in side:
-                if dr[g][0] != obj:
-                    raise InternalInconsistency(
-                        f"a relation side from object {src} is not a well-typed path")
-                obj = dr[g][1]
-        rels_by_src.setdefault(src, []).append(pair)
+        rels_by_src.setdefault(src, []).append(
+            tuple(tuple(gen_index[s] for s in side) for side in (lhs, rhs)))
     # each generator's column within its source object, in alphabet
     # order; the relations are ordered on generator ids, then rewritten
-    nobj = 1 + max([roots - 1, *rels_by_src] + [max(d, r) for d, r in dr])
+    nobj = 1 + max([root, *rels_by_src] + [max(d, r) for d, r in dr])
     columns = [{} for _ in range(nobj)]
     targets = [[] for _ in range(nobj)]
     for sym, (d, r) in zip(p.alphabet, dr):
@@ -469,23 +463,22 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
                               for rel in _trace_order(rels))
                    for src, rels in rels_by_src.items()}
 
-    eng = _Engine(targets, budget, roots)
+    eng = _Engine(targets, budget)
     try:
-        eng.run(rels_by_src)
+        eng.run(rels_by_src, root)
     except _BudgetExceeded:
         return CongruenceTable("budget-exceeded", nodes_created=len(eng.rows) - 1)
 
     alive, canon, table = eng.compressed()
-    # root m is node m + 1, after the sink
+    # the root is node 1, after the sink
+    objects = [eng.robj[i] for i in alive]
     done = CongruenceTable("complete", nodes_created=len(eng.rows) - 1,
                            transitions=table, gen_index=gen_index, columns=columns,
-                           objects=[eng.robj[i] for i in alive],
-                           roots={m: canon[m + 1] for m in range(roots)})
+                           objects=objects, roots={root: canon[1]})
     if category:
         done.hom_sizes = {}
-        for i in alive:
-            key = (eng.dobj[i], eng.robj[i])
-            done.hom_sizes[key] = done.hom_sizes.get(key, 0) + 1
+        for n in objects:
+            done.hom_sizes[root, n] = done.hom_sizes.get((root, n), 0) + 1
     elif p.flavor == "semigroup":
         # the empty word's node must stay its own class (class 0) and
         # no transition may lead into it

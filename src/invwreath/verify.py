@@ -14,13 +14,13 @@ from the kind, base and level alone, so an oversized cell stops before
 anything is built.  It then builds the presentation and runs soundness,
 the enumeration, and generation.  A complete table is the right Cayley
 graph of the presented structure, so generation walks it breadth-first
-from the roots: each class's image is its parent's image times one
+from its starts: each class's image is its parent's image times one
 generator image.  Only when the table is incomplete does generation close
 the generator images under composition instead, by ``base._close``.
 Either way it keeps no word but a spanning tree (``base._Tree``): per
-codomain, a dict from each image's codes to the class or closure element
-that first held it, and per class or element the holder of its parent's
-image and the letter.  Both give the same breadth-first witness words.
+codomain, a dict from each image's codes to the visit of a class, or the
+closure element, that first held it, and per such holder the holder of
+its parent's image and the letter.  Both give the same breadth-first witness words.
 ``canonical_word`` reads one at a time from ``_close``'s tree of the kind
 built at the element's own level, and the normal forms read theirs from
 ``_close`` too, so the program has one source of witness words.
@@ -56,10 +56,23 @@ only relations that ``omega-mi`` has for each ``k < C``: ``λ_k ρ_k = 1_k``,
   the build identifies the two paths.
 - So no hom-set count exceeds the target, and soundness and generation
   make it equal.
+
+The table is enumerated from the cap ``C`` alone, and the hom-sets out of
+the lower objects are read from it.  ``Λ_m P_m = 1_m`` makes ``q ↦ P_m q``
+one to one on the paths out of ``m``: if ``P_m q = P_m q'``, then
+``q = Λ_m P_m q = Λ_m P_m q' = q'``.  So the paths ``m -> n`` are as many as
+the classes at ``n`` that the class of ``P_m`` reaches, and that is how the
+hom-set ``(m, n)`` is counted; generation walks the same classes from the
+class of ``P_m``, with the identity at ``m`` as its image.  The argument
+needs ``λ_k ρ_k = i_k`` among the relations for every ``k < C``; when one
+is missing, the lower counts are not counted, the cell is inconclusive at
+best, and its note names the missing relation.  A count out of ``C``
+above its target still fails the cell.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -68,7 +81,8 @@ from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, _close, _Tree, adjoin_zero, builtin
 from .congruence import CongruenceTable, enumerate_congruence, node_budget
 from .presentations import FLAVOR_SYNTAX, KIND, Presentation, build, check_level
-from .words import Path, eval_path, eval_term, hat_edge, hat_path, path_text, term_text, x_mn_decompose
+from .words import (Path, eval_path, eval_term, hat_edge, hat_path, lam, path_text, rho, term_text,
+                    x_mn_decompose)
 from .wreath import WreathElement
 
 __all__ = [
@@ -269,13 +283,13 @@ _EXACT_NEED = 10 ** 12
 
 def over_budget(kind: str, base: BasePresentation, level: int, budget: int | None):
     """``None`` when the closed-form target of ``kind`` at ``level`` fits
-    in the enumeration's node budget under one root, else the pair of its
-    need and that budget.  Each class needs a node of its own, and a
-    semigroup run one more for the empty word.  ``level`` is the flat
-    kind's ``n`` or the category's cap, and nothing is built.
+    in the enumeration's node budget, else the pair of its need and that
+    budget.  Each class needs a node of its own, and a semigroup run one
+    more for the empty word.  ``level`` is the flat kind's ``n`` or the
+    category's cap, and nothing is built.
 
-    The largest root is ``level`` itself, as ``hom_count`` grows with the
-    domain, and its size is summed rank by rank, stopping once the sum
+    The run's one root is ``level`` itself, for the category kind too,
+    and its size is summed rank by rank, stopping once the sum
     passes both the budget and ``_EXACT_NEED``, so a huge level costs a few
     terms, not a sum of big integers, and its need reads ``more than``."""
     base, variant, objects = _target(kind, base, level)
@@ -323,18 +337,21 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     witness word per element, and compare with the brute-force target.
 
     With a complete ``table`` the elements are reached by walking it, one
-    product per class; otherwise by closing the generator images under
-    composition.  Both visit in the same breadth-first order, with letters
-    in alphabet order, so they give the same witness words.  Both keep a
-    spanning tree (``_Tree``) and no word, and look the target up in its
-    per-codomain dicts; the words are built only when the result's
-    ``coded`` or ``witness`` is read.
+    product per class that a walk visits: one walk for a flat kind, and
+    for the category kind one per object ``m``, from the class of ``P_m``
+    (see the module docstring).  Otherwise they are reached by closing the
+    generator images under composition.  Both visit in the same
+    breadth-first order, with letters in alphabet order, so they give the
+    same witness words.  Both keep a spanning tree (``_Tree``) and no word,
+    and look the target up in its per-codomain dicts; the words are built
+    only when the result's ``coded`` or ``witness`` is read.
 
     Everything runs on position codes (``wreath.encode_key``): each letter
     acts by a lookup table, so a product is one ``map`` over the codes.
     The products are not validated, and need not be: a verdict of ``pass``
-    needs ``covered == target == classes``.  The walk makes one product per
-    class, so at most ``classes`` distinct images, and ``covered`` of them
+    needs ``covered == target == classes``, where a category's classes are
+    the visits its counts are read from.  The walk makes one product per
+    visit, so at most ``classes`` distinct images, and ``covered`` of them
     are target elements; when all three agree, the images are exactly the
     target's elements, each reached once.
 
@@ -353,10 +370,13 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     if table is not None and table.status == "complete":
         if p.flavor == "semigroup":
             # the empty word's class is no element: start one letter in
-            starts = [table.trace(0, (sym,)) for sym in p.alphabet]
+            walks = [[table.trace(0, (sym,)) for sym in p.alphabet]]
+        elif p.flavor == "category":
+            # object m from the class of P_m (see the module docstring)
+            walks = [[table.trace(p.cap, _descent(p.cap, m))] for m in range(p.cap + 1)]
         else:
-            starts = list(table.roots.values())     # one per object, in order
-        reached = _walk(table, starts, seeds, gens)
+            walks = [list(table.roots.values())]
+        reached = _walk(table, walks, seeds, gens)
     else:
         reached = _close(seeds, gens)
     # a repeated element shows as a code tuple that does not increase.
@@ -392,53 +412,97 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
                             None if missing is None else wreath.from_key(missing))
 
 
-def _walk(table: CongruenceTable, starts, seeds, gens) -> _Tree:
-    """``_close`` over a complete table: breadth-first over the
-    classes from ``starts`` (the classes of ``seeds``), one product per
-    class reached.  Only the letters of ``gens`` that leave a class's
-    object are followed.
+def _walk(table: CongruenceTable, walks, seeds, gens) -> _Tree:
+    """``_close`` over a complete table: one breadth-first walk over the
+    classes per list of ``walks``, from its start classes, which are the
+    classes of the next ``seeds``, with one product per class reached.
+    Only the letters of ``gens`` that leave a class's object are followed.
+    A category table has one walk per object, from the class of ``P_m``;
+    these walks reach nested sets of classes, so a class is visited once
+    per walk that reaches it, with another image each time.  The walks go
+    together, frontier by frontier, so the images are reached in the order
+    that ``_close`` reaches them.
 
     No word is kept.  Per codomain, a dict maps each code tuple to its
-    first holder: the seed that gave it, or the class whose product first
-    reached it.  A class that holds its image records the holder of its
-    parent's image and the letter, so its word is that holder's word plus
-    the letter, as ``_close`` would give it; a class whose image is
-    already held records nothing.  A class's image is dropped once its row
-    is processed, so only the frontier's images stay alive."""
+    first holder: the seed that gave it, or the number of the visit whose
+    product first reached it.  As in ``_close``, only a visit that holds
+    its image is numbered, with the holder of its parent's image and the
+    letter, so its word is that holder's word plus the letter.  Only the
+    frontier's images stay alive."""
     held = {}
-    # per object, the column, letter, action, codomain and codomain's dict
-    # of each letter of ``gens`` that leaves it
-    leaving = [[(cols[letter], letter, act, cod, held.setdefault(cod, {}))
+    # per object, the column, letter, action and codomain's dict of each
+    # letter of ``gens`` that leaves it
+    leaving = [[(cols[letter], letter, act, held.setdefault(cod, {}))
                 for letter, (_, act, cod) in gens if letter in cols]
                for cols in table.columns]
-    image = [None] * len(table.transitions)     # per class, until its row is done
-    parent = [None] * len(image)
-    letters = [None] * len(image)
-    queue = []
-    for k, (c, (elt, _)) in enumerate(zip(starts, seeds)):
-        if image[c] is None:
-            image[c] = elt
-            queue.append(c)
-        held.setdefault(elt[1], {}).setdefault(elt[0], ~k)
+    for k, ((codes, n), _) in enumerate(seeds):
+        held.setdefault(n, {}).setdefault(codes, ~k)
+    rows, objects = table.transitions, table.objects
+    parent, letters, frontier = [], [], []
+    seed_images = iter(seeds)
+    for starts in walks:
+        seen = bytearray(len(rows))     # the classes this walk has visited
+        for c, ((codes, n), _) in zip(starts, seed_images):
+            if not seen[c]:
+                seen[c] = 1
+                frontier.append((seen, c, codes, held[n][codes]))
+    while frontier:
+        nxt = []
+        for seen, c, codes, holder in frontier:
+            row = rows[c]
+            for col, letter, act, into in leaving[objects[c]]:
+                t = row[col]
+                if seen[t]:
+                    continue
+                seen[t] = 1
+                b = tuple(map(act, codes))
+                h = into.get(b)
+                if h is None:
+                    h = into[b] = len(parent)
+                    parent.append(holder)
+                    letters.append(letter)
+                nxt.append((seen, t, b, h))
+        frontier = nxt
+    return _Tree(held, parent, letters, [word for _, word in seeds])
+
+
+def _descent(cap: int, m: int):
+    """``P_m = ρ_{cap-1} ⋯ ρ_m``, the path from ``cap`` down to ``m``."""
+    return tuple(rho(k) for k in range(cap - 1, m - 1, -1))
+
+
+def _orbit_sizes(table: CongruenceTable, start: int) -> Counter:
+    """Per object, the number of classes that the class ``start`` reaches
+    in the complete ``table``, itself included."""
+    seen = bytearray(len(table.transitions))
+    seen[start] = 1
+    queue = [start]
     for c in queue:         # grows while it is read
-        codes, n = image[c]
-        image[c] = True     # still visited
-        holder = None
-        row = table.transitions[c]
-        for col, letter, act, cod, into in leaving[table.objects[c]]:
-            t = row[col]
-            if image[t] is not None:
-                continue
-            b = tuple(map(act, codes))
-            image[t] = b, cod
-            queue.append(t)
-            if b not in into:
-                into[b] = t
-                if holder is None:
-                    holder = held[n][codes]
-                parent[t] = holder
-                letters[t] = letter
-    return _Tree(held, parent, letters, queue, [word for _, word in seeds])
+        for t in table.transitions[c]:
+            if not seen[t]:
+                seen[t] = 1
+                queue.append(t)
+    return Counter(map(table.objects.__getitem__, queue))
+
+
+def _category_counts(p: Presentation, table: CongruenceTable):
+    """The counts of the category build ``p`` from its complete ``table``,
+    rooted at the cap ``C``, and ``None``: ``(C, n)`` as the table has
+    it, and ``(m, n)`` for ``m < C`` as the classes at ``n`` that the
+    class of ``P_m`` reaches (see the module docstring).  When a relation
+    ``λ_k ρ_k = i_k`` with ``k < C`` is missing from ``p``, the lower
+    counts prove nothing: the counts out of ``C`` alone, and the first
+    missing relation in place of ``None``."""
+    cap = p.cap
+    counts = {(cap, n): table.hom_sizes.get((cap, n), 0) for n in range(cap + 1)}
+    for k in range(cap):
+        rel = (Path(k, (lam(k), rho(k))), Path(k, ()))
+        if rel not in p.relations and rel[::-1] not in p.relations:
+            return counts, rel
+    for m in range(cap):
+        sizes = _orbit_sizes(table, table.trace(cap, _descent(cap, m)))
+        counts.update(((m, n), sizes[n]) for n in range(cap + 1))
+    return dict(sorted(counts.items())), None
 
 
 @lru_cache(maxsize=16)
@@ -534,15 +598,21 @@ def _verify_cell(kind: str, base: BasePresentation, level: int,
         report.notes["enumeration"] = f"budget exhausted after {table.nodes_created} nodes"
         return report
     if category:
-        got = {key: table.hom_sizes.get(key, 0) for key in tgt}
-        below = any(got[key] < tgt[key] for key in tgt)
+        got, gap = _category_counts(p, table)
+        above = any(got[key] > tgt[key] for key in got)
+        below = any(got[key] < tgt[key] for key in got)
     else:
-        got, below = table.size, table.size < tgt
+        got, gap = table.size, None
+        above, below = got > tgt, got < tgt
     report.enumerated_size = got
     if below:
         raise InternalInconsistency(f"enumerated {got} classes below the sound target {tgt}")
-    if got == tgt:
-        report.verdict = "pass"
+    if gap is not None:
+        report.notes["enumeration"] = (
+            f"hom-sets out of the objects below {level} not counted: "
+            f"{path_text(gap[0])} = {path_text(gap[1])} is not a relation")
+    if not above:
+        report.verdict = "pass" if gap is None else "inconclusive"
     return report
 
 

@@ -54,28 +54,32 @@ def closure(seeds, gens, mul) -> dict:
     return witness
 
 
-def walk_keeping_words(table, starts, seeds, gens) -> dict:
-    """``closure`` over a complete table: breadth-first over the
-    classes from ``starts`` (the classes of ``seeds``), one product per
-    class reached.  A class whose image is new takes its parent's word plus
-    one letter; a class whose image is already known adds no witness, and
-    neither do its children's images, which its first holder has added.
-    Only the letters of ``gens`` that leave a class's object are followed,
-    so a category table is walked within the cap."""
+def walk_keeping_words(table, walks, seeds, gens) -> dict:
+    """``closure`` over a complete table: breadth-first over the classes,
+    one walk per list of ``walks`` from its start classes (the classes of
+    the next ``seeds``), one product per class a walk reaches.  The walks
+    share one queue, so they go together.  A class whose image is new
+    takes its parent's word plus one letter; a class whose image is
+    already known adds no witness, and neither do its children's images,
+    which its first holder has added.  Only the letters of ``gens`` that
+    leave a class's object are followed, so a category table is walked
+    within the cap."""
     # per object, the column, letter, action and codomain of each letter
     # of ``gens`` that leaves it
     leaving = [[(cols[letter], letter, act, cod) for letter, (_, act, cod) in gens
                 if letter in cols]
                for cols in table.columns]
-    image = [None] * len(table.transitions)     # per class
     queue = []
     witness = {}
-    for c, (elt, word) in zip(starts, seeds):
-        if image[c] is None:
-            image[c] = elt
-            queue.append(c)
-        witness.setdefault(elt, word)
-    for c in queue:         # grows while it is read
+    seed_pairs = iter(seeds)
+    for starts in walks:
+        image = [None] * len(table.transitions)     # per class, in this walk
+        for c, (elt, word) in zip(starts, seed_pairs):
+            if image[c] is None:
+                image[c] = elt
+                queue.append((image, c))
+            witness.setdefault(elt, word)
+    for image, c in queue:         # grows while it is read
         a = image[c]
         codes = a[0]
         row = table.transitions[c]
@@ -84,7 +88,7 @@ def walk_keeping_words(table, starts, seeds, gens) -> dict:
             if image[t] is not None:
                 continue
             b = image[t] = (tuple(map(act, codes)), cod)
-            queue.append(t)
+            queue.append((image, t))
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
     return witness

@@ -45,7 +45,7 @@ def test_golden_matrix(capsys, monkeypatch):
     """
     monkeypatch.delenv("INVWREATH_BUDGET", raising=False)
     code, out, _ = run(capsys, "matrix", str(GOLDEN / "matrix_cells.json"), "--format", "json")
-    assert code == 3                    # the two budget-limited cells are inconclusive
+    assert code == 2                    # its 18 error cells outrank the 2 inconclusive ones
     assert out == (GOLDEN / "matrix.json").read_text()
 
 
@@ -168,6 +168,31 @@ def test_a_failing_cell_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines()[0] == "r-min-small monoid=c2 n=3: fail"
     assert "  enumerated: 230 target: 139" in out.splitlines()
+
+
+def test_a_matrix_with_a_failing_and_an_inconclusive_cell_exits_two(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a fail outranks an inconclusive cell, though its exit code is smaller
+    import dataclasses
+
+    from invwreath.presentations import build
+
+    def without_relation_12(kind, base, **level):
+        p = build(kind, base, **level)
+        return dataclasses.replace(p, relations=p.relations[:12])
+
+    monkeypatch.setattr("invwreath.verify.build", without_relation_12)
+    config = {"cells": [
+        {"kind": "r-min-small", "monoid": "c2", "n": 3},
+        {"kind": "r-in", "monoid": "trivial", "n": 3, "budget": 10},
+    ]}
+    path = tmp_path / "cells.json"
+    for order in (1, -1):
+        path.write_text(json.dumps({"cells": config["cells"][::order]}))
+        code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+        assert code == 2
+        verdicts = [cell["verdict"] for cell in json.loads(out)["cells"]]
+        assert verdicts == ["fail", "inconclusive"][::order]
 
 
 def test_internal_inconsistency_exits_two(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,8 @@ from invwreath.base import InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.presentations import build
 from invwreath.verify import target_size, verify_category, verify_presentation
-from invwreath.words import e_, edge_dr, rho
+from invwreath.words import Path as TypedPath
+from invwreath.words import e_, edge_dr, lam, rho
 from invwreath.words import parse_monoid_word as w
 
 TRIV = builtin("trivial")
@@ -67,12 +68,32 @@ def test_semigroup_run_keeps_the_empty_word_apart():
         enumerate_congruence(bad)
 
 
+def _descent(cap, m):
+    """The path ``rho_{cap-1} ... rho_m`` from the root ``cap`` down to ``m``."""
+    return tuple(rho(k) for k in range(cap - 1, m - 1, -1))
+
+
+def _reached(table, start):
+    """The classes that the class ``start`` reaches, breadth-first."""
+    queue, seen = [start], {start}
+    for c in queue:
+        for t in table.transitions[c]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return queue
+
+
 def test_category_counts():
+    # the run is rooted at the cap and counts the hom-sets out of it;
+    # object m's are the classes that the class of rho1 ... rhom reaches
     table = enumerate_congruence(build("omega-mi", C2, cap=2))
-    assert table.status == "complete"
+    assert table.status == "complete" and list(table.roots) == [2]
+    assert table.hom_sizes == {(2, n): wreath.hom_count(C2.monoid, 2, n) for n in range(3)}
     for m in range(3):
+        objects = [table.objects[c] for c in _reached(table, table.trace(2, _descent(2, m)))]
         for n in range(3):
-            assert table.hom_sizes[(m, n)] == wreath.hom_count(C2.monoid, m, n)
+            assert objects.count(n) == wreath.hom_count(C2.monoid, m, n)
 
 
 def test_tensor_unsupported():
@@ -108,10 +129,11 @@ _PINNED = (
      "bb28c47b9cf93fc2f5b3873aaf3944b933003929d86551ed9925533bb5087d10"),
     ("r-in", TRIV, 4, 209, 451,
      "7856cd382a055704737542c54a69c94443d19e8abc92294bd6426424695637b4"),
-    ("omega-mi", C2, 3, 264, 757,
-     "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"),
-    ("omega-mi", TRIV, 3, 90, 196,
-     "d45f016aa4e72d6a1243678403f6ba328aa3be585d84c1b410b9b7e543d0eedf"),
+    # a category run is rooted at its cap: the classes out of object 3
+    ("omega-mi", C2, 3, 184, 518,
+     "7bbb73c39215990f772c04bd0376796c1222a06e9599f7050242578000adcb05"),
+    ("omega-mi", TRIV, 3, 52, 115,
+     "65ee77535084428bfa259fad8fe0554987c1350240ad56ca23dbe883363c82af"),
     # 138 relations from one source: more than one trace kernel
     ("r-sing-in", TRIV, 4, 185, 628,
      "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b"),
@@ -150,7 +172,7 @@ def test_a_cached_kernel_changes_nothing(monkeypatch):
             (build("r-sing-in", TRIV, n=4), 3,
              (628, "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b")),
             (build("omega-mi", C2, cap=3), 4,
-             (757, "bdcc10468c85ee0a08bcf5b5ca96ce0c9eab5e9d044afa61f831954c848a0ce0"))):
+             (518, "7bbb73c39215990f772c04bd0376796c1222a06e9599f7050242578000adcb05"))):
         congruence._factory.cache_clear()
         assert _digest(enumerate_congruence(p)) == pinned
         assert congruence._factory.cache_info()[:2] == (0, chunks)
@@ -237,10 +259,10 @@ def _class_at(table, c, word):
 def test_tables_with_relations_dropped_keep_the_invariants(data):
     # what any correct enumeration gives on a complete table: from every
     # class both sides of every relation end in one class, every class is
-    # reachable from a root, a row has one defined entry per generator
+    # reachable from the root, a row has one defined entry per generator
     # leaving the class's target object, read through the column map, and
     # dropping relations never gives fewer classes than the structure
-    # presented by all of them
+    # presented by all of them has out of the root
     kind, base, n = data.draw(st.sampled_from((
         ("r-in", TRIV, 3), ("r-sing-tuples", C2, 3), ("r-m-sing-in", C2, 3), ("omega-mi", C2, 2))))
     p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
@@ -255,10 +277,11 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
         dr = [edge_dr(sym) for sym in weak.alphabet]
         sides = [(lhs.src, lhs.edges, rhs.edges) for lhs, rhs in weak.relations]
         size = sum(table.hom_sizes.values())
+        want = sum(wreath.hom_count(base.monoid, n, k) for k in range(n + 1))
     else:
         dr = [(0, 0)] * len(weak.alphabet)
         sides = [(0, lhs, rhs) for lhs, rhs in weak.relations]
-        size = table.size
+        size, want = table.size, target_size(p)
     # each class's target object, breadth-first from the roots
     target = {c: m for m, c in table.roots.items()}
     queue = list(target)
@@ -283,7 +306,7 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
             if src == obj:
                 end = _class_at(table, c, lhs)
                 assert end is not None and end == _class_at(table, c, rhs)
-    assert size >= target_size(p)
+    assert size >= want
 
 
 def test_ill_typed_relation_side_is_an_inconsistency():
@@ -300,21 +323,32 @@ def test_ill_typed_relation_side_is_an_inconsistency():
 
 def test_a_relation_between_two_objects_is_a_mistyped_merge():
     # each side is a well-typed path from object 1, but rho0 ends at 0 and
-    # e1:1 at 1: the engine must refuse to merge their nodes
-    from invwreath.words import Path
-
+    # e1:1 at 1: the run refuses the relation before it could merge their
+    # nodes
     p = build("omega-mi", C2, cap=1)
-    bad = (Path(1, (rho(0),)), Path(1, (e_(1, 1),)))
-    with pytest.raises(InternalInconsistency, match="merge nodes of different types"):
+    bad = (TypedPath(1, (rho(0),)), TypedPath(1, (e_(1, 1),)))
+    with pytest.raises(InternalInconsistency,
+                       match="relation rho0 = e1:1 does not have one source and one target"):
+        enumerate_congruence(dataclasses.replace(p, relations=p.relations + (bad,)))
+
+
+def test_a_side_that_leaves_the_other_sides_target_is_refused():
+    # lam0 = i0: both sides are well-typed paths from object 0, one to 1
+    # and one to 0.  A trace of the empty side stops at once, so only the
+    # comparison of the two sides' ends can refuse it
+    p = build("omega-mi", C2, cap=1)
+    bad = (TypedPath(0, (lam(0),)), TypedPath(0, ()))
+    with pytest.raises(InternalInconsistency,
+                       match="relation lam0 = i0 does not have one source and one target"):
         enumerate_congruence(dataclasses.replace(p, relations=p.relations + (bad,)))
 
 
 def test_category_run_enumerates_the_presentation_it_is_given():
-    # half the relations of omega-mi/c2 at cap 2 no longer present the 35
-    # labelled partial bijections between objects up to 2: the run outgrows
-    # the budget that the full presentation completes in with 72 nodes
+    # half the relations of omega-mi/c2 at cap 2 no longer present the 23
+    # labelled partial bijections out of object 2: the run outgrows the
+    # budget that the full presentation completes in with 45 nodes
     p = build("omega-mi", C2, cap=2)
-    assert enumerate_congruence(p, budget=5000).nodes_created == 72
+    assert enumerate_congruence(p, budget=5000).nodes_created == 45
     half = dataclasses.replace(p, relations=p.relations[::2])
     assert enumerate_congruence(half, budget=5000).status == "budget-exceeded"
 
@@ -372,23 +406,26 @@ def test_table_solves_the_word_problem():
 
 
 def test_trace_rejects_words_off_the_table():
-    from invwreath.words import lam, rho
-
     table = enumerate_congruence(build("r-min", C2, n=2))
     with pytest.raises(ValueError, match="i=5.* is not in the alphabet"):
         table.trace(0, w("s1 s5"))
+    # the category run's one root is its cap; object 0 is read after the
+    # path rho1 rho0 down to it
     omega = enumerate_congruence(build("omega-mi", C2, cap=2))
+    down = _descent(2, 0)
     with pytest.raises(ValueError, match="not a path"):
-        omega.trace(0, (rho(0),))
+        omega.trace(2, down + (rho(0),))
     # a path across objects reaches the class of its element, and a
     # letter that does not leave the object reached is off the table
     up = (lam(0), lam(1), rho(1))
-    assert omega.objects[omega.trace(0, up)] == 1
-    assert omega.trace(0, up) == omega.trace(0, (lam(0),))
+    assert omega.objects[omega.trace(2, down + up)] == 1
+    assert omega.trace(2, down + up) == omega.trace(2, down + (lam(0),))
     with pytest.raises(ValueError, match="not a path"):
-        omega.trace(0, (lam(0), rho(1)))
+        omega.trace(2, down + (lam(0), rho(1)))
     with pytest.raises(ValueError, match="no root at object 5"):
         omega.trace(5, ())
+    with pytest.raises(ValueError, match="no root at object 0"):
+        omega.trace(0, ())
     with pytest.raises(ValueError, match="no root at object 1"):
         table.trace(1, ())
 
@@ -405,7 +442,8 @@ def test_category_table_traces_paths():
     by_src = {}
     for sym in p.alphabet:
         by_src.setdefault(edge_dr(sym)[0], []).append(sym)
-    from invwreath.words import Path
+    # a path from object m is read from the root 2 after rho1 ... rhom, and
+    # one class reached from one object is one element
     seen = {}
     for _ in range(300):
         src = rng.randrange(0, 3)
@@ -414,8 +452,8 @@ def test_category_table_traces_paths():
             sym = rng.choice(by_src[cur])
             edges.append(sym)
             cur = edge_dr(sym)[1]
-        path = Path(src, tuple(edges))
-        cls = table.trace(src, path.edges)
+        path = TypedPath(src, tuple(edges))
+        cls = src, table.trace(2, _descent(2, src) + path.edges)
         elem = eval_path(path, C2)
         if cls in seen:
             assert seen[cls] == elem

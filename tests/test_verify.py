@@ -18,6 +18,7 @@ from invwreath.pperm import CompositionError, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.schemas import REPORT_SCHEMA
 from invwreath.verify import (
+    _category_counts,
     _generators,
     canonical_word,
     check_generation,
@@ -28,7 +29,7 @@ from invwreath.verify import (
     verify_presentation,
     verify_tensor,
 )
-from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, s_
+from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, rho, s_
 from invwreath.words import parse_monoid_word as w
 from invwreath.wreath import embed_map, encode_key, hom_count
 from oracles import closure, walk_keeping_words
@@ -175,12 +176,17 @@ def test_generation_witnesses():
     assert _same_generation(check_generation(omega, table), check_generation(omega))
 
 
-def _starts(p, table):
-    """The classes generation's walk starts from, as ``check_generation``
-    finds them."""
+def _walks(p, table):
+    """The start classes of generation's walks, as ``check_generation``
+    finds them: one walk for a flat kind, and one per object ``m`` of a
+    category, from the class of ``rho_{C-1} ... rho_m`` under the root
+    ``C``."""
     if p.flavor == "semigroup":
-        return [table.trace(0, (sym,)) for sym in p.alphabet]
-    return list(table.roots.values())
+        return [[table.trace(0, (sym,)) for sym in p.alphabet]]
+    if p.flavor == "category":
+        return [[table.trace(p.cap, tuple(rho(k) for k in range(p.cap - 1, m - 1, -1)))]
+                for m in range(p.cap + 1)]
+    return [list(table.roots.values())]
 
 
 def _walks_as_the_word_keeping_walk(p, table):
@@ -190,7 +196,7 @@ def _walks_as_the_word_keeping_walk(p, table):
     brute-force target."""
     gen = check_generation(p, table)
     seeds, gens = _generators(p)
-    expected = walk_keeping_words(table, _starts(p, table), seeds, gens)
+    expected = walk_keeping_words(table, _walks(p, table), seeds, gens)
     assert list(gen.coded.items()) == list(expected.items())
     assert all(gen.reached.word(*key) == word for key, word in expected.items())
     target = enumerate_target(p)
@@ -229,8 +235,10 @@ def test_a_rewired_table_walks_as_the_word_keeping_walk(data):
     # same object: a table of the wrong structure, whose walk repeats
     # images and misses elements, still keeps the same holders
     p, table = _complete_table(data.draw(st.integers(0, len(_REWIRED_CELLS) - 1)))
-    # a root's row often: in a semigroup it holds the walk's starts
-    c = data.draw(st.sampled_from(sorted(table.roots.values()))
+    # a root's or a start's row often: in a semigroup the root's row holds
+    # the walk's starts, and a category's walks start below its root
+    starts = set(table.roots.values()).union(*_walks(p, table))
+    c = data.draw(st.sampled_from(sorted(starts))
                   | st.integers(0, len(table.transitions) - 1))
     row = list(table.transitions[c])
     col = data.draw(st.integers(0, len(row) - 1))
@@ -460,14 +468,14 @@ def test_target_above_budget_is_inconclusive_before_generation():
     report = verify_presentation("r-sing-in", TRIV, 3, budget=29)
     assert report.generation == (28, 28)
     assert report.notes["enumeration"] == "budget exhausted after 29 nodes"
-    # the category kind needs sum over n <= cap of hom_count(m, n) nodes
-    # under root m: 1 + 5 + 17 = 23 under root 2 for c2 at cap 2
+    # the category kind needs sum over n <= cap of hom_count(cap, n) nodes
+    # under its one root, the cap: 1 + 5 + 17 = 23 for c2 at cap 2
     report = verify_category(2, C2, budget=22)
     assert report.verdict == "inconclusive" and report.generation is None
     assert "23 nodes" in report.notes["enumeration"]
     report = verify_category(2, C2, budget=23)
     assert report.verdict == "inconclusive" and report.generation == (35, 35)
-    assert report.notes["enumeration"] == "budget exhausted after 41 nodes"
+    assert report.notes["enumeration"] == "budget exhausted after 23 nodes"
 
 
 def test_huge_levels_stop_at_the_budget_check():
@@ -517,12 +525,55 @@ def test_verify_category_small():
 
 
 def test_verify_category_certifies_at_headroom_zero():
-    # every builtin with an evaluation table: the table at the cap itself
-    # has the target's hom-set counts
-    cells = [(name, cap) for name in ("trivial", "c2", "c3", "sl2", "s3") for cap in (1, 2)]
-    for name, cap in cells + [("trivial", 3), ("c2", 3)]:
+    # every builtin with an evaluation table: the table at the cap C itself,
+    # rooted at C alone, has the target's hom-set counts, each (m, n) with
+    # m < C counted from the class of rho_{C-1} ... rho_m, and generation
+    # covers every element once
+    cells = [(name, cap) for name in ("trivial", "c2", "c3", "sl2", "s3") for cap in range(4)]
+    for name, cap in cells + [("c2", 4)]:
+        monoid = builtin(name).monoid
         report = verify_category(cap, builtin(name))
+        want = {(m, n): hom_count(monoid, m, n) for m in range(cap + 1) for n in range(cap + 1)}
+        total = sum(want.values())
         assert (report.verdict, report.notes) == ("pass", {}), (name, cap)
+        assert list(report.enumerated_size.items()) == list(want.items()), (name, cap)
+        assert report.generation == (total, total), (name, cap)
+
+
+def _replacing(relation, stand_ins):
+    """A stand-in for ``build`` that puts ``stand_ins`` in place of
+    ``relation``."""
+    def built(kind, base, **level):
+        p = build(kind, base, **level)
+        rels = [stand_ins if r == relation else (r,) for r in p.relations]
+        return dataclasses.replace(p, relations=sum(rels, ()))
+
+    return built
+
+
+def test_a_build_without_a_retraction_never_passes(monkeypatch):
+    # the lower counts rest on lam_k rho_k = i_k for every k < C.  Without
+    # one, the counts out of C run above their targets here and the cell
+    # fails; with (lam_k rho_k)^2 = i_k in its place they are exact, and
+    # the lower hom-sets are inconclusive.  Either way the note names the
+    # missing relation
+    for k in range(3):
+        retraction = (Path(k, (lam(k), rho(k))), Path(k, ()))
+        square = (Path(k, (lam(k), rho(k), lam(k), rho(k))), Path(k, ()))
+        for stand_ins, verdict in (((), "fail"), ((square,), "inconclusive")):
+            monkeypatch.setattr("invwreath.verify.build", _replacing(retraction, stand_ins))
+            report = verify_category(3, C2)
+            assert report.verdict == verdict and report.soundness.ok, (k, verdict)
+            assert report.generation == (264, 264)
+            assert report.notes == {"enumeration": (
+                f"hom-sets out of the objects below 3 not counted: "
+                f"lam{k} rho{k} = i{k} is not a relation")}
+            assert list(report.enumerated_size) == [(3, n) for n in range(4)]
+            jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+    # the relation turned round is the same relation
+    retraction = (Path(1, (lam(1), rho(1))), Path(1, ()))
+    monkeypatch.setattr("invwreath.verify.build", _replacing(retraction, (retraction[::-1],)))
+    assert verify_category(3, C2).verdict == "pass"
 
 
 def _level_relations(p, k):
@@ -535,8 +586,9 @@ def _level_relations(p, k):
 def test_the_cap_level_decides_the_category():
     # the argument in the verify docstring uses r-min only at level C:
     # without every r-min relation below C each hom-set count stays exact,
-    # and without the level-C ones instead no run completes in the default
-    # per-root budget
+    # those out of C read from the table and the lower ones from the class
+    # of rho_{C-1} ... rho_m, and without the level-C ones instead no run
+    # completes in the default budget
     for base, cap, full, kept in ((C2, 3, 77, 57), (builtin("s3"), 2, 48, 40),
                                   (TRIV, 4, 76, 54)):
         p = build("omega-mi", base, cap=cap)
@@ -546,8 +598,9 @@ def test_the_cap_level_decides_the_category():
         assert (len(p.relations), len(lean.relations)) == (full, kept), base.name
         table = enumerate_congruence(lean)
         assert table.status == "complete", base.name
-        assert table.hom_sizes == {(m, n): hom_count(base.monoid, m, n)
-                                   for m in range(cap + 1) for n in range(cap + 1)}, base.name
+        assert _category_counts(lean, table) == (
+            {(m, n): hom_count(base.monoid, m, n)
+             for m in range(cap + 1) for n in range(cap + 1)}, None), base.name
         headless = dataclasses.replace(p, relations=tuple(r for r in p.relations
                                                           if r not in top))
         assert enumerate_congruence(headless).status == "budget-exceeded", base.name
@@ -590,21 +643,39 @@ def test_a_flat_count_above_the_target_fails(monkeypatch):
 
 def test_a_category_count_above_the_target_fails(monkeypatch):
     # one class too many in a hom-set fails the cell at its cap, after one
-    # enumeration, as a flat count above the target does
+    # enumeration, as a flat count above the target does: out of the cap,
+    # as the table counts it
     runs = []
 
     def inflated(p, budget=None):
         runs.append(p.cap)
         table = enumerate_congruence(p, budget)
-        table.hom_sizes[(1, 1)] += 1
+        table.hom_sizes[(2, 1)] += 1
         return table
 
     monkeypatch.setattr("invwreath.verify.enumerate_congruence", inflated)
     report = verify_category(2, C2)
     assert report.verdict == "fail" and report.soundness.ok and runs == [2]
-    assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
+    assert report.enumerated_size[(2, 1)] == hom_count(C2.monoid, 2, 1) + 1
     assert report.notes == {}
     jsonschema.validate(report.to_json(), REPORT_SCHEMA)
+    # and out of a lower object, as read from the class of rho1
+    import invwreath.verify as verify_mod
+
+    real = verify_mod._orbit_sizes
+
+    def inflated_orbit(table, start):
+        sizes = real(table, start)
+        sizes[1] += table.objects[start] == 1
+        return sizes
+
+    monkeypatch.undo()
+    monkeypatch.setattr(verify_mod, "_orbit_sizes", inflated_orbit)
+    report = verify_category(2, C2)
+    assert report.verdict == "fail" and report.soundness.ok
+    assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
+    assert report.enumerated_size[(2, 1)] == hom_count(C2.monoid, 2, 1)
+    assert report.notes == {}
 
 
 def test_a_cell_builds_each_letter_action_once(monkeypatch):
@@ -643,7 +714,7 @@ def test_a_count_below_the_target_is_an_inconsistency(monkeypatch):
     def deflated(p, budget=None):
         table = enumerate_congruence(p, budget)
         if p.flavor == "category":
-            table.hom_sizes[(1, 1)] -= 1
+            table.hom_sizes[(2, 1)] -= 1
         else:
             table.size -= 1
         return table
