@@ -12,10 +12,10 @@ import json
 import os
 import sys
 
+from . import pperm
 from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
-from .pperm import enumerate_partial_bijections
 from .presentations import (FLAVOR_SYNTAX, KIND, build, category_letters, check_level, emit_json,
                             emit_text)
 from .words import (
@@ -302,22 +302,25 @@ def _cmd_translate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     base = _load_monoid(args.monoid)
+    # a text count is streamed: nothing is decoded, sorted or kept
+    streamed = args.count_only and args.format == "text"
     if args.variant == "maps":
-        cap = args.cap if args.cap is not None else 6
-        rows = [e.to_json()
-                for e in enumerate_partial_bijections(args.m, args.n, cap=cap)]
+        cap = args.cap if args.cap is not None else pperm.DEFAULT_ENUM_CAP
+        elems = pperm.enumerate_partial_bijections(args.m, args.n, cap=cap)
     else:
         monoid = base.require_evaluation()
-        rows = [e.to_json()
-                for e in wreath.enumerate_wreath(
-                    monoid, args.m, args.n, args.variant, cap=args.cap)]
+        elems = (wreath.enumerate_codes if streamed else wreath.enumerate_wreath)(
+            monoid, args.m, args.n, args.variant, cap=args.cap)
+    if streamed:
+        print(f"count: {sum(1 for _ in elems)}")
+        return EXIT_OK
+    rows = [e.to_json() for e in elems]
     if args.format == "json":
         print(json.dumps({"count": len(rows), "elements": rows}))
     else:
         print(f"count: {len(rows)}")
-        if not args.count_only:
-            for row in rows:
-                print(json.dumps(row))
+        for row in rows:
+            print(json.dumps(row))
     return EXIT_OK
 
 

@@ -61,9 +61,10 @@ The table is enumerated from the cap ``C`` alone, and the hom-sets out of
 the lower objects are read from it.  ``Λ_m P_m = 1_m`` makes ``q ↦ P_m q``
 one to one on the paths out of ``m``: if ``P_m q = P_m q'``, then
 ``q = Λ_m P_m q = Λ_m P_m q' = q'``.  So the paths ``m -> n`` are as many as
-the classes at ``n`` that the class of ``P_m`` reaches, and that is how the
-hom-set ``(m, n)`` is counted; generation walks the same classes from the
-class of ``P_m``, with the identity at ``m`` as its image.  The argument
+the classes at ``n`` that the class of ``P_m`` reaches.  Generation walks
+those classes from the class of ``P_m``, with the identity at ``m`` as its
+image, and the hom-set ``(m, n)`` is counted as the classes at ``n`` that
+this walk visits, so each orbit is traversed once.  The argument
 needs ``λ_k ρ_k = i_k`` among the relations for every ``k < C``; when one
 is missing, the lower counts are not counted, the cell is inconclusive at
 best, and its note names the missing relation.  A count out of ``C``
@@ -75,7 +76,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, _close, _Tree, adjoin_zero, builtin
@@ -111,12 +112,15 @@ class StageReport:
 class GenerationResult:
     """What generation reached: ``covered`` of the ``target`` elements, and
     the least element missed.  It keeps no witness word: ``coded`` rebuilds
-    the words from the spanning tree on first read."""
+    the words from the spanning tree on first read.  ``orbits`` has, per
+    walk of a complete table, the classes it visited per object, and is
+    ``None`` when generation closed the images instead."""
     covered: int
     target: int
     width: int = field(repr=False)                 # of the codes
     reached: _Tree = field(repr=False)
     missing_example: WreathElement | None = None
+    orbits: list[Counter] | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -338,8 +342,10 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
 
     With a complete ``table`` the elements are reached by walking it, one
     product per class that a walk visits: one walk for a flat kind, and
-    for the category kind one per object ``m``, from the class of ``P_m``
-    (see the module docstring).  Otherwise they are reached by closing the
+    for the category kind one per object ``m``, from the class of ``P_m``.
+    Each walk's classes, counted per object, are the result's ``orbits``,
+    from which ``verify`` reads the category's lower hom-set counts (see
+    the module docstring).  Otherwise they are reached by closing the
     generator images under composition.  Both visit in the same
     breadth-first order, with letters in alphabet order, so they give the
     same witness words.  Both keep a spanning tree (``_Tree``) and no word,
@@ -376,9 +382,9 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             walks = [[table.trace(p.cap, _descent(p.cap, m))] for m in range(p.cap + 1)]
         else:
             walks = [list(table.roots.values())]
-        reached = _walk(table, walks, seeds, gens)
+        reached, orbits = _walk(table, walks, seeds, gens)
     else:
-        reached = _close(seeds, gens)
+        reached, orbits = _close(seeds, gens), None
     # a repeated element shows as a code tuple that does not increase.
     # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
     # size, so the earlier hom-set's, with the smaller codomain, is smaller
@@ -409,10 +415,10 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
         raise InternalInconsistency(
             f"target enumeration ({found}) disagrees with the closed form ({tgt})")
     return GenerationResult(covered, found, width, reached,
-                            None if missing is None else wreath.from_key(missing))
+                            None if missing is None else wreath.from_key(missing), orbits)
 
 
-def _walk(table: CongruenceTable, walks, seeds, gens) -> _Tree:
+def _walk(table: CongruenceTable, walks, seeds, gens):
     """``_close`` over a complete table: one breadth-first walk over the
     classes per list of ``walks``, from its start classes, which are the
     classes of the next ``seeds``, with one product per class reached.
@@ -421,7 +427,9 @@ def _walk(table: CongruenceTable, walks, seeds, gens) -> _Tree:
     these walks reach nested sets of classes, so a class is visited once
     per walk that reaches it, with another image each time.  The walks go
     together, frontier by frontier, so the images are reached in the order
-    that ``_close`` reaches them.
+    that ``_close`` reaches them.  Returns the spanning tree and, per walk,
+    the classes it visited per object: the category's lower hom-set
+    counts (see the module docstring).
 
     No word is kept.  Per codomain, a dict maps each code tuple to its
     first holder: the seed that gave it, or the number of the visit whose
@@ -438,10 +446,11 @@ def _walk(table: CongruenceTable, walks, seeds, gens) -> _Tree:
     for k, ((codes, n), _) in enumerate(seeds):
         held.setdefault(n, {}).setdefault(codes, ~k)
     rows, objects = table.transitions, table.objects
-    parent, letters, frontier = [], [], []
+    parent, letters, frontier, visited = [], [], [], []
     seed_images = iter(seeds)
     for starts in walks:
         seen = bytearray(len(rows))     # the classes this walk has visited
+        visited.append(seen)
         for c, ((codes, n), _) in zip(starts, seed_images):
             if not seen[c]:
                 seen[c] = 1
@@ -463,7 +472,8 @@ def _walk(table: CongruenceTable, walks, seeds, gens) -> _Tree:
                     letters.append(letter)
                 nxt.append((seen, t, b, h))
         frontier = nxt
-    return _Tree(held, parent, letters, [word for _, word in seeds])
+    return (_Tree(held, parent, letters, [word for _, word in seeds]),
+            [Counter(compress(objects, seen)) for seen in visited])
 
 
 def _descent(cap: int, m: int):
@@ -471,25 +481,12 @@ def _descent(cap: int, m: int):
     return tuple(rho(k) for k in range(cap - 1, m - 1, -1))
 
 
-def _orbit_sizes(table: CongruenceTable, start: int) -> Counter:
-    """Per object, the number of classes that the class ``start`` reaches
-    in the complete ``table``, itself included."""
-    seen = bytearray(len(table.transitions))
-    seen[start] = 1
-    queue = [start]
-    for c in queue:         # grows while it is read
-        for t in table.transitions[c]:
-            if not seen[t]:
-                seen[t] = 1
-                queue.append(t)
-    return Counter(map(table.objects.__getitem__, queue))
-
-
-def _category_counts(p: Presentation, table: CongruenceTable):
+def _category_counts(p: Presentation, table: CongruenceTable, orbits: list[Counter]):
     """The counts of the category build ``p`` from its complete ``table``,
     rooted at the cap ``C``, and ``None``: ``(C, n)`` as the table has
     it, and ``(m, n)`` for ``m < C`` as the classes at ``n`` that the
-    class of ``P_m`` reaches (see the module docstring).  When a relation
+    class of ``P_m`` reaches, which generation's walk from it visited
+    (``orbits[m]``; see the module docstring).  When a relation
     ``λ_k ρ_k = i_k`` with ``k < C`` is missing from ``p``, the lower
     counts prove nothing: the counts out of ``C`` alone, and the first
     missing relation in place of ``None``."""
@@ -499,9 +496,7 @@ def _category_counts(p: Presentation, table: CongruenceTable):
         rel = (Path(k, (lam(k), rho(k))), Path(k, ()))
         if rel not in p.relations and rel[::-1] not in p.relations:
             return counts, rel
-    for m in range(cap):
-        sizes = _orbit_sizes(table, table.trace(cap, _descent(cap, m)))
-        counts.update(((m, n), sizes[n]) for n in range(cap + 1))
+    counts.update(((m, n), orbits[m][n]) for m in range(cap) for n in range(cap + 1))
     return dict(sorted(counts.items())), None
 
 
@@ -598,7 +593,7 @@ def _verify_cell(kind: str, base: BasePresentation, level: int,
         report.notes["enumeration"] = f"budget exhausted after {table.nodes_created} nodes"
         return report
     if category:
-        got, gap = _category_counts(p, table)
+        got, gap = _category_counts(p, table, gen.orbits)
         above = any(got[key] > tgt[key] for key in got)
         below = any(got[key] < tgt[key] for key in got)
     else:

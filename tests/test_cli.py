@@ -10,8 +10,10 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invwreath.base import BUILTIN_NAMES, builtin
 from invwreath.cli import main
 from invwreath.schemas import ELEMENT_SCHEMA, MATRIX_SCHEMA, PRESENTATION_SCHEMA, REPORT_SCHEMA
+from invwreath.wreath import count_wreath
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -484,6 +486,35 @@ def test_enumerate(capsys):
     assert obj["count"] == 17
     for elem in obj["elements"]:
         jsonschema.validate(elem, ELEMENT_SCHEMA)
+
+
+def test_enumerate_count_only_streams_the_closed_form(capsys, monkeypatch):
+    # every variant over every base with a table, m, n <= 3, counted as the
+    # codes stream, with no hom-set decoded or sorted; the maps are the
+    # unlabelled partial bijections, the full variant over the trivial base
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded the hom-set to count it")
+
+    monkeypatch.setattr("invwreath.wreath.enumerate_wreath", refuse)
+    trivial = builtin("trivial").monoid
+    for name in BUILTIN_NAMES:
+        monoid = builtin(name).monoid
+        if monoid is None:
+            continue
+        for variant in ("maps", "full", "singular-monoid", "singular-tuples"):
+            for m in range(4):
+                for n in range(4):
+                    code, out, err = run(capsys, "enumerate", "--variant", variant,
+                                         "--monoid", name, "--m", str(m), "--n", str(n),
+                                         "--cap", "3", "--count-only")
+                    cell = (name, variant, m, n)
+                    if variant.startswith("singular") and m != n:
+                        assert (code, out) == (1, ""), cell
+                        assert err == "error: singular variants need m == n\n", cell
+                    else:
+                        want = (count_wreath(trivial, m, n) if variant == "maps" else
+                                count_wreath(monoid, m, n, variant))
+                        assert (code, out) == (0, f"count: {want}\n"), cell
 
 
 def test_custom_monoid_file(tmp_path, capsys):

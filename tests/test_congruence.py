@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import invwreath
 from invwreath import congruence, wreath
-from invwreath.base import InternalInconsistency, builtin
+from invwreath.base import BUILTIN_NAMES, InternalInconsistency, builtin
 from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
 from invwreath.presentations import build
-from invwreath.verify import target_size, verify_category, verify_presentation
+from invwreath.verify import check_generation, target_size, verify_category, verify_presentation
 from invwreath.words import Path as TypedPath
 from invwreath.words import e_, edge_dr, lam, rho
 from invwreath.words import parse_monoid_word as w
@@ -86,14 +86,28 @@ def _reached(table, start):
 
 def test_category_counts():
     # the run is rooted at the cap and counts the hom-sets out of it;
-    # object m's are the classes that the class of rho1 ... rhom reaches
-    table = enumerate_congruence(build("omega-mi", C2, cap=2))
-    assert table.status == "complete" and list(table.roots) == [2]
-    assert table.hom_sizes == {(2, n): wreath.hom_count(C2.monoid, 2, n) for n in range(3)}
-    for m in range(3):
-        objects = [table.objects[c] for c in _reached(table, table.trace(2, _descent(2, m)))]
-        for n in range(3):
-            assert objects.count(n) == wreath.hom_count(C2.monoid, m, n)
+    # object m's are the classes that the class of rho_{C-1} ... rho_m
+    # reaches, which verify reads off generation's walk from that class:
+    # every base with a table, at caps 0-4 (s3 at 0-3)
+    for name in BUILTIN_NAMES:
+        base = builtin(name)
+        if base.monoid is None:
+            continue
+        for cap in range(4 if name == "s3" else 5):
+            p = build("omega-mi", base, cap=cap)
+            table = enumerate_congruence(p, 200_000)
+            assert table.status == "complete" and list(table.roots) == [cap], (name, cap)
+            assert table.hom_sizes == {(cap, n): wreath.hom_count(base.monoid, cap, n)
+                                       for n in range(cap + 1)}, (name, cap)
+            orbits = check_generation(p, table).orbits
+            assert len(orbits) == cap + 1, (name, cap)
+            for m, orbit in enumerate(orbits):
+                objects = [table.objects[c]
+                           for c in _reached(table, table.trace(cap, _descent(cap, m)))]
+                assert sum(orbit.values()) == len(objects), (name, cap, m)
+                for n in range(cap + 1):
+                    want = wreath.hom_count(base.monoid, m, n)
+                    assert orbit[n] == objects.count(n) == want, (name, cap, m, n)
 
 
 def test_tensor_unsupported():
@@ -201,6 +215,24 @@ def test_a_cached_kernel_changes_nothing(monkeypatch):
 
     info = congruence._factory.cache_info()
     assert info.maxsize == 128 and info.currsize <= info.maxsize
+
+
+def test_a_merged_node_keeps_no_row(monkeypatch):
+    # a merge drops the merged node's row: every node merged away in a run
+    # holds the engine's one shared sink row, not a list of its own
+    engines = []
+
+    class Keep(congruence._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(congruence, "_Engine", Keep)
+    assert enumerate_congruence(build("r-sing-in", TRIV, n=4)).status == "complete"
+    (eng,) = engines
+    merged = [i for i, a in enumerate(eng.parent) if a != i]
+    assert len(merged) > 100
+    assert all(eng.rows[i] is eng.sink for i in merged)
 
 
 def test_kernel_reuse_across_presentations_is_sound():

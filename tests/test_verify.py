@@ -586,9 +586,9 @@ def _level_relations(p, k):
 def test_the_cap_level_decides_the_category():
     # the argument in the verify docstring uses r-min only at level C:
     # without every r-min relation below C each hom-set count stays exact,
-    # those out of C read from the table and the lower ones from the class
-    # of rho_{C-1} ... rho_m, and without the level-C ones instead no run
-    # completes in the default budget
+    # those out of C read from the table and the lower ones from
+    # generation's walk from the class of rho_{C-1} ... rho_m, and without
+    # the level-C ones instead no run completes in the default budget
     for base, cap, full, kept in ((C2, 3, 77, 57), (builtin("s3"), 2, 48, 40),
                                   (TRIV, 4, 76, 54)):
         p = build("omega-mi", base, cap=cap)
@@ -598,7 +598,8 @@ def test_the_cap_level_decides_the_category():
         assert (len(p.relations), len(lean.relations)) == (full, kept), base.name
         table = enumerate_congruence(lean)
         assert table.status == "complete", base.name
-        assert _category_counts(lean, table) == (
+        orbits = check_generation(lean, table).orbits
+        assert _category_counts(lean, table, orbits) == (
             {(m, n): hom_count(base.monoid, m, n)
              for m in range(cap + 1) for n in range(cap + 1)}, None), base.name
         headless = dataclasses.replace(p, relations=tuple(r for r in p.relations
@@ -659,18 +660,19 @@ def test_a_category_count_above_the_target_fails(monkeypatch):
     assert report.enumerated_size[(2, 1)] == hom_count(C2.monoid, 2, 1) + 1
     assert report.notes == {}
     jsonschema.validate(report.to_json(), REPORT_SCHEMA)
-    # and out of a lower object, as read from the class of rho1
+    # and out of a lower object, as generation's walk from the class of
+    # rho1 reports it
     import invwreath.verify as verify_mod
 
-    real = verify_mod._orbit_sizes
+    real = verify_mod._walk
 
-    def inflated_orbit(table, start):
-        sizes = real(table, start)
-        sizes[1] += table.objects[start] == 1
-        return sizes
+    def inflated_walk(*args):
+        reached, orbits = real(*args)
+        orbits[1][1] += 1
+        return reached, orbits
 
     monkeypatch.undo()
-    monkeypatch.setattr(verify_mod, "_orbit_sizes", inflated_orbit)
+    monkeypatch.setattr(verify_mod, "_walk", inflated_walk)
     report = verify_category(2, C2)
     assert report.verdict == "fail" and report.soundness.ok
     assert report.enumerated_size[(1, 1)] == hom_count(C2.monoid, 1, 1) + 1
