@@ -8,7 +8,8 @@ Tuples over the extension carry that encoding entrywise, so ``0`` entries
 mark the complement of the support.
 
 The program's one breadth-first closure, ``_close``, lives here too.  It
-runs on position codes and keeps a spanning tree of shortest words
+runs on code strings (``wreath.encode_key``), one ``str.translate`` per
+product, and keeps a spanning tree of shortest words
 (``_Tree``), from which one word is read by walking up to its seed.
 Generation falls back to it, ``canonical_word`` and the normal forms read
 their witness words from it, and a base presentation's check that its
@@ -186,7 +187,7 @@ class _Tree:
     ``_close``: a spanning tree of the holders of the images, and no word.
     A holder is numbered ``0, 1, ...`` in the order it first reached its
     image, or is ``~k`` for the ``k``-th seed, whose word is given."""
-    held: dict          # per codomain: code tuple -> its first holder
+    held: dict          # per codomain: code string -> its first holder
     parent: list        # per holder: the holder of its parent's image
     letter: list        # per holder: the letter from its parent
     seed_words: list
@@ -217,9 +218,10 @@ class _Tree:
 def _close(seeds, gens) -> _Tree:
     """The breadth-first closure of ``seeds``, ``((codes, n), word)`` pairs,
     under ``gens``, ``(letter, (dom, act, cod))`` with ``act`` a letter's
-    action on one position code.  Frontier by frontier, with letters in
-    order, each new image is numbered as its holder, with the holder of the
-    image it came from and the letter; the first seed of an image wins.
+    translate table on code strings (``wreath.right_action``).  Frontier
+    by frontier, with letters in order, each new image is numbered as its
+    holder, with the holder of the image it came from and the letter; the
+    first seed of an image wins.
     Only the letters whose domain is an element's codomain are tried on it;
     the others have no product with it."""
     held, leaving = {}, {}
@@ -233,7 +235,7 @@ def _close(seeds, gens) -> _Tree:
         nxt = []
         for codes, n, holder in frontier:
             for letter, act, cod, into in leaving.get(n, ()):
-                b = tuple(map(act, codes))
+                b = codes.translate(act)
                 if b not in into:
                     into[b] = len(parent)
                     nxt.append((b, cod, len(parent)))
@@ -247,11 +249,12 @@ def _close(seeds, gens) -> _Tree:
 def word_for_monoid_element(base: BasePresentation) -> _Tree:
     """``_close`` of the table's identity under the letters' images, in
     alphabet order, with one position per element: element ``a`` is the
-    code tuple ``(a,)`` at ``1``, and ``.word((a,), 1)`` its witness word."""
+    code string ``chr(a)`` at ``1``, and ``.word(chr(a), 1)`` its witness
+    word."""
     monoid = base.require_evaluation()
-    gens = [(x, (1, tuple(row[g] for row in monoid.table).__getitem__, 1))
+    gens = [(x, (1, "".join([chr(row[g]) for row in monoid.table]), 1))
             for x, g in zip(base.alphabet, base.images)]
-    return _close([(((monoid.identity,), 1), ())], gens)
+    return _close([((chr(monoid.identity), 1), ())], gens)
 
 
 # Letters must stay clear of the reserved word syntax (s1, e2, e, f1,2,

@@ -307,6 +307,8 @@ def _cmd_enumerate(args) -> int:
     if args.variant == "maps":
         cap = args.cap if args.cap is not None else pperm.DEFAULT_ENUM_CAP
         elems = pperm.enumerate_partial_bijections(args.m, args.n, cap=cap)
+        if streamed:
+            elems = pperm.code_rows(args.m, args.n)     # after the cap check
     else:
         monoid = base.require_evaluation()
         elems = (wreath.enumerate_codes if streamed else wreath.enumerate_wreath)(

@@ -289,21 +289,27 @@ class _Engine:
             idx += 1
 
     def compressed(self):
-        """The alive nodes in creation order, each node's class number
-        (``-1`` for the sink), and the alive rows, rewritten in place in
-        class numbers.  A merged node's parent is an earlier node, so one
-        pass in creation order numbers every node."""
-        parent, alive, canon = self.parent, [], [-1]
+        """The alive nodes' rows in creation order, rewritten in class
+        numbers, and their objects, compressed in place: ``parent``, dead by
+        now, takes each node's class number, and the kept rows and objects
+        move down in ``rows`` and ``robj``.  A merged node's parent is an
+        earlier node, so one pass in creation order numbers every node.  The
+        root, node 1, is the least node, which no merge moves: class 0."""
+        parent, rows, robj = self.parent, self.rows, self.robj
+        kept = 0
         for i in range(1, len(parent)):
             if parent[i] == i:
-                canon.append(len(alive))
-                alive.append(i)
+                parent[i] = kept
+                rows[kept] = rows[i]
+                robj[kept] = robj[i]
+                kept += 1
             else:
-                canon.append(canon[parent[i]])
-        table = [self.rows[i] for i in alive]
-        for row in table:
-            row[:] = map(canon.__getitem__, row)
-        return alive, canon, table
+                parent[i] = parent[parent[i]]
+        del rows[kept:], robj[kept:]
+        for row in rows:
+            row[:] = map(parent.__getitem__, row)
+        # copied, so that the table keeps none of the run's spare slots
+        return rows[:], robj[:]
 
 
 # Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
@@ -469,20 +475,18 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
     except _BudgetExceeded:
         return CongruenceTable("budget-exceeded", nodes_created=len(eng.rows) - 1)
 
-    alive, canon, table = eng.compressed()
-    # the root is node 1, after the sink
-    objects = [eng.robj[i] for i in alive]
-    done = CongruenceTable("complete", nodes_created=len(eng.rows) - 1,
+    table, objects = eng.compressed()
+    done = CongruenceTable("complete", nodes_created=len(eng.parent) - 1,
                            transitions=table, gen_index=gen_index, columns=columns,
-                           objects=objects, roots={root: canon[1]})
+                           objects=objects, roots={root: 0})
     if category:
         done.hom_sizes = {}
         for n in objects:
             done.hom_sizes[root, n] = done.hom_sizes.get((root, n), 0) + 1
     elif p.flavor == "semigroup":
-        # the empty word's node must stay its own class (class 0) and
-        # no transition may lead into it
-        if eng.find(1) != 1 or any(0 in row for row in table):
+        # the empty word's class, the root's class 0, is no element: no
+        # transition may lead into it
+        if any(0 in row for row in table):
             raise InternalInconsistency("empty-word class was touched in a semigroup run")
         done.size = len(table) - 1
     else:

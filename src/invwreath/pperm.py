@@ -11,7 +11,7 @@ used as generators throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterator
 
 __all__ = [
@@ -204,16 +204,17 @@ def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) ->
     """
     if m > cap or n > cap:
         raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
-    return (PartialBijection(m, n, row) for row in code_rows(m, n))
+    return (PartialBijection(m, n, tuple(map(ord, row))) for row in code_rows(m, n))
 
 
 def code_rows(m: int, n: int, labels: int = 0, fixed: bool = False,
-              singular: bool = False) -> Iterator[tuple[int, ...]]:
+              singular: bool = False) -> Iterator[str]:
     """The partial bijections ``{1..m} -> {1..n}``, each defined position
-    labelled ``1..labels``, as rows of position codes in increasing order.
-    A position off the domain holds ``0``; one with image ``v`` and label
-    ``l`` holds ``v * (labels + 1) + l``, or ``v`` when there are no
-    labels, so the unlabelled rows are the image rows.  With ``fixed``
+    labelled ``1..labels``, as strings of position codes, one code point
+    per position, in increasing order.  A position off the domain holds
+    ``0``; one with image ``v`` and label ``l`` holds
+    ``v * (labels + 1) + l``, or ``v`` when there are no labels, so the
+    unlabelled rows are the image rows.  With ``fixed``
     each position maps to itself or nowhere; with ``singular`` a row has a
     position off the domain.
 
@@ -228,26 +229,26 @@ def code_rows(m: int, n: int, labels: int = 0, fixed: bool = False,
 def _code_rows(m, n, labels, fixed, singular):
     width = labels + 1
     first = 1 if labels else 0
-    # per image, the one-position rows that take it, labels ascending
-    block = [()] + [tuple((v * width + label,) for label in range(first, width))
+    # per image, the codes of a position that takes it, labels ascending
+    block = [""] + ["".join(map(chr, range(v * width + first, v * width + width)))
                     for v in range(1, n + 1)]
     if not m:
         if not singular:
-            yield ()
+            yield ""
         return
-    off = ((0,),)
+    off = "\0"
     last = m - 1                    # the position that completes a prefix
     row = [0] * last
     free = [False] + [True] * n + [True]    # per image; the last entry stops a search
     zeros = last                    # prefix positions off the domain
     while True:
-        prefix = tuple(row)
+        prefix = "".join(map(chr, row))
         if singular and not zeros:
             tail = off
         elif fixed:
             tail = off + block[m] if m <= n else off
         else:
-            tail = chain(off, chain.from_iterable(compress(block, free)))
+            tail = off + "".join(compress(block, free))
         yield from map(prefix.__add__, tail)
         # the next prefix: the rightmost position that can grow grows, and
         # the positions after it are back off the domain

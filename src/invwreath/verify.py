@@ -24,19 +24,20 @@ its parent's image and the letter.  Both give the same breadth-first witness wor
 ``canonical_word`` reads one at a time from ``_close``'s tree of the kind
 built at the element's own level, and the normal forms read theirs from
 ``_close`` too, so the program has one source of witness words.
-Generation multiplies position codes (``wreath.right_action``): each
-generator image is a lookup table on codes, so a product is one ``map``.
-The target is streamed as codes (``wreath.enumerate_codes``) and looked
-up in its codomain's dict, and an element is decoded to its plain form
-only when it is missing.  No product is validated; the docstring of
+Generation multiplies code strings (``wreath.encode_key``): each
+generator image is a translate table on code points
+(``wreath.right_action``), so a product is one ``str.translate``.  The
+target is streamed as code strings (``wreath.enumerate_codes``) and
+looked up in its codomain's dict, and an element is decoded to its plain
+form only when it is missing.  No product is validated; the docstring of
 ``check_generation`` says why that is sound.  Last the sizes are compared.
 
 Soundness runs on the same codes, with the same letter actions: each
-relation side is evaluated from the identity at its source, one ``map``
-per letter, and the two sides' codes are compared.  Only a relation whose
-sides differ is evaluated again as elements over the presentation's own
-base, to word the failure; the docstring of ``check_soundness`` says when
-else the evaluator is used.
+relation side is evaluated from the identity at its source, one
+``str.translate`` per letter, and the two sides' codes are compared.
+Only a relation whose sides differ is evaluated again as elements over
+the presentation's own base, to word the failure; the docstring of
+``check_soundness`` says when else the evaluator is used.
 
 The category kind differs only in its target, a count per hom-set.  It is
 counted from the build at its own cap ``C``, and a count above the target
@@ -180,9 +181,9 @@ def _jsonable(v):
 def check_soundness(p: Presentation) -> StageReport:
     """Evaluate every relation; report the first counterexample.
 
-    A flat or category side is evaluated on position codes, as generation
+    A flat or category side is evaluated on code strings, as generation
     multiplies: from the identity at the side's source, each letter applies
-    the action on codes that ``_generators`` gives it, and the two sides'
+    the translate table that ``_generators`` gives it, and the two sides'
     final ``(codes, n)`` pairs are compared.  A plain kind is checked over
     the trivial base its target has; its letters carry identity labels, so
     the answer is the one over its own base.  A relation is evaluated again
@@ -234,7 +235,7 @@ def _coded_value(p: Presentation):
             dom, act, cod = acts.get(sym, no_letter)
             if dom != n:
                 return None
-            codes = tuple(map(act, codes))
+            codes = codes.translate(act)
             n = cod
         return codes, n
 
@@ -313,11 +314,11 @@ def over_budget(kind: str, base: BasePresentation, level: int, budget: int | Non
 
 
 def _generators(p: Presentation):
-    """What generation closes, on position codes over the target's base
+    """What generation closes, on code strings over the target's base
     (``wreath.encode_key``): the seeds, which are the generator images for
     a semigroup kind and the identity at each object otherwise, each with
     its word; and per letter, in alphabet order, its image's domain size,
-    its action on codes (``wreath.right_action``) and its codomain size.
+    its translate table (``wreath.right_action``) and its codomain size.
     They are built once per presentation and kept with it, so a cell's
     soundness and generation read one build of the letters' tables."""
     if "generators" not in p._memo:
@@ -330,7 +331,7 @@ def _generators(p: Presentation):
         else:
             seeds = [(wreath.encode_key(len(z), wreath.identity_key(tgt_monoid, m)), ())
                      for m, n in homs if m == n]
-        gens = [(sym, (len(g[0]), wreath.right_action(z, g).__getitem__, g[2]))
+        gens = [(sym, (len(g[0]), wreath.right_action(z, g), g[2]))
                 for sym, g in keys]
         p._memo["generators"] = seeds, gens
     return p._memo["generators"]
@@ -352,8 +353,8 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
     and look the target up in its per-codomain dicts; the words are built
     only when the result's ``coded`` or ``witness`` is read.
 
-    Everything runs on position codes (``wreath.encode_key``): each letter
-    acts by a lookup table, so a product is one ``map`` over the codes.
+    Everything runs on code strings (``wreath.encode_key``): each letter
+    acts by a translate table, so a product is one ``str.translate``.
     The products are not validated, and need not be: a verdict of ``pass``
     needs ``covered == target == classes``, where a category's classes are
     the visits its counts are read from.  The walk makes one product per
@@ -363,8 +364,8 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
 
     The target's codes are what is checked.  They are streamed hom-set by
     hom-set (``wreath.enumerate_codes``), never held as a set, and each
-    tuple is looked up among the images reached in its codomain; each code
-    must be 0 or have both an image and a label, the code tuples must
+    string is looked up among the images reached in its codomain; each code
+    must be 0 or have both an image and a label, the code strings must
     strictly increase within a hom-set, and the total must match the
     closed form, or the run raises ``InternalInconsistency``.  The missing
     example is the smallest element not reached, by ``sort_key``, the
@@ -385,20 +386,21 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
         reached, orbits = _walk(table, walks, seeds, gens)
     else:
         reached, orbits = _close(seeds, gens), None
-    # a repeated element shows as a code tuple that does not increase.
+    # a repeated element shows as a code string that does not increase.
     # Plain forms of two hom-sets that tie on ``sort_key`` share the domain
     # size, so the earlier hom-set's, with the smaller codomain, is smaller
     found = covered = 0
     missing = None
     for m, n in homs:
         # codes with an image and no label, or a label and no image
-        stray = {c for c in range(1, (n + 1) * width) if c < width or not c % width}
+        stray = {chr(c) for c in range(1, (n + 1) * width) if c < width or not c % width}
         into = reached.held.get(n, ())
         last = None
         for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant, cap=max(m, n)):
             if not stray.isdisjoint(codes):
                 raise InternalInconsistency(
-                    f"target codes {codes} of hom-set ({m}, {n}) have support off the domain")
+                    f"target codes {tuple(map(ord, codes))} of hom-set ({m}, {n}) "
+                    f"have support off the domain")
             if last is not None and codes <= last:
                 raise InternalInconsistency(
                     f"target enumeration of hom-set ({m}, {n}) repeats or is out of order")
@@ -431,7 +433,7 @@ def _walk(table: CongruenceTable, walks, seeds, gens):
     the classes it visited per object: the category's lower hom-set
     counts (see the module docstring).
 
-    No word is kept.  Per codomain, a dict maps each code tuple to its
+    No word is kept.  Per codomain, a dict maps each code string to its
     first holder: the seed that gave it, or the number of the visit whose
     product first reached it.  As in ``_close``, only a visit that holds
     its image is numbered, with the holder of its parent's image and the
@@ -464,7 +466,7 @@ def _walk(table: CongruenceTable, walks, seeds, gens):
                 if seen[t]:
                     continue
                 seen[t] = 1
-                b = tuple(map(act, codes))
+                b = codes.translate(act)
                 h = into.get(b)
                 if h is None:
                     h = into[b] = len(parent)

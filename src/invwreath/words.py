@@ -692,20 +692,20 @@ def reverse_word(word):
 @lru_cache(maxsize=16)
 def word_for_pperm(n: int) -> _Tree:
     """``_close`` of the identity at level ``n`` under ``r-in``'s alphabet,
-    ``s_1 … s_{n-1}, e_1 … e_n``, on position codes over the trivial base:
+    ``s_1 … s_{n-1}, e_1 … e_n``, on code strings over the trivial base:
     ``.word(_map_codes(alpha), n)`` is the witness word of ``alpha``."""
     trivial = builtin("trivial")
     z = adjoin_zero(trivial.monoid).table
     syms = [s_(i) for i in range(1, n)] + [e_(i) for i in range(1, n + 1)]
-    gens = [(sym, (n, wreath.right_action(z, sym_image(sym, trivial, n).key).__getitem__, n))
+    gens = [(sym, (n, wreath.right_action(z, sym_image(sym, trivial, n).key), n))
             for sym in syms]
     return _close([((_map_codes(pperm.identity(n)), n), ())], gens)
 
 
 def _map_codes(alpha: pperm.PartialBijection):
-    """``alpha`` on position codes over the trivial base: image ``v`` with
-    the identity label is ``2 v + 1``, and ``0`` off the domain."""
-    return tuple(2 * v + 1 if v else 0 for v in alpha.images)
+    """``alpha`` as a code string over the trivial base: image ``v`` with
+    the identity label is code ``2 v + 1``, and ``0`` off the domain."""
+    return "".join([chr(2 * v + 1 if v else 0) for v in alpha.images])
 
 
 def lift_word_i(letters, i: int):
@@ -746,7 +746,7 @@ def _wreath_factor_words(elem: WreathElement, base: BasePresentation):
     tuple-then-map, at the element's own level (an endo-element)."""
     n = elem.dom_size
     mwords = word_for_monoid_element(base)
-    parts = [mwords.word((v - 1,), 1) if v else () for v in elem.tup.entries]
+    parts = [mwords.word(chr(v - 1), 1) if v else () for v in elem.tup.entries]
     return parts, word_for_pperm(n).word(_map_codes(elem.pmap), n)
 
 
@@ -798,7 +798,7 @@ def normal_form_singular_tuple(word, base: BasePresentation, n: int):
     sigma = sorting_relabel(a.support, n)
     b = relabel_tuple(a, sigma)
     mwords = word_for_monoid_element(base)
-    slot_words = tuple(mwords.word((b.entries[k - 1] - 1,), 1) for k in range(1, q + 1))
+    slot_words = tuple(mwords.word(chr(b.entries[k - 1] - 1), 1) for k in range(1, q + 1))
     return q, sigma, slot_words
 
 

@@ -17,13 +17,15 @@ a hom-set, keys order as ``sort_key`` does.
 
 Generation multiplies in a second form, on position codes.  Over the
 zero-extended table ``z``, position ``i`` of a key with image ``v`` and
-label ``l`` has the code ``v * len(z) + l``, which is 0 off the domain, and
-an element of hom-set ``(m, n)`` is the pair ``(codes, n)`` of its ``m``
-codes and its codomain size.  Right multiplication by ``b`` moves each
-position on its own, so it is one lookup table on codes
-(``right_action``), and a product is one ``map`` over the codes.
-``enumerate_codes`` streams a hom-set's codes in increasing order, which
-is not ``sort_key`` order; ``encode_key`` and ``decode_key`` convert, and
+label ``l`` has the code ``v * len(z) + l``, which is 0 off the domain.
+An element of hom-set ``(m, n)`` is the pair ``(codes, n)`` of its code
+string, one code point per position, and its codomain size.  Right
+multiplication by ``b`` moves each position on its own, so it is one
+translate table on code points (``right_action``), and a product is one
+``codes.translate(table)``.  A string covers every base and level in one
+form: ``bytes.translate`` would stop at code 255.  ``enumerate_codes``
+streams a hom-set's code strings in increasing order, which is not
+``sort_key`` order; ``encode_key`` and ``decode_key`` convert, and
 ``enumerate_wreath`` decodes a hom-set and sorts it into that order.
 """
 
@@ -121,33 +123,39 @@ def compose_keys(z, a, b):
             b_n)
 
 
-def right_action(z, b) -> tuple:
-    """The table of right multiplication by the plain form ``b`` on
-    position codes over the zero-extended table ``z``: entry ``c`` is the
-    code that a position with code ``c`` has in the product.  A position
+def right_action(z, b) -> str:
+    """The translate table of right multiplication by the plain form ``b``
+    on code strings over the zero-extended table ``z``: the character at
+    ``c`` is the code that a position with code ``c`` has in the product,
+    so ``codes.translate(right_action(z, b))`` is the product.  A position
     with image ``v`` and label ``l`` goes to ``b``'s image of ``v`` with the
     label ``l`` times ``b``'s label there; ``b``'s rows get a leading ``0``,
-    as in ``compose_keys``, so a position off the domain stays at ``0``."""
+    as in ``compose_keys``, so a position off the domain stays at ``0``.
+    The table has ``(len(b[0]) + 1) * len(z)`` characters, one per code of
+    ``b``'s domain; ``str.translate`` leaves a code beyond it unchanged."""
     images, entries, _ = b
     width = len(z)
-    return tuple(v * width + z[label][e]
-                 for v, e in zip((0,) + images, (0,) + entries)
-                 for label in range(width))
+    return "".join([chr(v * width + z[label][e])
+                    for v, e in zip((0,) + images, (0,) + entries)
+                    for label in range(width)])
 
 
 def encode_key(width: int, key) -> tuple:
     """The pair ``(codes, n)`` of the plain form ``key``, with ``width``
-    the size of the zero-extended table.  A label that is no element of
-    that table raises ``ValueError``."""
+    the size of the zero-extended table and ``codes`` a string of one code
+    point per position.  A label that is no element of that table raises
+    ``ValueError``."""
     images, entries, n = key
     if any(label >= width for label in entries):
         raise ValueError(f"labels {entries} outside a table of {width - 1} elements")
-    return tuple(v * width + label for v, label in zip(images, entries)), n
+    return "".join([chr(v * width + label) for v, label in zip(images, entries)]), n
 
 
 def decode_key(width: int, coded) -> tuple:
-    """The plain form of the pair ``(codes, n)``."""
+    """The plain form of the pair ``(codes, n)``, read from the code
+    points of ``codes``."""
     codes, n = coded
+    codes = tuple(map(ord, codes))
     return tuple(c // width for c in codes), tuple(c % width for c in codes), n
 
 
@@ -236,10 +244,10 @@ def _check_hom_set(monoid: FiniteMonoid, m: int, n: int, variant: str, cap: int 
 
 
 def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                    cap: int | None = None) -> Iterator[tuple]:
-    """The code tuples (``encode_key``) of the hom-set ``(m, n)`` of the
-    chosen variant, in increasing tuple order, streamed with the state of
-    one tuple.
+                    cap: int | None = None) -> Iterator[str]:
+    """The code strings (``encode_key``) of the hom-set ``(m, n)`` of the
+    chosen variant, in increasing order, streamed with the state of one
+    string.
 
     Variants: ``full`` (the whole hom-set), ``singular-monoid`` (endo
     elements whose map is not a permutation), ``singular-tuples`` (tuples

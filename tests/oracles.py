@@ -7,6 +7,8 @@ kept so that what it checked is still checked.
   to and the normal forms read.
 - ``walk_keeping_words``: ``closure`` over a complete table, generation's
   walk as it was before it kept a spanning tree.
+- ``act_on``: a translate table applied one code at a time, without
+  ``str.translate``.
 - ``enumerate_keys``: a hom-set's plain forms in ``sort_key`` order, built
   from image rows and label tuples, the reference for
   ``wreath.enumerate_codes`` and ``wreath.enumerate_wreath``.
@@ -54,6 +56,13 @@ def closure(seeds, gens, mul) -> dict:
     return witness
 
 
+def act_on(act, codes) -> str:
+    """The code string ``codes`` multiplied by the translate table ``act``
+    (``wreath.right_action``), one code at a time: a code beyond the table
+    raises ``IndexError``, where ``str.translate`` would leave it as it is."""
+    return "".join([act[ord(c)] for c in codes])
+
+
 def walk_keeping_words(table, walks, seeds, gens) -> dict:
     """``closure`` over a complete table: breadth-first over the classes,
     one walk per list of ``walks`` from its start classes (the classes of
@@ -87,7 +96,7 @@ def walk_keeping_words(table, walks, seeds, gens) -> dict:
             t = row[col]
             if image[t] is not None:
                 continue
-            b = image[t] = (tuple(map(act, codes)), cod)
+            b = image[t] = (act_on(act, codes), cod)
             queue.append((image, t))
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
@@ -104,7 +113,7 @@ def enumerate_keys(monoid, m, n, variant="full"):
     with a zero entry, embedded via their partial identity).
     """
     values = range(1, monoid.size + 1)
-    for row in pperm.code_rows(m, n):
+    for row in (tuple(map(ord, codes)) for codes in pperm.code_rows(m, n)):
         rank = m - row.count(0)
         if variant == "singular-monoid" and rank == n:
             continue

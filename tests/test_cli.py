@@ -542,12 +542,14 @@ def test_enumerate(capsys):
 
 def test_enumerate_count_only_streams_the_closed_form(capsys, monkeypatch):
     # every variant over every base with a table, m, n <= 3, counted as the
-    # codes stream, with no hom-set decoded or sorted; the maps are the
-    # unlabelled partial bijections, the full variant over the trivial base
+    # codes stream, with no hom-set decoded or sorted and no partial
+    # bijection built; the maps are the unlabelled partial bijections, the
+    # full variant over the trivial base
     def refuse(*args, **kwargs):
         raise AssertionError("decoded the hom-set to count it")
 
     monkeypatch.setattr("invwreath.wreath.enumerate_wreath", refuse)
+    monkeypatch.setattr("invwreath.pperm.PartialBijection.__post_init__", refuse)
     trivial = builtin("trivial").monoid
     for name in BUILTIN_NAMES:
         monoid = builtin(name).monoid

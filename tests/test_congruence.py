@@ -68,6 +68,26 @@ def test_semigroup_run_keeps_the_empty_word_apart():
         enumerate_congruence(bad)
 
 
+def test_a_transition_into_the_empty_words_class_is_an_inconsistency(monkeypatch):
+    # the empty word's node is the least node, which no merge moves, so
+    # its class is class 0 and a transition into it is the one sign that a
+    # semigroup run touched it.  A stand-in engine sends one entry of a
+    # sound run's compressed table there; a monoid run, whose class 0 is
+    # its identity, takes the same table as it is
+    class Rewired(congruence._Engine):
+        def compressed(self):
+            rows, objects = super().compressed()
+            rows[-1][0] = 0
+            return rows, objects
+
+    sound = build("r-sing-in", TRIV, n=3)
+    assert enumerate_congruence(sound).size == 28
+    monkeypatch.setattr(congruence, "_Engine", Rewired)
+    with pytest.raises(InternalInconsistency, match="empty-word class was touched"):
+        enumerate_congruence(sound)
+    assert enumerate_congruence(build("r-in", TRIV, n=3)).size == 34
+
+
 def _descent(cap, m):
     """The path ``rho_{cap-1} ... rho_m`` from the root ``cap`` down to ``m``."""
     return tuple(rho(k) for k in range(cap - 1, m - 1, -1))
@@ -219,20 +239,21 @@ def test_a_cached_kernel_changes_nothing(monkeypatch):
 
 def test_a_merged_node_keeps_no_row(monkeypatch):
     # a merge drops the merged node's row: every node merged away in a run
-    # holds the engine's one shared sink row, not a list of its own
-    engines = []
+    # holds the engine's one shared sink row, not a list of its own.  The
+    # rows are read when the run ends, before compression rewrites them
+    merged = []
 
     class Keep(congruence._Engine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
+        def compressed(self):
+            merged.extend(self.rows[i] for i, a in enumerate(self.parent) if a != i)
+            merged.append(self.sink)
+            return super().compressed()
 
     monkeypatch.setattr(congruence, "_Engine", Keep)
     assert enumerate_congruence(build("r-sing-in", TRIV, n=4)).status == "complete"
-    (eng,) = engines
-    merged = [i for i, a in enumerate(eng.parent) if a != i]
+    sink = merged.pop()
     assert len(merged) > 100
-    assert all(eng.rows[i] is eng.sink for i in merged)
+    assert all(row is sink for row in merged)
 
 
 def test_kernel_reuse_across_presentations_is_sound():

@@ -190,8 +190,8 @@ def test_code_rows_against_a_filtered_product():
                         and not (singular and all(images)))
             expected = [row for row in product(range((n + 1) * width), repeat=m)
                         if names_one(row)]
-            assert list(code_rows(m, n, labels, fixed, singular)) == expected, \
-                (m, n, labels, fixed, singular)
+            got = [tuple(map(ord, row)) for row in code_rows(m, n, labels, fixed, singular)]
+            assert got == expected, (m, n, labels, fixed, singular)
 
 
 def test_domain_image_bookkeeping():

@@ -607,7 +607,8 @@ def test_witness_words_are_the_word_keeping_closures():
         gens = [(x, base.image_of(x)) for x in base.alphabet]
         expected = closure([(base.monoid.identity, ())], gens, base.monoid.mul)
         got = word_for_monoid_element(base).words()
-        assert list(got.items()) == [(((a,), 1), w) for a, w in expected.items()], name
+        assert ([((tuple(map(ord, codes)), n), w) for (codes, n), w in got.items()]
+                == [(((a,), 1), w) for a, w in expected.items()]), name
 
 
 def test_the_map_word_is_the_canonical_word_of_the_bare_map():
