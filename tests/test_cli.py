@@ -15,6 +15,8 @@ from invwreath.cli import main
 from invwreath.schemas import ELEMENT_SCHEMA, MATRIX_SCHEMA, PRESENTATION_SCHEMA, REPORT_SCHEMA
 from invwreath.wreath import count_wreath
 
+from golden.regenerate import enumerate_corpus, normal_form_corpus
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -40,51 +42,12 @@ def test_golden_matrix(capsys, monkeypatch):
     """Every kind over every builtin at levels 2 and 3 (the tensor kinds once
     per base), and two cells that run out of their budget: the JSON report
     must match ``tests/golden/matrix.json`` byte for byte.  A change to it is
-    made on purpose and logged; regenerate it from the repository root with
-
-        env -u INVWREATH_BUDGET PYTHONPATH=src python -m invwreath matrix \\
-            tests/golden/matrix_cells.json --format json > tests/golden/matrix.json
+    made on purpose and logged; ``tests/golden/regenerate.py`` rewrites it.
     """
     monkeypatch.delenv("INVWREATH_BUDGET", raising=False)
     code, out, _ = run(capsys, "matrix", str(GOLDEN / "matrix_cells.json"), "--format", "json")
     assert code == 2                    # its 18 error cells outrank the 2 inconclusive ones
     assert out == (GOLDEN / "matrix.json").read_text()
-
-
-def _normal_form_corpus() -> str:
-    """A seeded sample of both normal-form kinds over every builtin with a
-    table at each level up to 5, as one JSON document: per invocation its
-    arguments and the command's JSON output.  The words are random over the
-    kind's own alphabet, with one letter in ten an omission ``e_i`` where
-    there are others, so that they reach elements of every rank."""
-    from random import Random
-
-    from invwreath.presentations import KIND
-    from invwreath.words import word_text
-
-    rng = Random(29)
-    corpus = []
-    for kind, longest in (("r-min", 12), ("r-sing-tuples", 5)):
-        row = KIND[kind]
-        for name in BUILTIN_NAMES:
-            base = builtin(name)
-            if base.monoid is None:
-                continue
-            for n in range(row.least, 6):
-                letters = row.alphabet(base, n, None)
-                omissions = [x for x in letters if x.kind == "e"]
-                others = [x for x in letters if x.kind != "e"] or omissions
-                for _ in range(8 if letters else 1):
-                    size = rng.randrange(row.flavor == "semigroup", longest) if letters else 0
-                    text = word_text([rng.choice(omissions if rng.random() < 0.1 else others)
-                                      for _ in range(size)])
-                    argv = ["normal-form", "--kind", kind, "--monoid", name, "--n", str(n),
-                            "--word", text, "--format", "json"]
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        assert main(argv) == 0, argv
-                    corpus.append({"argv": argv[1:-2], "result": json.loads(out.getvalue())})
-    return json.dumps(corpus, indent=1) + "\n"
 
 
 def test_golden_normal_forms(monkeypatch):
@@ -93,14 +56,21 @@ def test_golden_normal_forms(monkeypatch):
     ``tests/golden/normal_form.json``.  They are read from the breadth-first
     witness trees, so a change to the order in which the closure tries its
     letters shows here.  A change to it is made on purpose and logged;
-    regenerate it from the repository root with
-
-        env -u INVWREATH_BUDGET PYTHONPATH=src python -c "import sys; \\
-            sys.path.insert(0, 'tests'); import test_cli; \\
-            print(test_cli._normal_form_corpus(), end='')" > tests/golden/normal_form.json
+    ``tests/golden/regenerate.py`` rewrites it.
     """
     monkeypatch.delenv("INVWREATH_BUDGET", raising=False)
-    assert _normal_form_corpus() == (GOLDEN / "normal_form.json").read_text()
+    assert normal_form_corpus() == (GOLDEN / "normal_form.json").read_text()
+
+
+def test_golden_enumerations():
+    """``enumerate`` in every variant over every builtin with a table, at
+    m, n <= 3 and at the edge of each default cap, as a count, a JSON
+    document and a listing: the exit codes, error messages, counts and
+    output digests must match ``tests/golden/enumerate.json``, so a changed
+    default cap, refusal or row order shows here.  A change to it is made
+    on purpose and logged; ``tests/golden/regenerate.py`` rewrites it.
+    """
+    assert enumerate_corpus() == (GOLDEN / "enumerate.json").read_text()
 
 
 def test_emit_golden_json(capsys):
