@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import pperm
 from . import verify as verify_mod
 from . import wreath
 from .base import BUILTIN_NAMES, BasePresentation, InternalInconsistency, builtin
@@ -302,21 +301,22 @@ def _cmd_translate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     base = _load_monoid(args.monoid)
-    # a text count is streamed: nothing is decoded, sorted or kept
-    streamed = args.count_only and args.format == "text"
-    if args.variant == "maps":
-        cap = args.cap if args.cap is not None else pperm.DEFAULT_ENUM_CAP
-        elems = pperm.enumerate_partial_bijections(args.m, args.n, cap=cap)
-        if streamed:
-            elems = pperm.code_rows(args.m, args.n)     # after the cap check
-    else:
-        monoid = base.require_evaluation()
-        elems = (wreath.enumerate_codes if streamed else wreath.enumerate_wreath)(
-            monoid, args.m, args.n, args.variant, cap=args.cap)
-    if streamed:
-        print(f"count: {sum(1 for _ in elems)}")
+    # the maps are the full hom-set over the trivial base, printed as maps
+    maps = args.variant == "maps"
+    monoid = builtin("trivial").monoid if maps else base.require_evaluation()
+    cap = args.cap
+    if cap is None:                     # a larger base lists more per hom-set
+        cap = 6 if maps else 4 if monoid.size == 1 else 3 if monoid.size <= 3 else 2
+    if args.m > cap or args.n > cap:
+        raise UsageError(f"enumeration of ({args.m},{args.n}) exceeds cap {cap}")
+    variant = "full" if maps else args.variant
+    if args.count_only and args.format == "text":
+        # streamed: nothing is decoded, sorted or kept
+        count = sum(1 for _ in wreath.enumerate_codes(monoid, args.m, args.n, variant))
+        print(f"count: {count}")
         return EXIT_OK
-    rows = [e.to_json() for e in elems]
+    rows = [(e.pmap if maps else e).to_json()
+            for e in wreath.enumerate_wreath(monoid, args.m, args.n, variant)]
     if args.format == "json":
         print(json.dumps({"count": len(rows), "elements": rows}))
     else:
@@ -426,7 +426,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--cap", type=int, default=None,
-                    help="raise the size cap (exceeding the default is an error)")
+                    help="size limit on m and n (default 6 for maps; 4, 3 or 2 for a base "
+                         "of 1, at most 3, or more elements)")
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_enumerate)

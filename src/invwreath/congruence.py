@@ -99,7 +99,7 @@ class CongruenceTable:
     entry defined.  ``columns[m]`` maps the symbols of the generators
     leaving object ``m``, in alphabet order, to their columns 0, 1, ....
     ``gen_index`` maps alphabet symbols to their ids in alphabet order, and
-    ``roots`` maps the one start object to its identity class: 0 for a
+    ``root`` is the one start object, whose identity is class 0: 0 for a
     flat flavor, which every generator leaves, and the cap for a category.
     """
 
@@ -108,7 +108,7 @@ class CongruenceTable:
     hom_sizes: dict | None = None     # category: (cap, tgt) -> class count
     nodes_created: int = 0
     transitions: list | None = None
-    roots: dict | None = None
+    root: int | None = None
     gen_index: dict | None = None
     columns: list | None = None
     objects: list | None = None
@@ -121,10 +121,9 @@ class CongruenceTable:
         alphabet, and when the table is not complete."""
         if self.status != "complete":
             raise ValueError(f"cannot trace on a {self.status} table")
-        try:
-            cur = self.roots[start_object]
-        except KeyError:
-            raise ValueError(f"no root at object {start_object}") from None
+        if start_object != self.root:
+            raise ValueError(f"no root at object {start_object}")
+        cur = 0
         columns, objects, rows = self.columns, self.objects, self.transitions
         try:
             for sym in word:
@@ -478,7 +477,7 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
     table, objects = eng.compressed()
     done = CongruenceTable("complete", nodes_created=len(eng.parent) - 1,
                            transitions=table, gen_index=gen_index, columns=columns,
-                           objects=objects, roots={root: 0})
+                           objects=objects, root=root)
     if category:
         done.hom_sizes = {}
         for n in objects:

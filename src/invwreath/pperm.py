@@ -16,7 +16,6 @@ from typing import Iterator
 
 __all__ = [
     "CompositionError",
-    "CapExceededError",
     "PartialBijection",
     "identity",
     "partial_identity",
@@ -30,18 +29,11 @@ __all__ = [
     "lift1",
     "enumerate_partial_bijections",
     "code_rows",
-    "DEFAULT_ENUM_CAP",
 ]
-
-DEFAULT_ENUM_CAP = 6
 
 
 class CompositionError(ValueError):
     """Composing (or acting with) maps whose middle objects disagree."""
-
-
-class CapExceededError(ValueError):
-    """An enumeration request exceeded its configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -198,12 +190,10 @@ def lift1() -> PartialBijection:
     return PartialBijection(0, 1, ())
 
 
-def enumerate_partial_bijections(m: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[PartialBijection]:
+def enumerate_partial_bijections(m: int, n: int) -> Iterator[PartialBijection]:
     """All partial bijections ``{1..m} -> {1..n}``, in lexicographic order of
     the image row with "undefined" sorting first.
     """
-    if m > cap or n > cap:
-        raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
     return (PartialBijection(m, n, tuple(map(ord, row))) for row in code_rows(m, n))
 
 

@@ -267,7 +267,7 @@ def enumerate_target(p: Presentation) -> set:
     base, variant, homs = _target_of(p)
     monoid = base.require_evaluation()
     return {elem for m, n in homs
-            for elem in wreath.enumerate_wreath(monoid, m, n, variant, cap=max(m, n))}
+            for elem in wreath.enumerate_wreath(monoid, m, n, variant)}
 
 
 def _hom_targets(p: Presentation) -> dict:
@@ -382,7 +382,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
             # object m from the class of P_m (see the module docstring)
             walks = [[table.trace(p.cap, _descent(p.cap, m))] for m in range(p.cap + 1)]
         else:
-            walks = [list(table.roots.values())]
+            walks = [[0]]               # the root's class, the identity
         reached, orbits = _walk(table, walks, seeds, gens)
     else:
         reached, orbits = _close(seeds, gens), None
@@ -396,7 +396,7 @@ def check_generation(p: Presentation, table: CongruenceTable | None = None) -> G
         stray = {chr(c) for c in range(1, (n + 1) * width) if c < width or not c % width}
         into = reached.held.get(n, ())
         last = None
-        for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant, cap=max(m, n)):
+        for codes in wreath.enumerate_codes(tgt_monoid, m, n, variant):
             if not stray.isdisjoint(codes):
                 raise InternalInconsistency(
                     f"target codes {tuple(map(ord, codes))} of hom-set ({m}, {n}) "

@@ -267,9 +267,6 @@ class Path:
     def tgt(self) -> int:
         return edge_dr(self.edges[-1])[1] if self.edges else self.src
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 def path_text(path: Path) -> str:
     if not path.edges:

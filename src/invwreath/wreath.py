@@ -38,7 +38,7 @@ from typing import Iterator
 
 from . import pperm
 from .base import FiniteMonoid, MTuple, ZeroExtended, ones_on, tuple_tensor
-from .pperm import CapExceededError, CompositionError, PartialBijection
+from .pperm import CompositionError, PartialBijection
 
 __all__ = [
     "WreathElement",
@@ -58,7 +58,6 @@ __all__ = [
     "rank_counts",
     "count_wreath",
     "hom_count",
-    "default_level_cap",
 ]
 
 
@@ -190,13 +189,16 @@ def identity_element(monoid: FiniteMonoid, n: int) -> WreathElement:
     return from_key(identity_key(monoid, n))
 
 
-def default_level_cap(monoid: FiniteMonoid) -> int:
-    """Conservative enumeration cap by base size."""
-    if monoid.size == 1:
-        return 4
-    if monoid.size <= 3:
-        return 3
-    return 2
+def _ranks(m: int, n: int, variant: str) -> range:
+    """The ranks of the maps in the variant's hom-set ``(m, n)``; an
+    unknown variant, or a singular one with ``m != n``, raises ``ValueError``."""
+    if variant == "full":
+        return range(min(m, n) + 1)
+    if variant not in ("singular-monoid", "singular-tuples"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if m != n:
+        raise ValueError("singular variants need m == n")
+    return range(n)
 
 
 def rank_counts(monoid: FiniteMonoid, m: int, n: int, variant: str = "full") -> Iterator[int]:
@@ -205,14 +207,7 @@ def rank_counts(monoid: FiniteMonoid, m: int, n: int, variant: str = "full") -> 
     for ``singular-tuples`` ``C(n,k) |M|^k`` tuples with ``k`` nonzero
     entries.  The singular variants stop below rank ``n``.  The terms are
     computed one at a time, so a caller may stop summing early."""
-    if variant == "full":
-        ranks = range(min(m, n) + 1)
-    elif variant in ("singular-monoid", "singular-tuples"):
-        if m != n:
-            raise ValueError("singular variant needs m == n")
-        ranks = range(n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    ranks = _ranks(m, n, variant)
     size = monoid.size
     if variant == "singular-tuples":
         return (math.comb(n, k) * size ** k for k in ranks)
@@ -230,21 +225,7 @@ def hom_count(monoid: FiniteMonoid, m: int, n: int) -> int:
     return count_wreath(monoid, m, n)
 
 
-def _check_hom_set(monoid: FiniteMonoid, m: int, n: int, variant: str, cap: int | None):
-    """Refuse a hom-set above the cap (by default ``default_level_cap``)
-    or a variant that it has not."""
-    if cap is None:
-        cap = default_level_cap(monoid)
-    if m > cap or n > cap:
-        raise CapExceededError(f"enumeration of ({m},{n}) exceeds cap {cap}")
-    if variant not in ("full", "singular-monoid", "singular-tuples"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant != "full" and m != n:
-        raise ValueError("singular variants need m == n")
-
-
-def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                    cap: int | None = None) -> Iterator[str]:
+def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full") -> Iterator[str]:
     """The code strings (``encode_key``) of the hom-set ``(m, n)`` of the
     chosen variant, in increasing order, streamed with the state of one
     string.
@@ -253,16 +234,16 @@ def enumerate_codes(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
     elements whose map is not a permutation), ``singular-tuples`` (tuples
     with a zero entry, embedded via their partial identity).
     """
-    _check_hom_set(monoid, m, n, variant, cap)
+    _ranks(m, n, variant)
     return pperm.code_rows(m, n, monoid.size, fixed=variant == "singular-tuples",
                            singular=variant != "full")
 
 
-def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int, variant: str = "full",
-                     cap: int | None = None) -> Iterator[WreathElement]:
+def enumerate_wreath(monoid: FiniteMonoid, m: int, n: int,
+                     variant: str = "full") -> Iterator[WreathElement]:
     """The elements of ``enumerate_codes``, decoded and ordered by
     ``sort_key``."""
     width = monoid.size + 1
     keys = sorted(decode_key(width, (codes, n))
-                  for codes in enumerate_codes(monoid, m, n, variant, cap))
+                  for codes in enumerate_codes(monoid, m, n, variant))
     return map(from_key, keys)

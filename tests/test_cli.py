@@ -499,6 +499,13 @@ def test_enumerate(capsys):
     code, _, err = run(capsys, "enumerate", "--variant", "full", "--monoid", "s3",
                        "--m", "3", "--n", "3", "--count-only")
     assert code == 1 and "cap" in err
+    # the default limits for maps and for a base of two elements, and a
+    # lowered one
+    for argv, refused in ((("--variant", "maps", "--m", "7", "--n", "2"), "(7,2) exceeds cap 6"),
+                          (("--monoid", "c2", "--m", "4", "--n", "4"), "(4,4) exceeds cap 3"),
+                          (("--monoid", "c2", "--m", "5", "--n", "5", "--cap", "4"),
+                           "(5,5) exceeds cap 4")):
+        assert run(capsys, "enumerate", *argv) == (1, "", f"error: enumeration of {refused}\n")
     code, out, _ = run(capsys, "enumerate", "--variant", "full", "--monoid", "s3",
                        "--m", "3", "--n", "3", "--cap", "3", "--count-only")
     assert code == 0 and out.splitlines()[0] == "count: 1999"

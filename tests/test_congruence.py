@@ -116,7 +116,7 @@ def test_category_counts():
         for cap in range(4 if name == "s3" else 5):
             p = build("omega-mi", base, cap=cap)
             table = enumerate_congruence(p, 200_000)
-            assert table.status == "complete" and list(table.roots) == [cap], (name, cap)
+            assert table.status == "complete" and table.root == cap, (name, cap)
             assert table.hom_sizes == {(cap, n): wreath.hom_count(base.monoid, cap, n)
                                        for n in range(cap + 1)}, (name, cap)
             orbits = check_generation(p, table).orbits
@@ -335,8 +335,8 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
         dr = [(0, 0)] * len(weak.alphabet)
         sides = [(0, lhs, rhs) for lhs, rhs in weak.relations]
         size, want = table.size, target_size(p)
-    # each class's target object, breadth-first from the roots
-    target = {c: m for m, c in table.roots.items()}
+    # each class's target object, breadth-first from the root's class 0
+    target = {0: table.root}
     queue = list(target)
     for c in queue:
         assert table.objects[c] == target[c]
@@ -383,6 +383,22 @@ def test_a_relation_between_two_objects_is_a_mistyped_merge():
     with pytest.raises(InternalInconsistency,
                        match="relation rho0 = e1:1 does not have one source and one target"):
         enumerate_congruence(dataclasses.replace(p, relations=p.relations + (bad,)))
+
+
+def test_a_merge_of_two_objects_is_an_inconsistency(monkeypatch):
+    # the shape check above refuses every relation that could ask for it,
+    # so a stand-in engine asks directly: after a sound run of omega-mi/c2
+    # at cap 1 it merges the root, at object 1, with a node at object 0
+    class Mistyped(congruence._Engine):
+        def run(self, rels_by_src, root):
+            super().run(rels_by_src, root)
+            self.merge(1, self.robj.index(0))
+
+    p = build("omega-mi", C2, cap=1)
+    assert enumerate_congruence(p).status == "complete"
+    monkeypatch.setattr(congruence, "_Engine", Mistyped)
+    with pytest.raises(InternalInconsistency, match="attempt to merge nodes of different types"):
+        enumerate_congruence(p)
 
 
 def test_a_side_that_leaves_the_other_sides_target_is_refused():

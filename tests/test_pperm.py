@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from invwreath.base import builtin
 from invwreath.pperm import (
-    CapExceededError,
     CompositionError,
     PartialBijection,
     code_rows,
@@ -205,8 +204,6 @@ def test_domain_image_bookkeeping():
 def test_errors():
     with pytest.raises(CompositionError):
         FIG_A.compose(FIG_A)
-    with pytest.raises(CapExceededError):
-        list(enumerate_partial_bijections(7, 2))
     with pytest.raises(ValueError):
         PartialBijection(2, 2, (1, 1))
     with pytest.raises(ValueError):

@@ -536,7 +536,7 @@ def test_canonical_word_covers_everything():
         ("r-sing-tuples", "singular-tuples", C2),
         ("r-m-sing-in", "singular-monoid", C2),
     ]:
-        for elem in wreath.enumerate_wreath(base.monoid, 3, 3, variant, cap=3):
+        for elem in wreath.enumerate_wreath(base.monoid, 3, 3, variant):
             w = canonical_word(elem, kind, base)
             assert eval_word(w, base, 3) == elem
 
@@ -544,7 +544,7 @@ def test_canonical_word_covers_everything():
 def test_canonical_paths_and_terms():
     for m in range(3):
         for n in range(3):
-            for elem in wreath.enumerate_wreath(C2.monoid, m, n, cap=2):
+            for elem in wreath.enumerate_wreath(C2.monoid, m, n):
                 path = canonical_word(elem, "omega-mi", C2)
                 assert path.src == m and path.tgt == n
                 assert eval_path(path, C2) == elem
@@ -614,7 +614,7 @@ def test_witness_words_are_the_word_keeping_closures():
 def test_the_map_word_is_the_canonical_word_of_the_bare_map():
     # the r-min normal form's map word is r-in's witness for the map alone
     for n in range(5):
-        for elem in wreath.enumerate_wreath(C2.monoid, n, n, cap=4):
+        for elem in wreath.enumerate_wreath(C2.monoid, n, n):
             parts, tail = normal_form_wreath_word(canonical_word(elem, "r-min", C2), C2, n)
             bare = wreath.embed_map(TRIVIAL.monoid, elem.pmap)
             assert tail == canonical_word(bare, "r-in", TRIVIAL), elem

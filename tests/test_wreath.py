@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from invwreath.base import BUILTIN_NAMES, MTuple, act, adjoin_zero, builtin, ones
 from invwreath.pperm import (
-    CapExceededError,
     CompositionError,
     PartialBijection,
     partial_identity,
@@ -42,7 +41,7 @@ def cyclic6():
 
 
 def random_element(rng, monoid, m, n):
-    elems = list(enumerate_wreath(monoid, m, n, cap=max(m, n, 1)))
+    elems = list(enumerate_wreath(monoid, m, n))
     return rng.choice(elems)
 
 
@@ -131,8 +130,6 @@ def test_enumeration_counts():
     assert len(list(enumerate_wreath(C2.monoid, 2, 2, "singular-tuples"))) == 5
     assert count_wreath(C2.monoid, 2, 2, "singular-tuples") == 3 ** 2 - 2 ** 2
     assert hom_count(C2.monoid, 1, 2) == 5
-    with pytest.raises(CapExceededError):
-        list(enumerate_wreath(C2.monoid, 5, 5, cap=4))
 
 
 def test_unit_detection():
@@ -164,7 +161,7 @@ def test_singular_closed_under_composition():
     for n in (2, 3):
         triv = builtin("trivial").monoid
         m0 = adjoin_zero(triv)
-        sing = set(enumerate_wreath(triv, n, n, "singular-monoid", cap=n))
+        sing = set(enumerate_wreath(triv, n, n, "singular-monoid"))
         for p in sing:
             for q in sing:
                 assert compose(m0, p, q) in sing
@@ -238,7 +235,7 @@ def test_enumerate_keys_is_the_sorted_hom_set():
         assert all(a < b for a, b in zip(keys, keys[1:])), (name, variant, m, n)
         assert [from_key(k).key for k in keys] == keys
         assert len(keys) == count_wreath(monoid, m, n, variant), (name, variant, m, n)
-        assert [e.key for e in enumerate_wreath(monoid, m, n, variant, cap=3)] == keys
+        assert [e.key for e in enumerate_wreath(monoid, m, n, variant)] == keys
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def test_code_stream_is_the_hom_set():
                 for variant in ("full", "singular-monoid", "singular-tuples"):
                     if variant != "full" and m != n:
                         continue
-                    rows = list(enumerate_codes(monoid, m, n, variant, cap=3))
+                    rows = list(enumerate_codes(monoid, m, n, variant))
                     cell = (monoid.name, variant, m, n)
                     assert all(a < b for a, b in zip(rows, rows[1:])), cell
                     assert len(rows) == count_wreath(monoid, m, n, variant), cell
@@ -281,8 +278,6 @@ def test_code_stream_is_the_hom_set():
 
 def test_code_stream_refuses_what_the_key_stream_refuses():
     monoid = C2.monoid
-    with pytest.raises(CapExceededError):
-        enumerate_codes(monoid, 4, 4)
     with pytest.raises(ValueError, match="m == n"):
         enumerate_codes(monoid, 2, 3, "singular-monoid")
     with pytest.raises(ValueError, match="unknown variant"):
