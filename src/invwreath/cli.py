@@ -310,10 +310,10 @@ def _cmd_enumerate(args) -> int:
     if args.m > cap or args.n > cap:
         raise UsageError(f"enumeration of ({args.m},{args.n}) exceeds cap {cap}")
     variant = "full" if maps else args.variant
-    if args.count_only and args.format == "text":
+    if args.count_only:
         # streamed: nothing is decoded, sorted or kept
         count = sum(1 for _ in wreath.enumerate_codes(monoid, args.m, args.n, variant))
-        print(f"count: {count}")
+        print(json.dumps({"count": count}) if args.format == "json" else f"count: {count}")
         return EXIT_OK
     rows = [(e.pmap if maps else e).to_json()
             for e in wreath.enumerate_wreath(monoid, args.m, args.n, variant)]

@@ -37,6 +37,21 @@ Reading changes no state except to write a merged target's class back
 into its row, so the nodes defined and the merges made are those of
 filling every trace.
 
+Native engine.  Where a C compiler is on ``PATH`` (``cc``, ``gcc`` or
+``clang``), runs go to _hlt.c, shipped in the package, compiled once and
+loaded through ``ctypes`` at the first enumeration in a process.  Its
+semantics are the engine's below, node for node (live nodes in creation
+order; each relation walked and filled, the ``u`` side first; a node
+merged away is processed no further; merges off a stack keep the smaller
+index; the budget counts node indices), so every ``CongruenceTable``
+field is the same.  The library is built once per source hash into
+``$XDG_CACHE_HOME/invwreath`` (by default ``~/.cache/invwreath``), under a
+temporary name and then renamed; where that cannot be written, a process
+builds its own in a temporary directory.  The Python engine runs where
+no compiler is found or the library does not build or load, and the
+tests take it as the reference.  Ctrl-C is served only when a native run
+returns, and the node budget bounds each run.
+
 One typed engine serves every flavor, with one root per run: object 0
 for a monoid or semigroup, whose every generator goes ``0 -> 0``, and
 the cap for a category.  Nodes carry their target objects, generators
@@ -60,9 +75,13 @@ the cap need no wider build.
 
 from __future__ import annotations
 
+import os
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import cache, lru_cache, partial
+from itertools import chain
+from operator import add, itemgetter
+from pathlib import Path
 
 from .base import InternalInconsistency
 from .presentations import Presentation
@@ -399,6 +418,158 @@ def _prefixes(rels):
     return index, groups
 
 
+def _python_run(targets, rels_by_src, root: int, budget: int):
+    """A run of the Python engine: the nodes it defined, and the rows and
+    objects of its classes, or ``None`` for both when it ran out of
+    budget."""
+    eng = _Engine(targets, budget)
+    try:
+        eng.run(rels_by_src, root)
+    except _BudgetExceeded:
+        return len(eng.rows) - 1, None, None
+    rows, objects = eng.compressed()
+    return len(eng.parent) - 1, rows, objects
+
+
+# The outcomes of ``hlt_run`` in _hlt.c other than a complete run, and
+# the compilers tried, in order.
+_BUDGET, _MISTYPED, _NOMEM = 1, 2, 3
+_COMPILERS = ("cc", "gcc", "clang")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_INT_MAX = 2**31 - 1
+
+
+@cache
+def _native():
+    """The native engine's run, called as ``_python_run``, or ``None``
+    when no C compiler on ``PATH`` builds _hlt.c or the library does not
+    load.  Built and loaded at the first enumeration in a process."""
+    import ctypes
+    import subprocess
+
+    try:
+        lib = _load_library()
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if lib is None:
+        return None
+    lib.hlt_run.restype = ctypes.c_int
+    lib.hlt_run.argtypes = ([ctypes.c_int] + [ctypes.c_void_p] * 4 + [ctypes.c_int] * 2
+                            + [ctypes.POINTER(ctypes.c_int)] * 2
+                            + [ctypes.POINTER(ctypes.c_void_p)] * 3)
+    lib.hlt_free.restype = None
+    lib.hlt_free.argtypes = [ctypes.c_void_p]
+    return partial(_native_run, lib)
+
+
+def _load_library():
+    """The library built from _hlt.c: read from the cache when a process
+    has built this source before, else compiled into the cache, or for
+    this process alone into a temporary directory when the cache cannot
+    be written.  ``None`` when no compiler is on ``PATH``."""
+    import ctypes
+    import platform
+    import shutil
+    import tempfile
+    import zlib
+
+    source = Path(__file__).with_name("_hlt.c").read_bytes()
+    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if compiler is None:
+        return None
+    # two checksums, not hashlib, whose OpenSSL would add about 3.5 MB to
+    # the peak RSS of every process that enumerates
+    built = source + " ".join((platform.machine(),) + _CFLAGS).encode()
+    name = f"_hlt-{zlib.crc32(built):08x}{zlib.adler32(built):08x}.so"
+    try:
+        cache = os.environ.get("XDG_CACHE_HOME", "")
+        path = (Path(cache) if os.path.isabs(cache) else Path.home() / ".cache") / "invwreath" / name
+        if not path.is_file():
+            _compile(compiler, source, path)
+        return ctypes.CDLL(str(path))
+    except (OSError, RuntimeError):     # RuntimeError: no home directory
+        pass
+    with tempfile.TemporaryDirectory(prefix="invwreath-", ignore_cleanup_errors=True) as tmp:
+        path = Path(tmp) / name
+        _compile(compiler, source, path)
+        return ctypes.CDLL(str(path))
+
+
+def _compile(compiler: str, source: bytes, path: Path):
+    """Compile the C ``source`` into the library ``path``, written under a
+    temporary name beside it and then renamed, so that no process loads a
+    half-written file."""
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _native_run(lib, targets, rels_by_src, root: int, budget: int):
+    """A run of the native engine, with the inputs and outcome of
+    ``_python_run``.  The relations go to C flattened as _hlt.c says, and
+    the budget clamped to C's int, past any table that fits in memory.
+    The rows are read in place and written with one shared int per class,
+    and the C arrays are freed before this returns."""
+    import ctypes
+
+    width = array("i", map(len, targets))
+    target = array("i", chain.from_iterable(targets))
+    rel_start, rel = array("i", [0]), array("i")
+    for m in range(len(targets)):
+        for u, v in rels_by_src.get(m, ()):
+            rel.extend((len(u), len(v), *u, *v))
+        rel_start.append(len(rel))
+    nodes, classes = ctypes.c_int(), ctypes.c_int()
+    objects, starts, cells = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
+    status = lib.hlt_run(len(targets), *(a.buffer_info()[0] for a in (width, target, rel_start, rel)),
+                         root, min(budget, _INT_MAX - 1), ctypes.byref(nodes),
+                         ctypes.byref(classes), ctypes.byref(objects), ctypes.byref(starts),
+                         ctypes.byref(cells))
+    if status == _BUDGET:
+        return nodes.value, None, None
+    if status == _MISTYPED:
+        raise InternalInconsistency("attempt to merge nodes of different types")
+    if status == _NOMEM:
+        raise MemoryError("the enumeration table does not fit in memory")
+    try:
+        objs = _view(objects, classes.value, "i").tolist()
+        begins = _view(starts, classes.value, "q")
+        entries = _view(cells, max(map(add, begins, map(width.__getitem__, objs))), "i")
+        ids = list(range(classes.value)).__getitem__
+        table = []
+        for m, b in zip(objs, begins):
+            # read, then rewritten in place: a list built from an iterator
+            # would keep spare slots, 40 bytes a row at 11 columns
+            row = entries[b:b + width[m]].tolist()
+            row[:] = map(ids, row)
+            table.append(row)
+        return nodes.value, table, objs
+    finally:
+        for pointer in (objects, starts, cells):
+            lib.hlt_free(pointer)
+
+
+def _view(pointer, count: int, fmt: str) -> memoryview:
+    """The ``count`` values of the ``array`` type ``fmt`` that the C
+    ``pointer`` points at, read in place."""
+    import ctypes
+
+    if not count:
+        return memoryview(b"").cast(fmt)
+    size = count * array(fmt).itemsize
+    return memoryview((ctypes.c_ubyte * size).from_address(pointer.value)).cast("B").cast(fmt)
+
+
 def _trace_order(rels):
     """The relations ``rels`` as a run traces them: each once, oriented
     and sorted as the module docstring says."""
@@ -468,16 +639,11 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
                               for rel in _trace_order(rels))
                    for src, rels in rels_by_src.items()}
 
-    eng = _Engine(targets, budget)
-    try:
-        eng.run(rels_by_src, root)
-    except _BudgetExceeded:
-        return CongruenceTable("budget-exceeded", nodes_created=len(eng.rows) - 1)
-
-    table, objects = eng.compressed()
-    done = CongruenceTable("complete", nodes_created=len(eng.parent) - 1,
-                           transitions=table, gen_index=gen_index, columns=columns,
-                           objects=objects, root=root)
+    nodes, table, objects = (_native() or _python_run)(targets, rels_by_src, root, budget)
+    if table is None:
+        return CongruenceTable("budget-exceeded", nodes_created=nodes)
+    done = CongruenceTable("complete", nodes_created=nodes, transitions=table,
+                           gen_index=gen_index, columns=columns, objects=objects, root=root)
     if category:
         done.hom_sizes = {}
         for n in objects:

@@ -519,9 +519,9 @@ def test_enumerate(capsys):
 
 def test_enumerate_count_only_streams_the_closed_form(capsys, monkeypatch):
     # every variant over every base with a table, m, n <= 3, counted as the
-    # codes stream, with no hom-set decoded or sorted and no partial
-    # bijection built; the maps are the unlabelled partial bijections, the
-    # full variant over the trivial base
+    # codes stream in either format, with no hom-set decoded or sorted and
+    # no partial bijection built; the maps are the unlabelled partial
+    # bijections, the full variant over the trivial base
     def refuse(*args, **kwargs):
         raise AssertionError("decoded the hom-set to count it")
 
@@ -535,17 +535,19 @@ def test_enumerate_count_only_streams_the_closed_form(capsys, monkeypatch):
         for variant in ("maps", "full", "singular-monoid", "singular-tuples"):
             for m in range(4):
                 for n in range(4):
-                    code, out, err = run(capsys, "enumerate", "--variant", variant,
-                                         "--monoid", name, "--m", str(m), "--n", str(n),
-                                         "--cap", "3", "--count-only")
-                    cell = (name, variant, m, n)
-                    if variant.startswith("singular") and m != n:
-                        assert (code, out) == (1, ""), cell
-                        assert err == "error: singular variants need m == n\n", cell
-                    else:
+                    for fmt in ("text", "json"):
+                        code, out, err = run(capsys, "enumerate", "--variant", variant,
+                                             "--monoid", name, "--m", str(m), "--n", str(n),
+                                             "--cap", "3", "--count-only", "--format", fmt)
+                        cell = (name, variant, m, n, fmt)
+                        if variant.startswith("singular") and m != n:
+                            assert (code, out) == (1, ""), cell
+                            assert err == "error: singular variants need m == n\n", cell
+                            continue
                         want = (count_wreath(trivial, m, n) if variant == "maps" else
                                 count_wreath(monoid, m, n, variant))
-                        assert (code, out) == (0, f"count: {want}\n"), cell
+                        printed = f"count: {want}" if fmt == "text" else f'{{"count": {want}}}'
+                        assert (code, out) == (0, printed + "\n"), cell
 
 
 def test_custom_monoid_file(tmp_path, capsys):

@@ -5,13 +5,14 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import invwreath
@@ -68,7 +69,13 @@ def test_semigroup_run_keeps_the_empty_word_apart():
         enumerate_congruence(bad)
 
 
+def _python_engine(monkeypatch):
+    """Run the enumerations of the calling test on the Python engine."""
+    monkeypatch.setattr(congruence, "_native", lambda: None)
+
+
 def test_a_transition_into_the_empty_words_class_is_an_inconsistency(monkeypatch):
+    _python_engine(monkeypatch)
     # the empty word's node is the least node, which no merge moves, so
     # its class is class 0 and a transition into it is the one sign that a
     # semigroup run touched it.  A stand-in engine sends one entry of a
@@ -186,16 +193,27 @@ def _check_pins(cells):
         assert _digest(table) == (nodes, digest), kind
 
 
-def test_engine_counts_are_pinned():
-    _check_pins(_PINNED)
-    # these runs still outgrow their budget, and stop at it
-    for kind, base, n, budget in (("r-in", TRIV, 5, 1000),
-                                  ("r-sing-tuples", builtin("s3"), 4, 1000)):
-        table = enumerate_congruence(build(kind, base, n=n), budget=budget)
-        assert (table.status, table.nodes_created) == ("budget-exceeded", budget), kind
+def test_engine_counts_are_pinned(monkeypatch):
+    # on the native engine, where it builds, then on the Python one
+    for engine in ("native", "python"):
+        if engine == "python":
+            _python_engine(monkeypatch)
+        _check_pins(_PINNED)
+        # these runs still outgrow their budget, and stop at it
+        for kind, base, n, budget in (("r-in", TRIV, 5, 1000),
+                                      ("r-sing-tuples", builtin("s3"), 4, 1000)):
+            table = enumerate_congruence(build(kind, base, n=n), budget=budget)
+            assert (table.status, table.nodes_created) == ("budget-exceeded", budget), \
+                (engine, kind)
+        # and a run completes at a budget of its node count, and not one less
+        p = build("r-in", TRIV, n=4)
+        assert enumerate_congruence(p, budget=451).status == "complete", engine
+        table = enumerate_congruence(p, budget=450)
+        assert (table.status, table.nodes_created) == ("budget-exceeded", 450), engine
 
 
 def test_a_cached_kernel_changes_nothing(monkeypatch):
+    _python_engine(monkeypatch)
     # each chunk of relations compiles its kernel factory once per process,
     # and each run binds it to its own table: a cold run, a warm one and a
     # warm one after another presentation's run give one table, node for
@@ -238,6 +256,7 @@ def test_a_cached_kernel_changes_nothing(monkeypatch):
 
 
 def test_a_merged_node_keeps_no_row(monkeypatch):
+    _python_engine(monkeypatch)
     # a merge drops the merged node's row: every node merged away in a run
     # holds the engine's one shared sink row, not a list of its own.  The
     # rows are read when the run ends, before compression rewrites them
@@ -256,7 +275,8 @@ def test_a_merged_node_keeps_no_row(monkeypatch):
     assert all(row is sink for row in merged)
 
 
-def test_kernel_reuse_across_presentations_is_sound():
+def test_kernel_reuse_across_presentations_is_sound(monkeypatch):
+    _python_engine(monkeypatch)
     # cells whose presentations share relation chunks (r-sing-in's do not
     # depend on the base), run one after another in this process, report
     # what each reports in a fresh process
@@ -280,6 +300,125 @@ def test_kernel_reuse_across_presentations_is_sound():
     # the pinned omega-mi tables reuse the kernels of the runs above
     _check_pins([cell for cell in _PINNED if cell[0] == "omega-mi"])
     assert congruence._factory.cache_info().hits > hits
+
+
+def _require_native():
+    """The native engine's run, or a skip where it does not build."""
+    run = congruence._native()
+    if run is None:
+        pytest.skip("the native engine does not build on this host")
+    return run
+
+
+def _outcome(p, budget):
+    """The table of a run, or the message of the inconsistency it raises."""
+    try:
+        return enumerate_congruence(p, budget)
+    except InternalInconsistency as exc:
+        return str(exc)
+
+
+def _on_both_engines(p, budget=None):
+    """The outcomes of one run on the native engine and on the Python one."""
+    native = _outcome(p, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        _python_engine(mp)
+        return native, _outcome(p, budget)
+
+
+# the cells of the benchmark's workloads, the category ones at its budget
+_BENCHMARK_CELLS = (
+    ("r-in", TRIV, 6, None), ("r-in-popova", TRIV, 6, None), ("r-min", builtin("c3"), 4, None),
+    ("r-sing-tuples", builtin("s3"), 4, None), ("r-sing-in", TRIV, 5, None),
+    ("r-m-sing-in", C2, 4, None), ("omega-mi", C2, 4, 40_000), ("omega-mi", TRIV, 5, 40_000),
+)
+
+
+def test_both_engines_give_one_table():
+    # every field of the table, node for node, on the pinned cells and the
+    # benchmark's
+    _require_native()
+    cells = [(kind, base, n, None) for kind, base, n, *_ in _PINNED] + list(_BENCHMARK_CELLS)
+    for kind, base, n, budget in cells:
+        p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
+        native, python = _on_both_engines(p, budget)
+        assert native.status == "complete" and native == python, (kind, n)
+    # a budget beyond C's int is clamped, which no run can reach
+    native, python = _on_both_engines(build("r-in", TRIV, n=3), 2**40)
+    assert native.size == 34 and native == python
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_both_engines_agree_on_weakened_presentations(data):
+    # relations dropped and, on a flat kind, a relation between two random
+    # words added, at a budget that may run out: the two engines give one
+    # table, or refuse the run with one message
+    _require_native()
+    kind, base, n = data.draw(st.sampled_from((
+        ("r-in", TRIV, 3), ("r-sing-in", TRIV, 3), ("r-min", C2, 2), ("r-sing-tuples", C2, 3),
+        ("r-m-sing-in", C2, 3), ("omega-mi", C2, 2), ("omega-mi", TRIV, 3))))
+    p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
+    drop = set(data.draw(st.lists(st.integers(0, len(p.relations) - 1), max_size=6)))
+    rels = tuple(r for k, r in enumerate(p.relations) if k not in drop)
+    if kind != "omega-mi" and data.draw(st.booleans()):
+        word = st.lists(st.sampled_from(p.alphabet), max_size=4).map(tuple)
+        rels += ((data.draw(word), data.draw(word)),)
+    native, python = _on_both_engines(dataclasses.replace(p, relations=rels),
+                                      data.draw(st.integers(1, 3000)))
+    event(native if isinstance(native, str) else native.status)
+    assert native == python
+
+
+def test_the_native_engine_refuses_a_merge_of_two_objects():
+    # object 1's one generator goes to object 0.  Passed straight to a run,
+    # past the shape check, the first relation defines it at the root and
+    # the second equates its end, at object 0, with the root, at object 1
+    targets, rels = [[], [0]], {1: (((0,), (0,)), ((0,), ()))}
+    for run in (_require_native(), congruence._python_run):
+        with pytest.raises(InternalInconsistency,
+                           match="attempt to merge nodes of different types"):
+            run(targets, rels, 1, 100)
+
+
+def _compiler_on_path():
+    if not any(map(shutil.which, congruence._COMPILERS)):
+        pytest.skip("no C compiler on PATH")
+
+
+def test_the_native_engine_loads_wherever_a_compiler_is_found():
+    # so that no host with a C compiler, CI's included, falls back to the
+    # Python engine unnoticed
+    _compiler_on_path()
+    assert congruence._native() is not None
+
+
+def test_the_native_library_is_built_once_into_the_cache(tmp_path):
+    # a process builds the library at its first enumeration, not at
+    # import, into $XDG_CACHE_HOME/invwreath under its final name, leaving
+    # nothing else there; the next process loads it as it is; and where the
+    # cache cannot be written, a process builds it for itself alone
+    _compiler_on_path()
+    probe = ("import sys; from invwreath import cli, congruence; "
+             "lazy = 'ctypes' not in sys.modules; "
+             "print(lazy, congruence._native() is not None)")
+
+    def loads(cache):
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+                   PYTHONPATH=str(Path(invwreath.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout == "True True\n"
+
+    assert loads(tmp_path)
+    built = list((tmp_path / "invwreath").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_hlt-") and built[0].suffix == ".so"
+    stamp = built[0].stat().st_mtime_ns
+    assert loads(tmp_path)
+    assert list((tmp_path / "invwreath").iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp
+    blocked = tmp_path / "a-file"
+    blocked.write_text("")
+    assert loads(blocked) and blocked.read_text() == ""
 
 
 def test_table_does_not_depend_on_the_listing_of_relations():
@@ -374,7 +513,8 @@ def test_ill_typed_relation_side_is_an_inconsistency():
         enumerate_congruence(dataclasses.replace(p, relations=p.relations + ((bad, rhs),)))
 
 
-def test_a_relation_between_two_objects_is_a_mistyped_merge():
+def test_a_relation_between_two_objects_is_a_mistyped_merge(monkeypatch):
+    _python_engine(monkeypatch)
     # each side is a well-typed path from object 1, but rho0 ends at 0 and
     # e1:1 at 1: the run refuses the relation before it could merge their
     # nodes
@@ -386,6 +526,7 @@ def test_a_relation_between_two_objects_is_a_mistyped_merge():
 
 
 def test_a_merge_of_two_objects_is_an_inconsistency(monkeypatch):
+    _python_engine(monkeypatch)
     # the shape check above refuses every relation that could ask for it,
     # so a stand-in engine asks directly: after a sound run of omega-mi/c2
     # at cap 1 it merges the root, at object 1, with a node at object 0
@@ -401,7 +542,8 @@ def test_a_merge_of_two_objects_is_an_inconsistency(monkeypatch):
         enumerate_congruence(p)
 
 
-def test_a_side_that_leaves_the_other_sides_target_is_refused():
+def test_a_side_that_leaves_the_other_sides_target_is_refused(monkeypatch):
+    _python_engine(monkeypatch)
     # lam0 = i0: both sides are well-typed paths from object 0, one to 1
     # and one to 0.  A trace of the empty side stops at once, so only the
     # comparison of the two sides' ends can refuse it
