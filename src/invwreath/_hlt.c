@@ -21,10 +21,13 @@
  * again and filled.  A merged node's row is never read again, so the
  * next node at its object takes its entries.  A complete run hands back,
  * for each class, its object and where its row starts in the table's
- * entries, which are written in class numbers; the caller frees the
- * three with hlt_free.
+ * entries, which are written in class numbers and packed in class order;
+ * the caller frees the three with hlt_free.
+ *
+ * hlt_walk walks such a table breadth-first, as generation reads it.
  */
 
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -303,33 +306,42 @@ static int enumerate(engine *e, const int *rel_start, const int *rel, int root)
     return HLT_COMPLETE;
 }
 
-/* Number the live nodes in creation order, move their objects and row
- * starts down to their class numbers, and write their rows in class
- * numbers.  A merged node's parent is an earlier node, so one pass
- * numbers every node. */
-static int compress(engine *e)
+/* Number the live nodes in creation order, move their objects down to
+ * their class numbers, and write their rows in class numbers, packed in
+ * class order into a new array of *size entries, with each class's start
+ * in start.  A merged node's parent is an earlier node, so one pass
+ * numbers every node.  The class count, or -HLT_NOMEM. */
+static int compress(engine *e, int **packed, int64_t *size)
 {
     int *parent = e->parent, kept = 0;
+    int64_t total = 0;
     for (int i = 1; i < e->n; i++) {
         if (parent[i] == i) {
             parent[i] = kept;
             e->robj[kept] = e->robj[i];
             e->start[kept++] = e->start[i];
+            total += e->width[e->robj[i]];
         } else {
             parent[i] = parent[parent[i]];
         }
     }
-    for (int c = 0; c < kept; c++) {
-        int *row = e->cells + e->start[c];
+    int *out = malloc(total ? (size_t)total * sizeof(int) : 1);
+    if (!out)
+        return -HLT_NOMEM;
+    for (int64_t c = 0, at = 0; c < kept; c++) {
+        const int *row = e->cells + e->start[c];
+        e->start[c] = at;
         for (int x = 0, w = e->width[e->robj[c]]; x < w; x++)
-            row[x] = parent[row[x]];
+            out[at++] = parent[row[x]];
     }
+    *packed = out;
+    *size = total;
     return kept;
 }
 
 int hlt_run(int nobj, const int *width, const int *target, const int *rel_start,
             const int *rel, int root, int budget, int *nodes, int *classes,
-            int **objects, int64_t **starts, int **cells)
+            int64_t *size, int **objects, int64_t **starts, int **cells)
 {
     engine e = {0};
     /* col0[m]: object m's first column in target; node 0 is reserved,
@@ -354,22 +366,112 @@ int hlt_run(int nobj, const int *width, const int *target, const int *rel_start,
     if (rc == HLT_COMPLETE)
         rc = enumerate(&e, rel_start, rel, root);
     *nodes = e.n - 1;
+    free(e.stack);
+    free(e.pstart);
+    free(e.ends);
     if (rc == HLT_COMPLETE) {
-        *classes = compress(&e);
-        *objects = e.robj;
-        *starts = e.start;
-        *cells = e.cells;
-        e.robj = e.cells = NULL;
-        e.start = NULL;
+        int kept = compress(&e, cells, size);
+        if (kept < 0) {
+            rc = -kept;
+        } else {
+            *classes = kept;
+            *objects = e.robj;
+            *starts = e.start;
+            e.robj = NULL;
+            e.start = NULL;
+        }
     }
     free(col0);
     free(e.parent);
     free(e.robj);
     free(e.start);
     free(e.cells);
-    free(e.stack);
-    free(e.pstart);
-    free(e.ends);
+    return rc;
+}
+
+/* the visits of hlt_walk so far: per visit its class, the visit it came
+ * from, the column and the walk */
+typedef struct {
+    int *at[4];
+    int64_t n, cap;
+} visits;
+
+/* visit the class t in the walk w unless the walk has seen it: 0, or
+ * -HLT_NOMEM */
+static int visit(visits *q, uint64_t *seen, int t, int from, int col, int w)
+{
+    uint64_t bit = (uint64_t)1 << (t & 63);
+    if (seen[t >> 6] & bit)
+        return 0;
+    seen[t >> 6] |= bit;
+    if (q->n == q->cap) {
+        /* a visit is numbered in an int */
+        int64_t cap = q->cap < INT_MAX / 2 ? 2 * q->cap : INT_MAX;
+        if (q->n == cap)
+            return -HLT_NOMEM;
+        for (int a = 0; a < 4; a++) {
+            int *more = realloc(q->at[a], (size_t)cap * sizeof(int));
+            if (!more)
+                return -HLT_NOMEM;
+            q->at[a] = more;
+        }
+        q->cap = cap;
+    }
+    q->at[0][q->n] = t;
+    q->at[1][q->n] = from;
+    q->at[2][q->n] = col;
+    q->at[3][q->n++] = w;
+    return 0;
+}
+
+/* Walk a complete table of ncls classes breadth-first, once per walk w
+ * of nwalks, from its nstarts[w] start classes, taken in turn from start
+ * (start k is the k-th of all).  One FIFO queue serves every walk, each
+ * with its own set of the classes it has seen, so the walks go together,
+ * frontier by frontier.  A class is visited once per walk that reaches
+ * it: as a start, or else from the earliest visit, through its first
+ * column, that leads to it.  Hands back *nvisits visits,
+ * per visit its class, the visit it came from or ~k for start k, the
+ * column (-1 for a start) and the walk, in four arrays that the caller
+ * frees with hlt_free.  HLT_COMPLETE, or HLT_NOMEM. */
+int hlt_walk(int ncls, const int *entries, const int64_t *starts, const int *objects,
+             const int *width, int nwalks, const int *nstarts, const int *start,
+             int *nvisits, int **cls, int **from, int **col, int **walk)
+{
+    int64_t words = ((int64_t)ncls + 63) / 64;
+    uint64_t *seen = calloc((size_t)(nwalks * words) + 1, sizeof(uint64_t));
+    visits q = {{NULL, NULL, NULL, NULL}, 0, ncls};
+    int rc = HLT_NOMEM;
+    for (int w = 0; w < nwalks; w++)
+        q.cap += nstarts[w];
+    q.cap = q.cap < INT_MAX ? q.cap : INT_MAX;
+    for (int a = 0; a < 4; a++)
+        q.at[a] = malloc((size_t)q.cap * sizeof(int));
+    if (!seen || !q.at[0] || !q.at[1] || !q.at[2] || !q.at[3])
+        goto done;
+    for (int w = 0, k = 0; w < nwalks; w++)
+        for (int i = 0; i < nstarts[w]; i++, k++)
+            if (visit(&q, seen + w * words, start[k], ~k, -1, w))
+                goto done;
+    for (int64_t v = 0; v < q.n; v++) {
+        int c = q.at[0][v], w = q.at[3][v];
+        const int *row = entries + starts[c];
+        for (int x = 0, wd = width[objects[c]]; x < wd; x++)
+            if (visit(&q, seen + w * words, row[x], (int)v, x, w))
+                goto done;
+    }
+    rc = HLT_COMPLETE;
+done:
+    free(seen);
+    for (int a = 0; rc != HLT_COMPLETE && a < 4; a++) {
+        free(q.at[a]);
+        q.at[a] = NULL;
+    }
+    *nvisits = rc == HLT_COMPLETE ? (int)q.n : 0;
+    *cls = q.at[0];
+    *from = q.at[1];
+    *col = q.at[2];
+    *walk = q.at[3];
     return rc;
 }
 

@@ -44,7 +44,11 @@ semantics are the engine's below, node for node (live nodes in creation
 order; each relation walked and filled, the ``u`` side first; a node
 merged away is processed no further; merges off a stack keep the smaller
 index; the budget counts node indices), so every ``CongruenceTable``
-field is the same.  The library is built once per source hash into
+field is the same.  A complete table comes back flat, its rows packed in
+class order, each of its arrays copied out of C at once.  The library
+also walks a complete table breadth-first for generation
+(``walk_visits``), in the order of a Python walk that is its reference
+and its fallback.  The library is built once per source hash into
 ``$XDG_CACHE_HOME/invwreath`` (by default ``~/.cache/invwreath``), under a
 temporary name and then renamed; where that cannot be written, a process
 builds its own in a temporary directory.  The Python engine runs where
@@ -77,10 +81,11 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import chain
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .base import InternalInconsistency
@@ -91,6 +96,7 @@ __all__ = [
     "UnsupportedFlavorError",
     "CongruenceTable",
     "enumerate_congruence",
+    "walk_visits",
     "node_budget",
     "DEFAULT_MONOID_BUDGET",
     "DEFAULT_CATEGORY_BUDGET",
@@ -112,10 +118,12 @@ class _BudgetExceeded(Exception):
 class CongruenceTable:
     """Outcome of one enumeration run.
 
-    On completion the compressed right Cayley graph is attached: class
-    ``c`` ends at object ``objects[c]``, and ``transitions[c][k]`` is the
-    class it reaches by the generator in column ``k`` of that object, every
-    entry defined.  ``columns[m]`` maps the symbols of the generators
+    On completion the compressed right Cayley graph is attached, flat:
+    class ``c`` ends at object ``objects[c]``, and its row, one entry per
+    generator leaving that object, is ``entries[starts[c]:]``, so
+    ``entries[starts[c] + k]`` is the class it reaches by the generator in
+    column ``k`` of that object, every entry defined.  The rows are packed
+    in class order.  ``columns[m]`` maps the symbols of the generators
     leaving object ``m``, in alphabet order, to their columns 0, 1, ....
     ``gen_index`` maps alphabet symbols to their ids in alphabet order, and
     ``root`` is the one start object, whose identity is class 0: 0 for a
@@ -126,11 +134,12 @@ class CongruenceTable:
     size: int | None = None           # monoid/semigroup class count
     hom_sizes: dict | None = None     # category: (cap, tgt) -> class count
     nodes_created: int = 0
-    transitions: list | None = None
+    entries: array | None = None      # array("i")
+    starts: array | None = None       # array("q"), one per class
     root: int | None = None
     gen_index: dict | None = None
     columns: list | None = None
-    objects: list | None = None
+    objects: array | None = None      # array("i"), one per class
 
     def trace(self, start_object: int, word) -> int:
         """Class reached from the identity at ``start_object`` by reading
@@ -143,10 +152,10 @@ class CongruenceTable:
         if start_object != self.root:
             raise ValueError(f"no root at object {start_object}")
         cur = 0
-        columns, objects, rows = self.columns, self.objects, self.transitions
+        columns, objects, entries, starts = self.columns, self.objects, self.entries, self.starts
         try:
             for sym in word:
-                cur = rows[cur][columns[objects[cur]][sym]]
+                cur = entries[starts[cur] + columns[objects[cur]][sym]]
         except KeyError:
             if sym not in self.gen_index:
                 raise ValueError(f"{sym!r} is not in the alphabet") from None
@@ -307,12 +316,14 @@ class _Engine:
             idx += 1
 
     def compressed(self):
-        """The alive nodes' rows in creation order, rewritten in class
-        numbers, and their objects, compressed in place: ``parent``, dead by
-        now, takes each node's class number, and the kept rows and objects
-        move down in ``rows`` and ``robj``.  A merged node's parent is an
-        earlier node, so one pass in creation order numbers every node.  The
-        root, node 1, is the least node, which no merge moves: class 0."""
+        """The table as ``CongruenceTable`` holds it: the alive nodes' rows
+        in creation order, rewritten in class numbers and packed into
+        ``entries``, where each starts, and their objects.  ``parent``,
+        dead by now, takes each node's class number, and the kept rows and
+        objects move down in ``rows`` and ``robj``.  A merged node's parent
+        is an earlier node, so one pass in creation order numbers every
+        node.  The root, node 1, is the least node, which no merge moves:
+        class 0."""
         parent, rows, robj = self.parent, self.rows, self.robj
         kept = 0
         for i in range(1, len(parent)):
@@ -323,11 +334,11 @@ class _Engine:
                 kept += 1
             else:
                 parent[i] = parent[parent[i]]
-        del rows[kept:], robj[kept:]
-        for row in rows:
-            row[:] = map(parent.__getitem__, row)
-        # copied, so that the table keeps none of the run's spare slots
-        return rows[:], robj[:]
+        entries, starts = array("i"), array("q")
+        for row in rows[:kept]:
+            starts.append(len(entries))
+            entries.extend(map(parent.__getitem__, row))
+        return entries, starts, array("i", robj[:kept])
 
 
 # Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
@@ -419,16 +430,59 @@ def _prefixes(rels):
 
 
 def _python_run(targets, rels_by_src, root: int, budget: int):
-    """A run of the Python engine: the nodes it defined, and the rows and
-    objects of its classes, or ``None`` for both when it ran out of
+    """A run of the Python engine: the nodes it defined, and the table's
+    ``entries``, ``starts`` and ``objects``, or ``None`` when it ran out of
     budget."""
     eng = _Engine(targets, budget)
     try:
         eng.run(rels_by_src, root)
     except _BudgetExceeded:
-        return len(eng.rows) - 1, None, None
-    rows, objects = eng.compressed()
-    return len(eng.parent) - 1, rows, objects
+        return len(eng.rows) - 1, None
+    return len(eng.parent) - 1, eng.compressed()
+
+
+def walk_visits(table: CongruenceTable, walks):
+    """Breadth-first walks of the complete ``table``, one per list of
+    ``walks``, from its start classes, in one FIFO queue: the walks go
+    together, frontier by frontier, each with its own set of the classes
+    it has seen.  A class is visited once per walk that reaches it: as a
+    start, or else from the earliest visit, through its first column, that
+    leads to it.  Returns four ``array("i")``: per
+    visit its class, the visit it came from (``~k`` for the ``k``-th start
+    of all the walks), the column (-1 for a start) and the walk.  They
+    stay arrays, at 16 bytes a visit."""
+    if table.status != "complete":
+        raise ValueError(f"cannot walk a {table.status} table")
+    if not all(0 <= c < len(table.objects) for c in chain.from_iterable(walks)):
+        raise ValueError("a start class is not a class of the table")
+    lib = _native()
+    args = table.entries, table.starts, table.objects, array("i", map(len, table.columns)), walks
+    return _python_walk(*args) if lib is None else _native_walk(lib, *args)
+
+
+def _python_walk(entries, starts, objects, widths, walks):
+    """``walk_visits`` in Python: the reference of the native walk, and the
+    walk where it does not build."""
+    classes, parents, columns, walk = [], [], [], []
+    seen = [bytearray(len(objects)) for _ in walks]
+    for k, (w, c) in enumerate((w, c) for w, begin in enumerate(walks) for c in begin):
+        if not seen[w][c]:
+            seen[w][c] = 1
+            classes.append(c)
+            parents.append(~k)
+            columns.append(-1)
+            walk.append(w)
+    # the lists grow while they are read
+    for v, (c, w) in enumerate(zip(classes, walk)):
+        done, at = seen[w], starts[c]
+        for x, t in enumerate(entries[at:at + widths[objects[c]]]):
+            if not done[t]:
+                done[t] = 1
+                classes.append(t)
+                parents.append(v)
+                columns.append(x)
+                walk.append(w)
+    return tuple(array("i", visits) for visits in (classes, parents, columns, walk))
 
 
 # The outcomes of ``hlt_run`` in _hlt.c other than a complete run, and
@@ -441,9 +495,10 @@ _INT_MAX = 2**31 - 1
 
 @cache
 def _native():
-    """The native engine's run, called as ``_python_run``, or ``None``
-    when no C compiler on ``PATH`` builds _hlt.c or the library does not
-    load.  Built and loaded at the first enumeration in a process."""
+    """The native library, whose runs ``_native_run`` and walks
+    ``_native_walk`` make, or ``None`` when no C compiler on ``PATH``
+    builds _hlt.c or the library does not load.  Built and loaded at the
+    first enumeration in a process."""
     import ctypes
     import subprocess
 
@@ -456,10 +511,15 @@ def _native():
     lib.hlt_run.restype = ctypes.c_int
     lib.hlt_run.argtypes = ([ctypes.c_int] + [ctypes.c_void_p] * 4 + [ctypes.c_int] * 2
                             + [ctypes.POINTER(ctypes.c_int)] * 2
+                            + [ctypes.POINTER(ctypes.c_int64)]
                             + [ctypes.POINTER(ctypes.c_void_p)] * 3)
+    lib.hlt_walk.restype = ctypes.c_int
+    lib.hlt_walk.argtypes = ([ctypes.c_int] + [ctypes.c_void_p] * 4 + [ctypes.c_int]
+                             + [ctypes.c_void_p] * 2 + [ctypes.POINTER(ctypes.c_int)]
+                             + [ctypes.POINTER(ctypes.c_void_p)] * 4)
     lib.hlt_free.restype = None
     lib.hlt_free.argtypes = [ctypes.c_void_p]
-    return partial(_native_run, lib)
+    return lib
 
 
 def _load_library():
@@ -518,8 +578,8 @@ def _native_run(lib, targets, rels_by_src, root: int, budget: int):
     """A run of the native engine, with the inputs and outcome of
     ``_python_run``.  The relations go to C flattened as _hlt.c says, and
     the budget clamped to C's int, past any table that fits in memory.
-    The rows are read in place and written with one shared int per class,
-    and the C arrays are freed before this returns."""
+    The table comes back packed, each of its three arrays copied out of C
+    at once, and the C arrays are freed before this returns."""
     import ctypes
 
     width = array("i", map(len, targets))
@@ -529,45 +589,55 @@ def _native_run(lib, targets, rels_by_src, root: int, budget: int):
         for u, v in rels_by_src.get(m, ()):
             rel.extend((len(u), len(v), *u, *v))
         rel_start.append(len(rel))
-    nodes, classes = ctypes.c_int(), ctypes.c_int()
+    nodes, classes, size = ctypes.c_int(), ctypes.c_int(), ctypes.c_int64()
     objects, starts, cells = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
     status = lib.hlt_run(len(targets), *(a.buffer_info()[0] for a in (width, target, rel_start, rel)),
                          root, min(budget, _INT_MAX - 1), ctypes.byref(nodes),
-                         ctypes.byref(classes), ctypes.byref(objects), ctypes.byref(starts),
-                         ctypes.byref(cells))
+                         ctypes.byref(classes), ctypes.byref(size), ctypes.byref(objects),
+                         ctypes.byref(starts), ctypes.byref(cells))
     if status == _BUDGET:
-        return nodes.value, None, None
+        return nodes.value, None
     if status == _MISTYPED:
         raise InternalInconsistency("attempt to merge nodes of different types")
     if status == _NOMEM:
         raise MemoryError("the enumeration table does not fit in memory")
-    try:
-        objs = _view(objects, classes.value, "i").tolist()
-        begins = _view(starts, classes.value, "q")
-        entries = _view(cells, max(map(add, begins, map(width.__getitem__, objs))), "i")
-        ids = list(range(classes.value)).__getitem__
-        table = []
-        for m, b in zip(objs, begins):
-            # read, then rewritten in place: a list built from an iterator
-            # would keep spare slots, 40 bytes a row at 11 columns
-            row = entries[b:b + width[m]].tolist()
-            row[:] = map(ids, row)
-            table.append(row)
-        return nodes.value, table, objs
-    finally:
-        for pointer in (objects, starts, cells):
-            lib.hlt_free(pointer)
+    return nodes.value, _take(lib, (cells, size.value, "i"), (starts, classes.value, "q"),
+                              (objects, classes.value, "i"))
 
 
-def _view(pointer, count: int, fmt: str) -> memoryview:
-    """The ``count`` values of the ``array`` type ``fmt`` that the C
-    ``pointer`` points at, read in place."""
+def _native_walk(lib, entries, starts, objects, widths, walks):
+    """``walk_visits`` in C."""
     import ctypes
 
-    if not count:
-        return memoryview(b"").cast(fmt)
-    size = count * array(fmt).itemsize
-    return memoryview((ctypes.c_ubyte * size).from_address(pointer.value)).cast("B").cast(fmt)
+    nstarts = array("i", map(len, walks))
+    begin = array("i", chain.from_iterable(walks))
+    count = ctypes.c_int()
+    out = [ctypes.c_void_p() for _ in range(4)]
+    table = (a.buffer_info()[0] for a in (entries, starts, objects, widths))
+    status = lib.hlt_walk(len(objects), *table, len(walks), nstarts.buffer_info()[0],
+                          begin.buffer_info()[0], ctypes.byref(count), *map(ctypes.byref, out))
+    if status == _NOMEM:
+        raise MemoryError("the walk of the table does not fit in memory")
+    return _take(lib, *((pointer, count.value, "i") for pointer in out))
+
+
+def _take(lib, *arrays):
+    """The C ``arrays``, each ``(pointer, count, fmt)``, copied into
+    ``array``s of the type ``fmt``; each is freed before this returns."""
+    import ctypes
+
+    try:
+        out = []
+        for pointer, count, fmt in arrays:
+            copy = array(fmt)
+            if count:
+                size = count * copy.itemsize
+                copy.frombytes((ctypes.c_ubyte * size).from_address(pointer.value))
+            out.append(copy)
+        return tuple(out)
+    finally:
+        for pointer, _, _ in arrays:
+            lib.hlt_free(pointer)
 
 
 def _trace_order(rels):
@@ -639,21 +709,22 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
                               for rel in _trace_order(rels))
                    for src, rels in rels_by_src.items()}
 
-    nodes, table, objects = (_native() or _python_run)(targets, rels_by_src, root, budget)
+    lib = _native()
+    nodes, table = (_python_run(targets, rels_by_src, root, budget) if lib is None
+                    else _native_run(lib, targets, rels_by_src, root, budget))
     if table is None:
         return CongruenceTable("budget-exceeded", nodes_created=nodes)
-    done = CongruenceTable("complete", nodes_created=nodes, transitions=table,
+    entries, starts, objects = table
+    done = CongruenceTable("complete", nodes_created=nodes, entries=entries, starts=starts,
                            gen_index=gen_index, columns=columns, objects=objects, root=root)
     if category:
-        done.hom_sizes = {}
-        for n in objects:
-            done.hom_sizes[root, n] = done.hom_sizes.get((root, n), 0) + 1
+        done.hom_sizes = {(root, n): k for n, k in Counter(objects).items()}
     elif p.flavor == "semigroup":
         # the empty word's class, the root's class 0, is no element: no
         # transition may lead into it
-        if any(0 in row for row in table):
+        if 0 in entries:
             raise InternalInconsistency("empty-word class was touched in a semigroup run")
-        done.size = len(table) - 1
+        done.size = len(objects) - 1
     else:
-        done.size = len(table)
+        done.size = len(objects)
     return done

@@ -77,11 +77,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain, islice, takewhile
 
 from . import wreath, words
 from .base import BasePresentation, InternalInconsistency, _close, _Tree, adjoin_zero, builtin
-from .congruence import CongruenceTable, enumerate_congruence, node_budget
+from .congruence import CongruenceTable, enumerate_congruence, node_budget, walk_visits
 from .presentations import FLAVOR_SYNTAX, KIND, Presentation, build, check_level
 from .words import (Path, eval_path, eval_term, hat_edge, hat_path, lam, path_text, rho, term_text,
                     x_mn_decompose)
@@ -428,7 +428,8 @@ def _walk(table: CongruenceTable, walks, seeds, gens):
     A category table has one walk per object, from the class of ``P_m``;
     these walks reach nested sets of classes, so a class is visited once
     per walk that reaches it, with another image each time.  The walks go
-    together, frontier by frontier, so the images are reached in the order
+    together, frontier by frontier, in the visit order of
+    ``congruence.walk_visits``, so the images are reached in the order
     that ``_close`` reaches them.  Returns the spanning tree and, per walk,
     the classes it visited per object: the category's lower hom-set
     counts (see the module docstring).
@@ -437,45 +438,51 @@ def _walk(table: CongruenceTable, walks, seeds, gens):
     first holder: the seed that gave it, or the number of the visit whose
     product first reached it.  As in ``_close``, only a visit that holds
     its image is numbered, with the holder of its parent's image and the
-    letter, so its word is that holder's word plus the letter.  Only the
-    frontier's images stay alive."""
+    letter, so its word is that holder's word plus the letter.  A visit's
+    image is its parent visit's image times the letter of its column, one
+    ``str.translate``.  Each visit's image and holder are kept until the
+    walk ends, in two lists beside the four visit arrays: a new image is
+    the very string its dict holds, so only an image reached again, as in
+    a table of the wrong structure, is a string of its own."""
     held = {}
-    # per object, the column, letter, action and codomain's dict of each
-    # letter of ``gens`` that leaves it
-    leaving = [[(cols[letter], letter, act, held.setdefault(cod, {}))
+    # per object, the letter, action and codomain's dict of each letter of
+    # ``gens`` that leaves it, by column
+    leaving = [[(letter, act, held.setdefault(cod, {}))
                 for letter, (_, act, cod) in gens if letter in cols]
                for cols in table.columns]
     for k, ((codes, n), _) in enumerate(seeds):
         held.setdefault(n, {}).setdefault(codes, ~k)
-    rows, objects = table.transitions, table.objects
-    parent, letters, frontier, visited = [], [], [], []
-    seed_images = iter(seeds)
-    for starts in walks:
-        seen = bytearray(len(rows))     # the classes this walk has visited
-        visited.append(seen)
-        for c, ((codes, n), _) in zip(starts, seed_images):
-            if not seen[c]:
-                seen[c] = 1
-                frontier.append((seen, c, codes, held[n][codes]))
-    while frontier:
-        nxt = []
-        for seen, c, codes, holder in frontier:
-            row = rows[c]
-            for col, letter, act, into in leaving[objects[c]]:
-                t = row[col]
-                if seen[t]:
-                    continue
-                seen[t] = 1
-                b = codes.translate(act)
-                h = into.get(b)
-                if h is None:
-                    h = into[b] = len(parent)
-                    parent.append(holder)
-                    letters.append(letter)
-                nxt.append((seen, t, b, h))
-        frontier = nxt
-    return (_Tree(held, parent, letters, [word for _, word in seeds]),
-            [Counter(compress(objects, seen)) for seen in visited])
+    classes, parents, columns, walk = walk_visits(table, walks)
+    objects = table.objects
+    # per visit, its image and that image's holder; the starts come first
+    images, holders = [], []
+    for p in takewhile((0).__gt__, parents):
+        codes, n = seeds[~p][0]
+        images.append(codes)
+        holders.append(held[n][codes])
+    parent, letters = [], []
+    cur = -1
+    for p, col in islice(zip(parents, columns), len(images), None):
+        if p != cur:
+            cur = p
+            codes, holder, out = images[p], holders[p], leaving[objects[classes[p]]]
+        letter, act, into = out[col]
+        b = codes.translate(act)
+        h = into.get(b)
+        if h is None:
+            h = into[b] = len(parent)
+            parent.append(holder)
+            letters.append(letter)
+        images.append(b)
+        holders.append(h)
+    orbits = [Counter() for _ in walks]
+    if len(table.columns) == 1:     # every class is at object 0
+        for w, orbit in enumerate(orbits):
+            orbit[0] = walk.count(w)
+    else:
+        for (w, m), count in Counter(zip(walk, map(objects.__getitem__, classes))).items():
+            orbits[w][m] = count
+    return _Tree(held, parent, letters, [word for _, word in seeds]), orbits
 
 
 def _descent(cap: int, m: int):

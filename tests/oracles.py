@@ -7,6 +7,9 @@ kept so that what it checked is still checked.
   to and the normal forms read.
 - ``walk_keeping_words``: ``closure`` over a complete table, generation's
   walk as it was before it kept a spanning tree.
+- ``rows``: a complete table's rows as lists, one per class, as the table
+  held them before its entries were packed into one flat array.
+- ``walk_starts``: the start classes of generation's walks of a table.
 - ``act_on``: a translate table applied one code at a time, without
   ``str.translate``.
 - ``enumerate_keys``: a hom-set's plain forms in ``sort_key`` order, built
@@ -23,7 +26,7 @@ from itertools import product
 from invwreath import pperm
 from invwreath.base import BasePresentation, MTuple, ZeroExtended
 from invwreath.pperm import CompositionError
-from invwreath.words import e_, s_, token, word_text, x_, xc
+from invwreath.words import e_, rho, s_, token, word_text, x_, xc
 from invwreath.wreath import WreathElement
 
 
@@ -63,6 +66,26 @@ def act_on(act, codes) -> str:
     return "".join([act[ord(c)] for c in codes])
 
 
+def rows(table) -> list:
+    """The rows of the complete ``table``, one list per class: class
+    ``c``'s runs from its start to the next class's, or to the end."""
+    ends = list(table.starts[1:]) + [len(table.entries)]
+    return [table.entries[b:e].tolist() for b, e in zip(table.starts, ends)]
+
+
+def walk_starts(p, table) -> list:
+    """The start classes of generation's walks, as ``check_generation``
+    finds them: one walk for a flat kind, and one per object ``m`` of a
+    category, from the class of ``rho_{C-1} ... rho_m`` under the root
+    ``C``."""
+    if p.flavor == "semigroup":
+        return [[table.trace(0, (sym,)) for sym in p.alphabet]]
+    if p.flavor == "category":
+        return [[table.trace(p.cap, tuple(rho(k) for k in range(p.cap - 1, m - 1, -1)))]
+                for m in range(p.cap + 1)]
+    return [[0]]
+
+
 def walk_keeping_words(table, walks, seeds, gens) -> dict:
     """``closure`` over a complete table: breadth-first over the classes,
     one walk per list of ``walks`` from its start classes (the classes of
@@ -81,8 +104,9 @@ def walk_keeping_words(table, walks, seeds, gens) -> dict:
     queue = []
     witness = {}
     seed_pairs = iter(seeds)
+    transitions = rows(table)
     for starts in walks:
-        image = [None] * len(table.transitions)     # per class, in this walk
+        image = [None] * len(transitions)     # per class, in this walk
         for c, (elt, word) in zip(starts, seed_pairs):
             if image[c] is None:
                 image[c] = elt
@@ -91,7 +115,7 @@ def walk_keeping_words(table, walks, seeds, gens) -> dict:
     for image, c in queue:         # grows while it is read
         a = image[c]
         codes = a[0]
-        row = table.transitions[c]
+        row = transitions[c]
         for col, letter, act, cod in leaving[table.objects[c]]:
             t = row[col]
             if image[t] is not None:

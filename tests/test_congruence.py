@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import weakref
+from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -18,12 +20,13 @@ from hypothesis import strategies as st
 import invwreath
 from invwreath import congruence, wreath
 from invwreath.base import BUILTIN_NAMES, InternalInconsistency, builtin
-from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence
+from invwreath.congruence import UnsupportedFlavorError, enumerate_congruence, walk_visits
 from invwreath.presentations import build
 from invwreath.verify import check_generation, target_size, verify_category, verify_presentation
 from invwreath.words import Path as TypedPath
 from invwreath.words import e_, edge_dr, lam, rho
 from invwreath.words import parse_monoid_word as w
+from oracles import rows, walk_starts
 
 TRIV = builtin("trivial")
 C2 = builtin("c2")
@@ -83,9 +86,9 @@ def test_a_transition_into_the_empty_words_class_is_an_inconsistency(monkeypatch
     # its identity, takes the same table as it is
     class Rewired(congruence._Engine):
         def compressed(self):
-            rows, objects = super().compressed()
-            rows[-1][0] = 0
-            return rows, objects
+            entries, starts, objects = super().compressed()
+            entries[starts[-1]] = 0
+            return entries, starts, objects
 
     sound = build("r-sing-in", TRIV, n=3)
     assert enumerate_congruence(sound).size == 28
@@ -103,8 +106,9 @@ def _descent(cap, m):
 def _reached(table, start):
     """The classes that the class ``start`` reaches, breadth-first."""
     queue, seen = [start], {start}
+    transitions = rows(table)
     for c in queue:
-        for t in table.transitions[c]:
+        for t in transitions[c]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
@@ -154,7 +158,7 @@ def _digest(table):
     # -1 where it does not leave the class's object: the digests pinned
     # below were taken on that layout, so they pin the table node for node
     wide = [[row[table.columns[m][sym]] if sym in table.columns[m] else -1
-             for sym in table.gen_index] for row, m in zip(table.transitions, table.objects)]
+             for sym in table.gen_index] for row, m in zip(rows(table), table.objects)]
     return table.nodes_created, hashlib.sha256(json.dumps(wide).encode()).hexdigest()
 
 
@@ -303,11 +307,11 @@ def test_kernel_reuse_across_presentations_is_sound(monkeypatch):
 
 
 def _require_native():
-    """The native engine's run, or a skip where it does not build."""
-    run = congruence._native()
-    if run is None:
+    """The native library, or a skip where it does not build."""
+    lib = congruence._native()
+    if lib is None:
         pytest.skip("the native engine does not build on this host")
-    return run
+    return lib
 
 
 def _outcome(p, budget):
@@ -364,10 +368,89 @@ def test_both_engines_agree_on_weakened_presentations(data):
     if kind != "omega-mi" and data.draw(st.booleans()):
         word = st.lists(st.sampled_from(p.alphabet), max_size=4).map(tuple)
         rels += ((data.draw(word), data.draw(word)),)
-    native, python = _on_both_engines(dataclasses.replace(p, relations=rels),
-                                      data.draw(st.integers(1, 3000)))
+    weak = dataclasses.replace(p, relations=rels)
+    native, python = _on_both_engines(weak, data.draw(st.integers(1, 3000)))
     event(native if isinstance(native, str) else native.status)
     assert native == python
+    # and the two walks of generation give one order on a complete table,
+    # whose images may repeat
+    if not isinstance(native, str) and native.status == "complete":
+        _check_walks(weak, native)
+
+
+def _check_walks(p, table):
+    """The native walk and the Python one give one order over ``table``,
+    from the start classes of generation's walks, and each visit follows
+    its parent visit's column, or is a start of its walk."""
+    walks = walk_starts(p, table)
+    native = walk_visits(table, walks)
+    with pytest.MonkeyPatch.context() as mp:
+        _python_engine(mp)
+        python = walk_visits(table, walks)
+    assert native == python, p.kind
+    classes, walk = native[0], native[3]
+    flat = [(w, c) for w, begin in enumerate(walks) for c in begin]
+    for c, v, col, w in zip(*native):
+        if v < 0:
+            assert (col, flat[~v]) == (-1, (w, c))
+        else:
+            assert v < len(classes) and walk[v] == w
+            assert table.entries[table.starts[classes[v]] + col] == c
+    return native
+
+
+def test_both_walks_give_one_order():
+    # generation's visit order, native and in Python, on the pinned cells
+    # and the benchmark's, among them the category walks, one per object
+    _require_native()
+    cells = [(kind, base, n, None) for kind, base, n, *_ in _PINNED] + list(_BENCHMARK_CELLS)
+    for kind, base, n, budget in cells:
+        p = build(kind, base, cap=n) if kind == "omega-mi" else build(kind, base, n=n)
+        table = enumerate_congruence(p, budget)
+        walk = _check_walks(p, table)[3]
+        # the last walk, from the root's class or the letters' classes,
+        # visits every element's class once
+        size = sum(table.hom_sizes.values()) if kind == "omega-mi" else table.size
+        assert walk.count(len(walk_starts(p, table)) - 1) == size, (kind, n)
+    # a semigroup walk whose start class repeats: with f1,2 = f2,1 added,
+    # r-sing-in over the trivial base at n=3 starts twice at one class,
+    # and visits it once, as the first of the two starts
+    p = build("r-sing-in", TRIV, n=3)
+    weak = dataclasses.replace(p, relations=p.relations + ((w("f1,2"), w("f2,1")),))
+    table = enumerate_congruence(weak)
+    starts = walk_starts(weak, table)[0]
+    assert table.status == "complete" and len(set(starts)) < len(starts)
+    parents = _check_walks(weak, table)[1]
+    firsts = [~k for k, c in enumerate(starts) if c not in starts[:k]]
+    assert list(takewhile((0).__gt__, parents)) == firsts
+
+
+def test_a_node_merged_before_its_row_is_full_is_processed_no_further(monkeypatch):
+    # in omega-mi/c2 at cap 2, nodes 28 and 39 are merged away by their
+    # own relations while their rows still have empty entries.  An engine
+    # that went on with a merged node's relations, or filled its row,
+    # would define more than the 45 nodes that both engines define
+    _require_native()
+    p = build("omega-mi", C2, cap=2)
+    native, python = _on_both_engines(p)
+    assert native == python and native.nodes_created == 45
+    early = []
+
+    class Spy(congruence._Engine):
+        def fix(self, idx, *args):
+            self.idx = idx
+            return super().fix(idx, *args)
+
+        def merge(self, a, b):
+            row = self.rows[self.idx]       # a merged node's row becomes the sink's
+            super().merge(a, b)
+            if self.parent[self.idx] != self.idx and 0 in row:
+                early.append(self.idx)
+
+    _python_engine(monkeypatch)
+    monkeypatch.setattr(congruence, "_Engine", Spy)
+    assert enumerate_congruence(p) == python
+    assert early == [28, 39]
 
 
 def test_the_native_engine_refuses_a_merge_of_two_objects():
@@ -375,7 +458,7 @@ def test_the_native_engine_refuses_a_merge_of_two_objects():
     # past the shape check, the first relation defines it at the root and
     # the second equates its end, at object 0, with the root, at object 1
     targets, rels = [[], [0]], {1: (((0,), (0,)), ((0,), ()))}
-    for run in (_require_native(), congruence._python_run):
+    for run in (partial(congruence._native_run, _require_native()), congruence._python_run):
         with pytest.raises(InternalInconsistency,
                            match="attempt to merge nodes of different types"):
             run(targets, rels, 1, 100)
@@ -442,7 +525,7 @@ def _class_at(table, c, word):
         k = table.columns[table.objects[c]].get(sym)
         if k is None:
             return None
-        c = table.transitions[c][k]
+        c = table.entries[table.starts[c] + k]
     return c
 
 
@@ -475,6 +558,7 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
         sides = [(0, lhs, rhs) for lhs, rhs in weak.relations]
         size, want = table.size, target_size(p)
     # each class's target object, breadth-first from the root's class 0
+    transitions = rows(table)
     target = {0: table.root}
     queue = list(target)
     for c in queue:
@@ -483,16 +567,16 @@ def test_tables_with_relations_dropped_keep_the_invariants(data):
         leaving = [g for g in range(len(dr)) if dr[g][0] == target[c]]
         assert list(cols) == [weak.alphabet[g] for g in leaving]
         assert list(cols.values()) == list(range(len(leaving)))
-        row = table.transitions[c]
+        row = transitions[c]
         assert len(row) == len(leaving)
         for g in leaving:
             t = row[cols[weak.alphabet[g]]]
-            assert 0 <= t < len(table.transitions)
+            assert 0 <= t < len(transitions)
             if t not in target:
                 target[t] = dr[g][1]
                 queue.append(t)
             assert target[t] == dr[g][1]
-    assert len(target) == len(table.transitions)
+    assert len(target) == len(transitions)
     for c, obj in target.items():
         for src, lhs, rhs in sides:
             if src == obj:
@@ -568,9 +652,16 @@ def test_budget_exhaustion_is_inconclusive_not_wrong():
     table = enumerate_congruence(build("r-in", TRIV, n=3), budget=10)
     assert table.status == "budget-exceeded"
     assert table.size is None
-    # an incomplete table has no classes to trace to
+    # an incomplete table has no classes to trace to, or to walk
     with pytest.raises(ValueError, match="budget-exceeded"):
         table.trace(0, ())
+    with pytest.raises(ValueError, match="cannot walk a budget-exceeded table"):
+        walk_visits(table, [[0]])
+    # nor has a complete one a class past its last
+    table = enumerate_congruence(build("r-in", TRIV, n=3))
+    for start in (-1, 34):
+        with pytest.raises(ValueError, match="not a class of the table"):
+            walk_visits(table, [[0], [start]])
 
 
 def test_unsound_extra_relation_collapses():

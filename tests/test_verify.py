@@ -5,6 +5,7 @@ import gc
 import json
 import time
 import tracemalloc
+from array import array
 from functools import lru_cache
 
 import jsonschema
@@ -32,7 +33,7 @@ from invwreath.verify import (
 from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, rho, s_
 from invwreath.words import parse_monoid_word as w
 from invwreath.wreath import embed_map, encode_key, hom_count
-from oracles import act_on, closure, walk_keeping_words
+from oracles import act_on, closure, rows, walk_keeping_words, walk_starts
 
 C2 = builtin("c2")
 TRIV = builtin("trivial")
@@ -176,19 +177,6 @@ def test_generation_witnesses():
     assert _same_generation(check_generation(omega, table), check_generation(omega))
 
 
-def _walks(p, table):
-    """The start classes of generation's walks, as ``check_generation``
-    finds them: one walk for a flat kind, and one per object ``m`` of a
-    category, from the class of ``rho_{C-1} ... rho_m`` under the root
-    ``C``."""
-    if p.flavor == "semigroup":
-        return [[table.trace(0, (sym,)) for sym in p.alphabet]]
-    if p.flavor == "category":
-        return [[table.trace(p.cap, tuple(rho(k) for k in range(p.cap - 1, m - 1, -1)))]
-                for m in range(p.cap + 1)]
-    return [[0]]
-
-
 def _walks_as_the_word_keeping_walk(p, table):
     """``check_generation`` over ``table`` against the walk that kept a word
     per element: the same ``coded`` items in the same order, and ``covered``
@@ -196,7 +184,7 @@ def _walks_as_the_word_keeping_walk(p, table):
     brute-force target."""
     gen = check_generation(p, table)
     seeds, gens = _generators(p)
-    expected = walk_keeping_words(table, _walks(p, table), seeds, gens)
+    expected = walk_keeping_words(table, walk_starts(p, table), seeds, gens)
     assert list(gen.coded.items()) == list(expected.items())
     assert all(gen.reached.word(*key) == word for key, word in expected.items())
     target = enumerate_target(p)
@@ -237,16 +225,16 @@ def test_a_rewired_table_walks_as_the_word_keeping_walk(data):
     p, table = _complete_table(data.draw(st.integers(0, len(_REWIRED_CELLS) - 1)))
     # a root's or a start's row often: in a semigroup the root's row holds
     # the walk's starts, and a category's walks start below its root
-    starts = {0}.union(*_walks(p, table))
+    starts = {0}.union(*walk_starts(p, table))
     c = data.draw(st.sampled_from(sorted(starts))
-                  | st.integers(0, len(table.transitions) - 1))
-    row = list(table.transitions[c])
+                  | st.integers(0, len(table.objects) - 1))
+    row = rows(table)[c]
     col = data.draw(st.integers(0, len(row) - 1))
     obj = table.objects[row[col]]
-    row[col] = data.draw(st.sampled_from([d for d, o in enumerate(table.objects) if o == obj]))
-    transitions = list(table.transitions)
-    transitions[c] = row
-    _walks_as_the_word_keeping_walk(p, dataclasses.replace(table, transitions=transitions))
+    entries = array("i", table.entries)
+    entries[table.starts[c] + col] = data.draw(
+        st.sampled_from([d for d, o in enumerate(table.objects) if o == obj]))
+    _walks_as_the_word_keeping_walk(p, dataclasses.replace(table, entries=entries))
 
 
 def _words_held(root, letters) -> set:
