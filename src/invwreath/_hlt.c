@@ -25,6 +25,13 @@
  * the caller frees the three with hlt_free.
  *
  * hlt_walk walks such a table breadth-first, as generation reads it.
+ *
+ * Each function has a Python twin in invwreath.congruence, the reference
+ * that tests match this file against and the engine of a host with no C
+ * compiler: new_node, find, merge, walk and relation are the _Engine
+ * methods of those names, prefixes is _prefixes, enumerate is
+ * _Engine.run, compress is _Engine.compressed, hlt_run is _python_run
+ * and hlt_walk is _python_walk.
  */
 
 #include <limits.h>

@@ -19,23 +19,10 @@ then the letter ids.  Short relations such as ``e_j x = x`` then identify
 paths before the long ones define them, and the table does not depend on
 how a presentation lists its relations.
 
-Relation traces run as kernels: plain functions, one per source object
-and per chunk of at most 64 relations.  Each chunk is compiled once per
-process into a factory, and each run binds it to its own table.  A
-kernel follows the distinct prefixes of its relations' sides once per
-node into local variables, each one letter past a shorter prefix, and a
-relation holds when its two sides end at one defined node.  Node 0 is a
-sink whose row is all 0, and 0 means "undefined"; a merged node's row
-becomes the sink's, so the walk needs no branch and reads 0 past an
-undefined or merged node.  A relation that seems not to hold goes to
-``fix``.  A live end is current, since a class changes only by a merge,
-which kills it; a side without one resumes from its live
-one-letter-shorter prefix end, or else from the node.  Where the sides
-stop, ``fix`` deduces a missing last transition, merges the two ends, or
-defines the first missing entry and carries on from the fresh node.
-Reading changes no state except to write a merged target's class back
-into its row, so the nodes defined and the merges made are those of
-filling every trace.
+The Python engine, ``_Engine``, is _hlt.c written again in Python,
+function for function.  Each node first reads the distinct prefixes of
+its relations' sides once, and only a relation whose sides do not end at
+one defined node is walked again and filled.
 
 Native engine.  Where a C compiler is on ``PATH`` (``cc``, ``gcc`` or
 ``clang``), runs go to _hlt.c, shipped in the package, compiled once and
@@ -63,9 +50,8 @@ go between objects, and the budget bounds the nodes of the one root.
 Each generator has a column within its source object, in alphabet order,
 and a row holds exactly the columns of its node's target object, from
 the engine to the returned table; relations are sorted and oriented on
-alphabet ids, then rewritten to columns, and the sink's row is as wide
-as the widest.  At ``omega-mi``/c2 cap 6, 18 of the 69 letters leave the
-widest object.
+alphabet ids, then rewritten to columns.  At ``omega-mi``/c2 cap 6, 18
+of the 69 letters leave the widest object.
 
 For semigroup presentations the same run is performed over all words
 including the empty one; since no relation side is empty, the root class
@@ -83,9 +69,8 @@ import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 from .base import InternalInconsistency
@@ -164,22 +149,22 @@ class CongruenceTable:
 
 
 class _Engine:
-    """Table plus union-find over local generator columns.
+    """Table plus union-find over local generator columns: _hlt.c's engine
+    written again in Python, function for function.
 
     Every node carries its target object, and its row has one column per
     generator leaving it: ``targets[m][k]`` is where the generator in
     column ``k`` of object ``m`` goes.  Relation sides are well-typed
-    paths, so a trace reads and defines only columns of the row it stands
-    on.  The one root's part of the table has at most ``budget`` nodes;
-    node 0 is the sink (see the module docstring), outside the budget.
+    paths, so a walk reads and defines only columns of the row it stands
+    on.  Node 0 is reserved, with no row, and 0 means "undefined"; a
+    merged node's row becomes ``None``.  The one root's part of the table
+    has at most ``budget`` nodes.
     """
 
     def __init__(self, targets, budget: int):
         self.targets = targets
         self.budget = budget
-        # a tuple, so that no write can reach the sink's row
-        self.sink = (0,) * max(map(len, targets))
-        self.rows: list = [self.sink]
+        self.rows: list = [None]
         self.parent: list[int] = [0]
         self.robj: list[int] = [-1]
 
@@ -217,7 +202,7 @@ class _Engine:
                 raise InternalInconsistency("attempt to merge nodes of different types")
             parent[b] = a
             row_b = rows[b]
-            rows[b] = self.sink
+            rows[b] = None
             row_a = rows[a]
             for x, t in enumerate(row_b):
                 if t:
@@ -227,48 +212,31 @@ class _Engine:
                     elif s != t:
                         queue.append((s, t))
 
-    def walk(self, a: int, i: int, w) -> tuple[int, int]:
-        """Follow ``w`` from the live node ``a`` at letter ``i`` as far as
-        it is defined: the class reached and the letters read.  A merged
-        target met on the way is written back as its class."""
+    def walk(self, a: int, w) -> tuple[int, int]:
+        """Follow ``w`` from the live node ``a`` as far as it is defined:
+        the node reached and the letters read.  Each entry read is written
+        back as its class."""
         rows, parent = self.rows, self.parent
-        for i in range(i, len(w)):
+        for i, x in enumerate(w):
             row = rows[a]
-            t = row[w[i]]
+            t = row[x]
             if not t:
                 return a, i
             if parent[t] != t:
-                t = row[w[i]] = self.find(t)
+                t = row[x] = self.find(t)
             a = t
         return a, len(w)
 
-    def fix(self, idx: int, u, v, a: int, b: int, pa: int, pb: int) -> bool:
-        """Make ``u = v`` hold at the live node ``idx``, from what a
-        kernel read as the ends ``a``, ``b`` of its sides and ``pa``,
-        ``pb`` of their one-letter-shorter prefixes (see the module
-        docstring).  Returns whether ``idx`` was merged into an earlier
+    def relation(self, idx: int, u, v) -> bool:
+        """Make ``u = v`` hold at the live node ``idx``: walk both sides,
+        then deduce a missing last letter, merge the two ends, or define
+        the first missing entry, the ``u`` side first, and go on from the
+        fresh node.  Returns whether ``idx`` was merged into an earlier
         node."""
         rows, parent = self.rows, self.parent
         lu, lv = len(u), len(v)
-        # each side as far as it is defined: u[:i] reaches a, v[:j] reaches b
-        if a and parent[a] == a:
-            i = lu
-        elif pa and parent[pa] == pa:
-            a, i = pa, lu - 1
-            t = rows[pa][u[i]]
-            if t:
-                a, i = t if parent[t] == t else self.walk(pa, i, u)[0], lu
-        else:
-            a, i = self.walk(idx, 0, u)
-        if b and parent[b] == b:
-            j = lv
-        elif pb and parent[pb] == pb:
-            b, j = pb, lv - 1
-            t = rows[pb][v[j]]
-            if t:
-                b, j = t if parent[t] == t else self.walk(pb, j, v)[0], lv
-        else:
-            b, j = self.walk(idx, 0, v)
+        a, i = self.walk(idx, u)
+        b, j = self.walk(idx, v)
         while True:
             if i == lu:
                 if j == lv:
@@ -291,22 +259,30 @@ class _Engine:
                 b, j = fresh, j + 1
 
     def run(self, rels_by_src: dict, root: int):
-        """The root at object ``root``, then nodes in creation order: run
-        the kernels of the relations whose source is the node's target,
-        then fill the node's remaining row entries with fresh nodes.  A
-        kernel returns true when a fix merged the node into an earlier,
-        fully processed one."""
-        rows, parent, robj, targets = self.rows, self.parent, self.robj, self.targets
+        """The root at object ``root``, then nodes in creation order.  A
+        node first reads the distinct prefixes of its object's relation
+        sides (``_prefixes``) into ``ends``, each one letter past a shorter
+        one; a relation whose two sides end at one defined node holds for
+        good, and the others go to ``relation`` until one merges the node
+        away.  A node not merged away has its empty entries filled with
+        fresh nodes."""
+        rows, parent, robj, targets, find = self.rows, self.parent, self.robj, self.targets, self.find
+        prefixes = {m: _prefixes(rels) for m, rels in rels_by_src.items()}
         self.new_node(root)
-        kernels = [[] for _ in targets]
-        for src, rels in rels_by_src.items():
-            for k in range(0, len(rels), _KERNEL_RELATIONS):
-                kernels[src].append(_kernel(rels[k:k + _KERNEL_RELATIONS], rows, self.fix))
         idx = 1
         while idx < len(rows):
             if parent[idx] == idx:
-                for kernel in kernels[robj[idx]]:
-                    if kernel(idx):
+                steps, rels = prefixes.get(robj[idx], ((), ()))
+                ends = [idx]
+                for k, x in steps:
+                    t = ends[k]
+                    if t:
+                        t = rows[t][x]
+                        if t and parent[t] != t:
+                            t = find(t)
+                    ends.append(t)
+                for u, v, pu, pv in rels:
+                    if (ends[pu] != ends[pv] or not ends[pu]) and self.relation(idx, u, v):
                         break
                 else:
                     row = rows[idx]
@@ -341,92 +317,27 @@ class _Engine:
         return entries, starts, array("i", robj[:kept])
 
 
-# Relations per kernel.  Compiling one kernel for all of ``r-sing-in``
-# n=5's 410 relations peaks at about 7.6 MB, one of 64 at about 1.2 MB.
-# Smaller kernels also run faster: with chunks of 512 relations the three
-# ``singular-semigroup`` benchmark cells took 1.3-1.6 times as long to
-# enumerate, even with every kernel already compiled.
-_KERNEL_RELATIONS = 64
-
-
-def _kernel(rels, rows, fix):
-    """The kernel of the relations ``rels`` (a tuple) for one run: the
-    compiled factory of ``_factory``, bound to the run's ``rows`` and
-    ``fix``."""
-    make, values = _factory(rels)
-    return make(rows, fix, *values)
-
-
-# A factory of 64 relations retains about 30 kB, so 128 of them cap the
-# cache at about 4 MB.
-@lru_cache(maxsize=128)
-def _factory(rels):
-    """The compiled kernel factory of the relations ``rels`` and the
-    arguments it takes after ``rows`` and ``fix``.  Its kernel is a
-    function of a live node ``e0`` that follows the sides' distinct
-    prefixes (``_prefixes``) into local variables ``e<k>``, then passes
-    each relation whose sides do not end at one defined node to ``fix``,
-    and returns true as soon as ``fix`` does.  The source holds only ints
-    and local names: the itemgetters and words come in as arguments of
-    the factory.  Nothing here belongs to a run, so the factory is
-    compiled once per process for each chunk of relations, and a cached
-    one keeps no finished run's table alive."""
-    index, groups = _prefixes(rels)
-    names, values, local = ["rows", "fix"], [], {}
-
-    def name(value, prefix):
-        if value not in local:
-            local[value] = f"{prefix}{len(local)}"
-            names.append(local[value])
-            values.append(value)
-        return local[value]
-
-    body = []
-    for par, lo, letters in groups:
-        if len(letters) == 1:
-            body.append(f"e{lo} = rows[e{par}][{letters[0]}]")
-        else:
-            ends = ", ".join(f"e{lo + k}" for k in range(len(letters)))
-            body.append(f"{ends} = {name(itemgetter(*letters), 'g')}(rows[e{par}])")
-    for u, v in rels:
-        eu, ev = f"e{index[u]}", f"e{index[v]}"
-        # an empty side ends at the live node itself and needs no prefix
-        pu, pv = (f"e{index[w[:-1]]}" if w else "0" for w in (u, v))
-        body.append(f"if ({eu} != {ev} or not {eu}) and fix(e0, {name(u, 'w')}, "
-                    f"{name(v, 'w')}, {eu}, {ev}, {pu}, {pv}): return True")
-    source = (f"def make({', '.join(names)}):\n def kernel(e0):\n  "
-              + "\n  ".join(body) + "\n return kernel\n")
-    namespace = {}
-    exec(source, namespace)
-    # popped, so that a factory dropped from the cache does not wait in a
-    # function <-> globals cycle for a full collection
-    return namespace.pop("make"), tuple(values)
-
-
 def _prefixes(rels):
-    """The distinct prefixes of the relation sides ``rels``, numbered
-    breadth-first from the empty prefix 0, so that the one-letter
-    extensions of each prefix have consecutive numbers.  Returns
-    ``index``, each prefix's number, and ``groups``: per prefix with
-    extensions, in order, its number, its first extension's number and
-    the extensions' letters."""
-    extensions: dict[tuple, list] = {(): []}
-    for rel in rels:
-        for side in rel:
-            for k in range(len(side)):
-                if side[:k + 1] not in extensions:
-                    extensions[side[:k + 1]] = []
-                    extensions[side[:k]].append(side[k])
-    index = {(): 0}
-    groups, order = [], [()]
-    for pre in order:           # grows while it is read
-        letters = extensions[pre]
-        if letters:
-            groups.append((index[pre], len(order), letters))
-            for x in letters:
-                index[pre + (x,)] = len(order)
-                order.append(pre + (x,))
-    return index, groups
+    """The distinct prefixes of the relation sides ``rels``, numbered from
+    the empty prefix 0 as they are first met, as _hlt.c's ``prefixes``
+    numbers them.  Returns ``steps``, per prefix past the empty one its
+    one-letter-shorter prefix and its letter, and per relation ``(u, v)``
+    the tuple ``(u, v, pu, pv)`` of its sides and the prefixes they end
+    at."""
+    child: dict[tuple, int] = {}
+    steps, relations = [], []
+    for u, v in rels:
+        sides = []
+        for side in (u, v):
+            k = 0
+            for x in side:
+                if (k, x) not in child:
+                    steps.append((k, x))
+                    child[k, x] = len(steps)
+                k = child[k, x]
+            sides.append(k)
+        relations.append((u, v, *sides))
+    return steps, relations
 
 
 def _python_run(targets, rels_by_src, root: int, budget: int):

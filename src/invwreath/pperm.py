@@ -27,7 +27,6 @@ __all__ = [
     "swap2",
     "drop1",
     "lift1",
-    "enumerate_partial_bijections",
     "code_rows",
 ]
 
@@ -188,13 +187,6 @@ def drop1() -> PartialBijection:
 def lift1() -> PartialBijection:
     """The unique map ``{} -> {1}``."""
     return PartialBijection(0, 1, ())
-
-
-def enumerate_partial_bijections(m: int, n: int) -> Iterator[PartialBijection]:
-    """All partial bijections ``{1..m} -> {1..n}``, in lexicographic order of
-    the image row with "undefined" sorting first.
-    """
-    return (PartialBijection(m, n, tuple(map(ord, row))) for row in code_rows(m, n))
 
 
 def code_rows(m: int, n: int, labels: int = 0, fixed: bool = False,

@@ -12,6 +12,8 @@ kept so that what it checked is still checked.
 - ``walk_starts``: the start classes of generation's walks of a table.
 - ``act_on``: a translate table applied one code at a time, without
   ``str.translate``.
+- ``enumerate_partial_bijections``: every partial bijection of a hom-set
+  as a ``PartialBijection``, which no program code lists any more.
 - ``enumerate_keys``: a hom-set's plain forms in ``sort_key`` order, built
   from image rows and label tuples, the reference for
   ``wreath.enumerate_codes`` and ``wreath.enumerate_wreath``.
@@ -25,7 +27,7 @@ from itertools import product
 
 from invwreath import pperm
 from invwreath.base import BasePresentation, MTuple, ZeroExtended
-from invwreath.pperm import CompositionError
+from invwreath.pperm import CompositionError, PartialBijection
 from invwreath.words import e_, rho, s_, token, word_text, x_, xc
 from invwreath.wreath import WreathElement
 
@@ -125,6 +127,13 @@ def walk_keeping_words(table, walks, seeds, gens) -> dict:
             if b not in witness:
                 witness[b] = witness[a] + (letter,)
     return witness
+
+
+def enumerate_partial_bijections(m, n):
+    """All partial bijections ``{1..m} -> {1..n}``, in lexicographic order of
+    the image row with "undefined" sorting first.
+    """
+    return (PartialBijection(m, n, tuple(map(ord, row))) for row in pperm.code_rows(m, n))
 
 
 def enumerate_keys(monoid, m, n, variant="full"):

@@ -12,7 +12,7 @@ from invwreath import wreath
 from invwreath.base import builtin
 from invwreath.cli import main
 from invwreath.congruence import enumerate_congruence
-from invwreath.pperm import PartialBijection, enumerate_partial_bijections
+from invwreath.pperm import PartialBijection
 from invwreath.presentations import KIND, KINDS, build
 from invwreath.verify import (
     check_soundness,
@@ -36,7 +36,7 @@ from invwreath.words import (
     x_,
     xc,
 )
-from oracles import embed_tuple, min_separation_rules, separate
+from oracles import embed_tuple, enumerate_partial_bijections, min_separation_rules, separate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SWEEP_BASES = ("trivial", "c2", "c3", "sl2", "s3")

@@ -19,9 +19,9 @@ from invwreath.base import (
     tuple_tensor,
     unit_at,
 )
-from invwreath.pperm import CompositionError, PartialBijection, enumerate_partial_bijections
+from invwreath.pperm import CompositionError, PartialBijection
 from invwreath.wreath import compose, embed_map, identity_element
-from oracles import closure, tuple_mul
+from oracles import closure, enumerate_partial_bijections, tuple_mul
 
 FIG_MAP = PartialBijection(6, 8, (0, 0, 4, 1, 0, 7))
 

@@ -179,7 +179,7 @@ _PINNED = (
      "7bbb73c39215990f772c04bd0376796c1222a06e9599f7050242578000adcb05"),
     ("omega-mi", TRIV, 3, 52, 115,
      "65ee77535084428bfa259fad8fe0554987c1350240ad56ca23dbe883363c82af"),
-    # 138 relations from one source: more than one trace kernel
+    # the singular kind over the trivial base: 138 relations from one source
     ("r-sing-in", TRIV, 4, 185, 628,
      "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b"),
 )
@@ -216,29 +216,23 @@ def test_engine_counts_are_pinned(monkeypatch):
         assert (table.status, table.nodes_created) == ("budget-exceeded", 450), engine
 
 
-def test_a_cached_kernel_changes_nothing(monkeypatch):
+def test_a_run_keeps_nothing_alive(monkeypatch):
     _python_engine(monkeypatch)
-    # each chunk of relations compiles its kernel factory once per process,
-    # and each run binds it to its own table: a cold run, a warm one and a
-    # warm one after another presentation's run give one table, node for
-    # node.  The run between, omega-mi/c2 at cap 4, shares 3 of its 6
-    # chunks with cap 3 and none with r-sing-in
+    # runs in one process share nothing: a first run, a second one and one
+    # after another presentation's run give one table, node for node
     between = build("omega-mi", C2, cap=4)
-    for p, chunks, pinned in (
-            (build("r-sing-in", TRIV, n=4), 3,
+    for p, pinned in (
+            (build("r-sing-in", TRIV, n=4),
              (628, "977c83b585a6051cfd2464a935d5b172b29f47dd9a04f0f6597de083b099106b")),
-            (build("omega-mi", C2, cap=3), 4,
+            (build("omega-mi", C2, cap=3),
              (518, "7bbb73c39215990f772c04bd0376796c1222a06e9599f7050242578000adcb05"))):
-        congruence._factory.cache_clear()
         assert _digest(enumerate_congruence(p)) == pinned
-        assert congruence._factory.cache_info()[:2] == (0, chunks)
         assert _digest(enumerate_congruence(p)) == pinned
-        assert congruence._factory.cache_info()[:2] == (chunks, chunks)
         enumerate_congruence(between)
         assert _digest(enumerate_congruence(p)) == pinned
 
-    # the cache holds nothing of a run: with the collector off, each run's
-    # engine is freed as soon as the run returns, complete or not
+    # and with the collector off, each run's engine is freed as soon as
+    # the run returns, complete or not
     engines = []
 
     class Spy(congruence._Engine):
@@ -255,35 +249,30 @@ def test_a_cached_kernel_changes_nothing(monkeypatch):
         gc.enable()
     assert len(engines) == 2 and all(ref() is None for ref in engines)
 
-    info = congruence._factory.cache_info()
-    assert info.maxsize == 128 and info.currsize <= info.maxsize
-
 
 def test_a_merged_node_keeps_no_row(monkeypatch):
     _python_engine(monkeypatch)
     # a merge drops the merged node's row: every node merged away in a run
-    # holds the engine's one shared sink row, not a list of its own.  The
-    # rows are read when the run ends, before compression rewrites them
+    # holds None, not a list of its own.  The rows are read when the run
+    # ends, before compression rewrites them
     merged = []
 
     class Keep(congruence._Engine):
         def compressed(self):
             merged.extend(self.rows[i] for i, a in enumerate(self.parent) if a != i)
-            merged.append(self.sink)
             return super().compressed()
 
     monkeypatch.setattr(congruence, "_Engine", Keep)
     assert enumerate_congruence(build("r-sing-in", TRIV, n=4)).status == "complete"
-    sink = merged.pop()
     assert len(merged) > 100
-    assert all(row is sink for row in merged)
+    assert all(row is None for row in merged)
 
 
-def test_kernel_reuse_across_presentations_is_sound(monkeypatch):
+def test_cells_in_one_process_report_what_fresh_processes_do(monkeypatch):
     _python_engine(monkeypatch)
-    # cells whose presentations share relation chunks (r-sing-in's do not
-    # depend on the base), run one after another in this process, report
-    # what each reports in a fresh process
+    # cells whose presentations share relations (r-sing-in's do not depend
+    # on the base), run one after another in this process, report what
+    # each reports in a fresh process
     cells = [("r-sing-in", b, "--n", 4) for b in ("trivial", "c2", "s3")]
     cells += [("omega-mi", "c2", "--cap", cap) for cap in (2, 3, 4)]
     env = {k: v for k, v in os.environ.items() if k != "INVWREATH_BUDGET"}
@@ -293,17 +282,13 @@ def test_kernel_reuse_across_presentations_is_sound(monkeypatch):
          option, str(level), "--format", "json"],
         env=env, capture_output=True, text=True, check=True, timeout=60).stdout)
         for kind, base, option, level in cells]
-    congruence._factory.cache_clear()
     warm = [(verify_category(level, builtin(base)) if kind == "omega-mi"
              else verify_presentation(kind, builtin(base), level)).to_json()
             for kind, base, _, level in cells]
     assert warm == cold
     assert all(report["verdict"] == "pass" for report in warm)
-    hits = congruence._factory.cache_info().hits
-    assert hits > 0
-    # the pinned omega-mi tables reuse the kernels of the runs above
+    # and the pinned omega-mi tables after the runs above
     _check_pins([cell for cell in _PINNED if cell[0] == "omega-mi"])
-    assert congruence._factory.cache_info().hits > hits
 
 
 def _require_native():
@@ -437,12 +422,12 @@ def test_a_node_merged_before_its_row_is_full_is_processed_no_further(monkeypatc
     early = []
 
     class Spy(congruence._Engine):
-        def fix(self, idx, *args):
+        def relation(self, idx, *args):
             self.idx = idx
-            return super().fix(idx, *args)
+            return super().relation(idx, *args)
 
         def merge(self, a, b):
-            row = self.rows[self.idx]       # a merged node's row becomes the sink's
+            row = self.rows[self.idx]       # a merged node's row becomes None
             super().merge(a, b)
             if self.parent[self.idx] != self.idx and 0 in row:
                 early.append(self.idx)

@@ -12,7 +12,6 @@ from invwreath.pperm import (
     PartialBijection,
     code_rows,
     drop1,
-    enumerate_partial_bijections,
     identity,
     inclusion,
     lift1,
@@ -24,6 +23,7 @@ from invwreath.pperm import (
     transfer,
 )
 from invwreath.wreath import count_wreath
+from oracles import enumerate_partial_bijections
 
 TRIVIAL = builtin("trivial").monoid
 FIG_A = PartialBijection(6, 8, (0, 0, 4, 1, 0, 7))
