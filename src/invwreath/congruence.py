@@ -83,12 +83,10 @@ __all__ = [
     "enumerate_congruence",
     "walk_visits",
     "node_budget",
-    "DEFAULT_MONOID_BUDGET",
-    "DEFAULT_CATEGORY_BUDGET",
+    "DEFAULT_BUDGET",
 ]
 
-DEFAULT_MONOID_BUDGET = 50_000
-DEFAULT_CATEGORY_BUDGET = 20_000
+DEFAULT_BUDGET = 50_000
 
 
 class UnsupportedFlavorError(ValueError):
@@ -558,11 +556,11 @@ def _trace_order(rels):
     return sorted(oriented, key=lambda rel: (len(rel[0]), len(rel[0]) + len(rel[1]), rel))
 
 
-def node_budget(flavor: str, budget: int | None) -> int:
-    """The node budget of a run: ``budget``, or the flavor's default for
+def node_budget(budget: int | None) -> int:
+    """The node budget of a run: ``budget``, or ``DEFAULT_BUDGET`` for
     ``None``."""
     if budget is None:
-        return DEFAULT_CATEGORY_BUDGET if flavor == "category" else DEFAULT_MONOID_BUDGET
+        return DEFAULT_BUDGET
     if budget <= 0:
         raise ValueError(f"node budget must be positive, got {budget}")
     return budget
@@ -576,14 +574,14 @@ def enumerate_congruence(p: Presentation, budget: int | None = None) -> Congruen
     out of it.  The two sides of a category relation must be paths with
     one source and one target, or the run raises
     ``InternalInconsistency``.  ``budget`` bounds the nodes of the run;
-    ``None`` picks the flavor's default.  Tensor flavors have no
+    ``None`` picks ``DEFAULT_BUDGET``.  Tensor flavors have no
     completeness enumeration.
     """
     if p.flavor == "tensor":
         raise UnsupportedFlavorError(
             "tensor congruences have no completeness enumeration here")
     category = p.flavor == "category"
-    budget = node_budget(p.flavor, budget)
+    budget = node_budget(budget)
 
     if category:
         dr = [edge_dr(sym) for sym in p.alphabet]

@@ -299,7 +299,7 @@ def over_budget(kind: str, base: BasePresentation, level: int, budget: int | Non
     terms, not a sum of big integers, and its need reads ``more than``."""
     base, variant, objects = _target(kind, base, level)
     flavor = KIND[kind].flavor
-    budget = node_budget(flavor, budget)
+    budget = node_budget(budget)
     monoid = base.require_evaluation()
     limit = max(budget, _EXACT_NEED)
     need = 1 if flavor == "semigroup" else 0

@@ -36,6 +36,16 @@ def test_monoid_validation():
         FiniteMonoid(2, 1, ((0, 1), (1, 0)))  # wrong identity element
     with pytest.raises(ValueError):
         FiniteMonoid(2, 0, ((0, 1),))
+    for size, identity in ((0, 0), (2, 2), (2, -1)):
+        with pytest.raises(ValueError, match="bad size or identity index"):
+            FiniteMonoid(size, identity, ((0, 1), (1, 0)))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="table entry outside element range"):
+            FiniteMonoid(2, 0, ((0, 1), (1, bad)))
+    c2 = builtin("c2").monoid
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="evaluation image outside the monoid"):
+            BasePresentation(("g",), (), c2, (bad,))
 
 
 def test_adjoin_zero_trivial():

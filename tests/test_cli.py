@@ -587,6 +587,24 @@ def test_monoid_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     assert all(str(tmp_path) in error for _, error in verdicts[:3])
 
 
+def test_a_monoid_file_with_a_bad_table_or_image_is_a_usage_error(tmp_path, capsys):
+    # a table or an evaluation the monoid checks refuse: exit 1 and one
+    # error line naming what is wrong, never a traceback
+    table = [[0, 1], [1, 0]]
+    cases = {
+        "bad size or identity index": ({"size": 2, "identity": 2, "table": table}, 1),
+        "table entry outside element range": (
+            {"size": 2, "identity": 0, "table": [[0, 1], [1, 2]]}, 1),
+        "evaluation image outside the monoid": ({"size": 2, "identity": 0, "table": table}, 2),
+    }
+    for message, (monoid, image) in cases.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"presentation": {
+            "alphabet": ["g"], "relations": [], "monoid": monoid, "images": {"g": image}}}))
+        code, out, err = run(capsys, "verify", "--kind", "r-min", "--monoid", str(path), "--n", "2")
+        assert (code, out, err) == (1, "", f"error: {message}\n"), message
+
+
 def test_matrix(tmp_path, capsys):
     config = {"cells": [
         {"kind": "r-in", "monoid": "trivial", "n": 2},

@@ -489,6 +489,31 @@ def test_the_native_library_is_built_once_into_the_cache(tmp_path):
     assert loads(blocked) and blocked.read_text() == ""
 
 
+def test_a_compiler_that_fails_leaves_the_python_engine(tmp_path):
+    # a cc on PATH that exits 1: no library loads, the Python engine
+    # verifies, and nothing is left in the cache
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    cc.chmod(0o755)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = dict(os.environ, PATH=str(bin_dir), XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=str(Path(invwreath.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    probe = run("-c", "from invwreath import congruence; print(congruence._native() is None)")
+    assert (probe.returncode, probe.stdout) == (0, "True\n"), probe.stderr
+    verified = run("-m", "invwreath", "verify", "--kind", "r-sing-in", "--monoid", "trivial",
+                   "--n", "4")
+    assert verified.returncode == 0 and "pass" in verified.stdout, verified.stderr
+    assert not [f for f in cache.rglob("*") if f.is_file()]
+
+
 def test_table_does_not_depend_on_the_listing_of_relations():
     # the engine traces each relation once, in an order and orientation of
     # its own: a shuffled list with every other relation turned round and

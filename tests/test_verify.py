@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invwreath.base import InternalInconsistency, NoEvaluationError, _close, builtin
-from invwreath.congruence import enumerate_congruence
+from invwreath.congruence import DEFAULT_BUDGET, enumerate_congruence
 from invwreath.pperm import CompositionError, omit
 from invwreath.presentations import FLAVOR_SYNTAX, KIND, build
 from invwreath.schemas import REPORT_SCHEMA
@@ -30,7 +30,7 @@ from invwreath.verify import (
     verify_presentation,
     verify_tensor,
 )
-from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, rho, s_
+from invwreath.words import Path, Sym, TIdent, e_, edge_dr, lam, parse_path, parse_term, rho, s_
 from invwreath.words import parse_monoid_word as w
 from invwreath.wreath import embed_map, encode_key, hom_count
 from oracles import act_on, closure, rows, walk_keeping_words, walk_starts
@@ -467,6 +467,22 @@ def test_target_above_budget_is_inconclusive_before_generation():
     assert report.notes["enumeration"] == "budget exhausted after 23 nodes"
 
 
+def test_the_category_kind_runs_at_the_one_default_budget():
+    # no budget given: a category run has the flat runs' default, 50000
+    # nodes under its one root, the cap
+    assert DEFAULT_BUDGET == 50_000
+    for cap, name in ((6, "trivial"), (5, "c2"), (5, "sl2")):
+        report = verify_category(cap, builtin(name))
+        assert report.verdict == "pass", (cap, name, report.notes)
+        assert report.enumerated_size == report.target_size
+    for cap, name, need in ((5, "c3", 115611), (4, "s3", 61589)):
+        report = verify_category(cap, builtin(name))
+        assert report.verdict == "inconclusive" and report.generation is None
+        assert report.notes["enumeration"] == (
+            f"stopped before generation: the target needs {need} nodes under one root, "
+            f"above the node budget of 50000")
+
+
 def test_huge_levels_stop_at_the_budget_check():
     # nothing is built or evaluated: the closed form alone is too large
     start = time.perf_counter()
@@ -737,6 +753,25 @@ def test_verify_tensor_unlabelled_kind():
         report = verify_tensor(base, kind="xi-i")
         assert report.kind == "xi-i" and report.verdict == "pass"
         assert report.notes == {"hat_edges": 15, "decompositions": 45, "shadow_relations": 36}
+
+
+def test_an_unsound_tensor_relation_stops_the_tensor_check(monkeypatch):
+    # xi-mi with X = i2: its own soundness fails, and nothing after it runs
+    def with_unsound(kind, base, **level):
+        p = build(kind, base, **level)
+        if kind != "xi-mi":
+            return p
+        bad = (parse_term("X"), parse_term("i2"))
+        return dataclasses.replace(p, relations=p.relations + (bad,))
+
+    monkeypatch.setattr("invwreath.verify.build", with_unsound)
+    report = verify_tensor(C2)
+    assert report.verdict == "fail" and not report.soundness.ok
+    bad = len(build("xi-mi", C2).relations)
+    assert report.soundness.detail.startswith(f"relation {bad}: X evaluates to ")
+    assert " but i2 evaluates to " in report.soundness.detail
+    assert report.notes == {}
+    jsonschema.validate(report.to_json(), REPORT_SCHEMA)
 
 
 def test_a_wrong_hat_edge_fails_the_tensor_check(monkeypatch):

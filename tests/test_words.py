@@ -4,6 +4,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path as FilePath
@@ -215,6 +216,11 @@ def test_parse_errors():
         parse_path("s2:2")
     with pytest.raises(ParseError):
         parse_monoid_word("s1:3")
+    for text, message in (("(o", "missing ')'"), ("(o X X", "missing ')'"),
+                          ("X X", "trailing tokens from position 1"),
+                          ("(o X X) )", "trailing tokens from position 5")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_term(text)
     for bad in (lambda: s_(2, 2), lambda: e_(3, 2), lambda: x_("g", 0, 3)):
         with pytest.raises(ValueError):
             bad()
